@@ -23,7 +23,7 @@ from .experiments import (
     run_ode_consistency,
 )
 from .functionals import DiagnosticsRecord, diagnostics_record, steady_states
-from .inequalities import all_reports
+from .inequalities import all_reports, bernis_report
 from .stepper import StepperFailure, run_until
 
 __all__ = ["main", "cmd_simulate", "cmd_experiment", "cmd_verify", "cmd_plot"]
@@ -198,12 +198,10 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
         return _fail("bernis: beta must differ from 1", 1)
     os.makedirs(out_dir, exist_ok=True)
     try:
-        reports = all_reports(suite)
+        reports = all_reports(suite, skip=() if bernis_beta is None else ("bernis",))
     except ValueError as exc:
         return _fail(str(exc), 1)
     if bernis_beta is not None:
-        from .inequalities import bernis_report
-        reports = [r for r in reports if r.name != "bernis"]
         reports.append(bernis_report(betas=(bernis_beta,)))
     ok = True
     for rep in reports:

@@ -138,14 +138,10 @@ class RunConfig:
 
     def experiment_spec(self, name: str) -> ExperimentSpec:
         v = self.values
-        if not v["time.t_end"] > 0.0:
-            raise ConfigError("time.t_end", "must be positive")
-        if not v["time.sample_every"] > 0.0:
-            raise ConfigError("time.sample_every", "must be positive")
         return ExperimentSpec(
             name=name, kp=self.kp, rp=self.rp, kind=self.kind, grid=self.grid,
             ic=self.ic, t_end=v["time.t_end"], sample_every=v["time.sample_every"],
-            seed=v["ic.seed"], gamma=self.gamma,
+            gamma=self.gamma,
         )
 
     def validate(self):

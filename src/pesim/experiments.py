@@ -101,7 +101,6 @@ class ExperimentSpec:
     ic: InitialCondition
     t_end: float
     sample_every: float = 1.0
-    seed: int = 0
     gamma: float = 1.0
 
     def __post_init__(self):
@@ -227,9 +226,12 @@ def run_extinction_study(spec: ExperimentSpec, cfg: StepperConfig | None = None,
 
 def _worker_count() -> int:
     env = os.environ.get("PE_SIM_THREADS", "")
-    if env.strip():
+    if not env.strip():
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"PE_SIM_THREADS must be an integer, got {env!r}") from None
 
 
 def run_eps_convergence(base_spec: ExperimentSpec, eps_list,

@@ -75,6 +75,18 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     @classmethod
+    def trusted(cls, grid: Grid1D, values: np.ndarray) -> "Field":
+        """Adopt a finite float array of shape (n_cells,) without copy or check.
+
+        The array is frozen in place, so the caller must not keep writing to it.
+        """
+        values.flags.writeable = False
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", values)
+        return f
+
+    @classmethod
     def constant(cls, grid: Grid1D, c: float) -> "Field":
         return cls(grid, np.full(grid.n_cells, float(c)))
 

@@ -101,6 +101,14 @@ class State:
         if self.u.min() <= 0.0 or self.v.min() <= 0.0:
             raise ValueError("state must be strictly positive")
 
+    @classmethod
+    def trusted(cls, t: float, u: Field, v: Field) -> "State":
+        """Build a state whose fields share a grid and are known to be positive."""
+        st = object.__new__(cls)
+        for name, value in (("t", t), ("u", u), ("v", v)):
+            object.__setattr__(st, name, value)
+        return st
+
     @property
     def grid(self) -> Grid1D:
         return self.u.grid
@@ -115,6 +123,26 @@ def _check_nonneg(s, what="s"):
         raise ValueError(f"{what} must be nonnegative")
 
 
+# The underscored kernels below skip the argument checks: the face
+# coefficients and the right-hand sides call them on states that are already
+# known to be positive.  The public functions check, then call the kernel.
+
+def _g_mollifier(s, eps):
+    return 3.0 * s**3 / (3.0 * s**2 + eps)
+
+
+def _h_flux(s, n, eps):
+    return s ** (5.0 - n) / (s ** (4.0 - n) + eps)
+
+
+def _m4_mobility(s, n, eps):
+    return s**4 / (s ** (4.0 - n) + eps)
+
+
+def _fast_diffusion_coeff(s, alpha, eps):
+    return eps ** (alpha / 2.0) * s ** (-alpha)
+
+
 def g_mollifier(s, eps):
     """Mollified reaction factor 3 s^3 / (3 s^2 + eps).
 
@@ -122,7 +150,7 @@ def g_mollifier(s, eps):
     it equals sqrt(eps) / (2 sqrt(3)).
     """
     _check_nonneg(s)
-    return 3.0 * s**3 / (3.0 * s**2 + eps)
+    return _g_mollifier(s, eps)
 
 
 def g_mollifier_deriv(s, eps):
@@ -135,7 +163,7 @@ def h_flux(s, n, eps):
     """Taxis flux coefficient s^(5-n) / (s^(4-n) + eps); 0 <= h(s) <= s."""
     _check_nonneg(s)
     _check_hflux_params(n, eps)
-    return s ** (5.0 - n) / (s ** (4.0 - n) + eps)
+    return _h_flux(s, n, eps)
 
 
 def h_flux_deriv(s, n, eps):
@@ -172,14 +200,14 @@ def m4_mobility(s, n, eps):
     _check_nonneg(s)
     if np.any(np.asarray(eps) <= 0.0):
         raise ValueError("eps must be positive")
-    return s**4 / (s ** (4.0 - n) + eps)
+    return _m4_mobility(s, n, eps)
 
 
 def fast_diffusion_coeff(s, alpha, eps):
     """Singular second-order coefficient eps^(alpha/2) * s^(-alpha), s > 0."""
     if np.any(np.asarray(s) <= 0.0):
         raise ValueError("s must be strictly positive")
-    return eps ** (alpha / 2.0) * s ** (-alpha)
+    return _fast_diffusion_coeff(s, alpha, eps)
 
 
 def log_entropy_weight(s, n, eps):
@@ -198,7 +226,11 @@ def log_entropy_weight(s, n, eps):
 # ---------------------------------------------------------------------------
 
 def _face_mean(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a[:-1] + a[1:])
+    """Means of adjacent cell values at the interior faces; zero at both ends."""
+    c = np.zeros(a.shape[0] + 1)
+    np.add(a[:-1], a[1:], out=c[1:-1])
+    c *= 0.5
+    return c
 
 
 def reaction_terms(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
@@ -207,7 +239,7 @@ def reaction_terms(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
     bv = kp.lambda2 - v - kp.a2 * u
     if kind is ModelKind.LIMIT:
         return u * bu, v * bv
-    return g_mollifier(u, rp.eps) * bu, g_mollifier(v, rp.eps) * bv
+    return _g_mollifier(u, rp.eps) * bu, _g_mollifier(v, rp.eps) * bv
 
 
 def reaction_jacobian(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
@@ -216,8 +248,8 @@ def reaction_jacobian(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
     bv = kp.lambda2 - v - kp.a2 * u
     if kind is ModelKind.LIMIT:
         return bu - u, kp.a1 * u, -kp.a2 * v, bv - v
-    gu = g_mollifier(u, rp.eps)
-    gv = g_mollifier(v, rp.eps)
+    gu = _g_mollifier(u, rp.eps)
+    gv = _g_mollifier(v, rp.eps)
     gpu = g_mollifier_deriv(u, rp.eps)
     gpv = g_mollifier_deriv(v, rp.eps)
     return gpu * bu - gu, kp.a1 * gu, -kp.a2 * gv, gpv * bv - gv
@@ -225,35 +257,34 @@ def reaction_jacobian(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
 
 def diffusion_face_coeff(w, d, rp: RegParams, kind: ModelKind) -> np.ndarray:
     """Second-order face coefficient D (+ fast-diffusion correction); zero ends."""
-    c = np.zeros(w.shape[0] + 1)
     if kind is ModelKind.LIMIT:
+        c = np.zeros(w.shape[0] + 1)
         c[1:-1] = d
     else:
-        c[1:-1] = d + _face_mean(fast_diffusion_coeff(w, rp.alpha, rp.eps))
+        c = _face_mean(_fast_diffusion_coeff(w, rp.alpha, rp.eps))
+        c[1:-1] += d
     return c
 
 
 def thinfilm_face_coeff(w, n_exp, rp: RegParams) -> np.ndarray:
     """Face coefficient eps * m4(w) of the fourth-order flux; zero ends."""
-    c = np.zeros(w.shape[0] + 1)
-    c[1:-1] = rp.eps * _face_mean(m4_mobility(w, n_exp, rp.eps))
+    c = _face_mean(_m4_mobility(w, n_exp, rp.eps))
+    c *= rp.eps
     return c
 
 
 def taxis_face_coeff(w, n_exp, rp: RegParams, kind: ModelKind) -> np.ndarray:
     """Face coefficient of the taxis flux: raw density (limit) or h_eps; zero ends."""
-    c = np.zeros(w.shape[0] + 1)
     if kind is ModelKind.LIMIT:
-        c[1:-1] = _face_mean(w)
-    else:
-        c[1:-1] = _face_mean(h_flux(w, n_exp, rp.eps))
-    return c
+        return _face_mean(w)
+    return _face_mean(_h_flux(w, n_exp, rp.eps))
 
 
 def face_gradient(w, dx) -> np.ndarray:
     """First derivative at faces (zero at boundary faces)."""
     g = np.zeros(w.shape[0] + 1)
-    g[1:-1] = (w[1:] - w[:-1]) / dx
+    np.subtract(w[1:], w[:-1], out=g[1:-1])
+    g /= dx
     return g
 
 
@@ -286,8 +317,6 @@ def compute_rhs(u, v, dx, kp: KineticParams, rp: RegParams, kind: ModelKind):
 
 def assemble_rhs(state: State, kp: KineticParams, rp: RegParams, kind: ModelKind):
     """Right-hand sides of both equations as Fields on the state's grid."""
-    if state.u.min() <= 0.0 or state.v.min() <= 0.0:
-        raise ValueError("state must be strictly positive")
     grid = state.grid
     du, dv = compute_rhs(state.u.values, state.v.values, grid.dx, kp, rp, kind)
     return Field(grid, du), Field(grid, dv)

@@ -4,7 +4,8 @@ damped Newton iteration, both backed by banded LU solves.
 IMEX treats the stiff parts implicitly with coefficients frozen at the old
 state (plain diffusion, the fourth-order thin-film term, and the singular
 fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
-That gives one banded solve per field per step.
+That gives one banded solve per step, of the two fields' decoupled systems
+stacked block-diagonally.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .grid import Field
 from .model import (
@@ -99,80 +101,85 @@ class StepperFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# banded assembly helpers
+# banded assembly
 #
-# A band dictionary maps offset k to a length-n array d with d[i] = A[i, i+k]
-# (zero-padded where the column falls outside the matrix).
+# Matrices live in LAPACK band storage: ab[2kl + i - j, j] = A[i, j] with
+# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbsv works
+# in place and gtsv reads its three diagonals from rows kl..2kl + 1 (kl = 1).
+# The array carries kl spare columns on each side.  Operator bands are written
+# through a sheared view whose row r + k, index i, is the slot of L[i, i + k];
+# slots of entries outside the matrix fall into the spare columns.
 # ---------------------------------------------------------------------------
 
-def _diags_to_ab(diags: dict, l: int, u: int, n: int) -> np.ndarray:
-    ab = np.zeros((l + u + 1, n))
-    for g, d in diags.items():
-        if g >= 0:
-            ab[u - g, g:n] = d[: n - g]
-        else:
-            ab[u - g, : n + g] = d[-g:]
-    return ab
+def _band_storage(kl, m):
+    """Zeroed band storage of an m x m matrix; the matrix is ab[:, kl:-kl]."""
+    return np.zeros((3 * kl + 1, m + 2 * kl), order="F")
 
 
-def _tri_bands(sigma: float, c_face: np.ndarray, dx: float):
-    """Bands of w -> sigma * div(c_face * w_x) for a face coefficient with zero ends."""
+def _band_slots(ab, kl, n, r, stride=1, row_off=0, col_off=0):
+    """(2r + 1, n) view of ab whose [r + k, i] is the slot of the matrix entry
+    A[stride*i + row_off, stride*(i + k) + col_off]."""
+    s_row, s_col = ab.strides
+    row = 2 * kl + row_off - col_off + stride * r  # slot of k = -r, i = 0
+    col = kl + col_off - stride * r
+    return np.ndarray((2 * r + 1, n), ab.dtype, ab, row * s_row + col * s_col,
+                      (stride * (s_col - s_row), stride * s_col))
+
+
+def _solve_shifted(ab, kl, b):
+    """Solve (I + B) x = b for B in band storage; overwrites ab and b.
+
+    Returns None when LAPACK reports an exactly singular pivot (info > 0).
+    """
+    a = ab[:, kl:-kl]
+    a[2 * kl] += 1.0
+    if kl == 1:
+        x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
+    else:
+        x, info = dgbsv(kl, kl, a, b, 1, 1)[2:]
+    if info < 0:
+        raise ValueError(f"LAPACK: illegal value in argument {-info}")
+    return x if info == 0 else None
+
+
+def _put_div_bands(out, sigma, c_face, dx):
+    """out[0:3] = bands of w -> sigma * div(c_face * w_x), c_face zero at the ends."""
     s = sigma / (dx * dx)
-    lo = s * c_face[:-1]
-    di = -s * (c_face[:-1] + c_face[1:])
-    up = s * c_face[1:]
-    return {-1: lo, 0: di, 1: up}
+    np.multiply(s, c_face[:-1], out=out[0])
+    np.add(c_face[:-1], c_face[1:], out=out[1])
+    out[1] *= -s
+    np.multiply(s, c_face[1:], out=out[2])
 
 
-def _penta_bands(tf_face: np.ndarray, dx: float):
-    """Bands of w -> -div(tf_face * w_xxx) with w_xxx the face difference of the
-    mirrored cell second derivative (tf_face carries the eps*m4 coefficient)."""
-    n = tf_face.shape[0] - 1
+def _stiff_bands(out, w, dx, d_coeff, n_exp, rp, kind):
+    """Write into the zeroed out the bands of the stiff operator L(w) of one
+    field: second-order diffusion (3 rows), minus div(eps m4(w) w_xxx) for the
+    regularized model (5 rows)."""
+    c = diffusion_face_coeff(w, d_coeff, rp, kind)
+    if kind is ModelKind.LIMIT:
+        _put_div_bands(out, 1.0, c, dx)
+        return
+    _put_div_bands(out[1:4], 1.0, c, dx)
+    # subtract the band product T @ Z of the face combiner T (diagonals tl,
+    # td, tu) and the mirrored cell second difference Z (diagonal zd).  Z's
+    # off-diagonals are inv2 inside the matrix, so their products with T are
+    # entries of q = m * inv2 and t2 = td * inv2.
     inv2 = 1.0 / (dx * dx)
-    m = tf_face * inv2  # combiner weights, boundary entries are zero
-    tl = m[:-1]
-    td = -(m[:-1] + m[1:])
-    tu = m[1:]
-    # mirrored cell second-derivative bands
-    zl = np.full(n, inv2)
-    zl[0] = 0.0
-    zd = np.full(n, -2.0 * inv2)
-    zd[0] = -inv2
-    zd[-1] = -inv2
-    zu = np.full(n, inv2)
-    zu[-1] = 0.0
-    # band product P = T @ Z, then negate
-    p_m2 = np.zeros(n)
-    p_m1 = np.zeros(n)
+    zd = np.full(w.shape[0], -2.0 * inv2)
+    zd[0] = zd[-1] = -inv2
+    m = thinfilm_face_coeff(w, n_exp, rp) * inv2
+    tl, tu = m[:-1], m[1:]
+    td = -(tl + tu)
+    q = m * inv2
+    t2 = td * inv2
     p_0 = td * zd
-    p_p1 = np.zeros(n)
-    p_p2 = np.zeros(n)
-    p_m2[1:] = tl[1:] * zl[:-1]
-    p_m1[1:] = tl[1:] * zd[:-1] + td[1:] * zl[1:]
-    p_0[1:] += tl[1:] * zu[:-1]
-    p_0[:-1] += tu[:-1] * zl[1:]
-    p_p1[:-1] = td[:-1] * zu[:-1] + tu[:-1] * zd[1:]
-    p_p2[:-2] = tu[:-2] * zu[1:-1]
-    return {-2: -p_m2, -1: -p_m1, 0: -p_0, 1: -p_p1, 2: -p_p2}
-
-
-def _merge_bands(*dicts):
-    out = {}
-    for d in dicts:
-        for k, arr in d.items():
-            if k in out:
-                out[k] = out[k] + arr
-            else:
-                out[k] = arr.copy()
-    return out
-
-
-def _implicit_operator_bands(w, dx, d_coeff, n_exp, rp, kind):
-    """Bands of the stiff linear-in-highest-derivative operator for one field."""
-    bands = _tri_bands(1.0, diffusion_face_coeff(w, d_coeff, rp, kind), dx)
-    if kind is ModelKind.REGULARIZED:
-        bands = _merge_bands(bands, _penta_bands(thinfilm_face_coeff(w, n_exp, rp), dx))
-    return bands
+    p_0[1:] += q[1:-1]
+    p_0[:-1] += q[1:-1]
+    out[0, 2:] -= q[2:-1]
+    out[1, 1:] -= tl[1:] * zd[:-1] + t2[1:]
+    out[2] -= p_0
+    out[3, :-1] -= t2[:-1] + tu[:-1] * zd[1:]
+    out[4, :-2] -= q[1:-2]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +187,7 @@ def _implicit_operator_bands(w, dx, d_coeff, n_exp, rp, kind):
 # ---------------------------------------------------------------------------
 
 def _imex_advance(u, v, dx, dt, kp, rp, kind):
+    """One IMEX step; returns (u_new, v_new), or None if a solve is singular."""
     ux = face_gradient(u, dx)
     vx = face_gradient(v, dx)
     ru, rv = reaction_terms(u, v, kp, rp, kind)
@@ -189,15 +197,17 @@ def _imex_advance(u, v, dx, dt, kp, rp, kind):
     rhs_u = u + dt * ((flux_xu[1:] - flux_xu[:-1]) / dx + ru)
     rhs_v = v + dt * ((flux_xv[1:] - flux_xv[:-1]) / dx + rv)
 
-    new = []
-    for w, rhs, d_coeff, n_exp in ((u, rhs_u, kp.d1, rp.n1), (v, rhs_v, kp.d2, rp.n2)):
-        bands = _implicit_operator_bands(w, dx, d_coeff, n_exp, rp, kind)
-        diags = {k: -dt * arr for k, arr in bands.items()}
-        diags[0] = diags[0] + 1.0
-        width = 2 if kind is ModelKind.REGULARIZED else 1
-        ab = _diags_to_ab(diags, width, width, w.shape[0])
-        new.append(solve_banded((width, width), ab, rhs))
-    return new[0], new[1]
+    # both fields in one block-diagonal system, u in rows [0, n) and v in
+    # [n, 2n); the bands vanish outside each block, so it solves exactly as
+    # two separate systems would
+    n = u.shape[0]
+    kl = 2 if kind is ModelKind.REGULARIZED else 1
+    ab = _band_storage(kl, 2 * n)
+    for off, w, d_coeff, n_exp in ((0, u, kp.d1, rp.n1), (n, v, kp.d2, rp.n2)):
+        _stiff_bands(_band_slots(ab, kl, n, kl, 1, off, off), w, dx, d_coeff, n_exp, rp, kind)
+    ab *= -dt
+    x = _solve_shifted(ab, kl, np.concatenate((rhs_u, rhs_v)))
+    return None if x is None else (x[:n], x[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -207,47 +217,32 @@ def _imex_advance(u, v, dx, dt, kp, rp, kind):
 _HALFWIDTH = 5  # interleaved stencil: radius 2 per field, two fields
 
 
-def _interleave(u, v):
-    w = np.empty(u.shape[0] * 2)
-    w[0::2] = u
-    w[1::2] = v
-    return w
-
-
 def _jacobian_ab(u, v, dx, dt, kp, rp, kind):
+    """-dt * J in band storage for the interleaved unknowns (u0, v0, u1, ...)."""
     n = u.shape[0]
-    juu = _implicit_operator_bands(u, dx, kp.d1, rp.n1, rp, kind)
-    jvv = _implicit_operator_bands(v, dx, kp.d2, rp.n2, rp, kind)
-    juv = _tri_bands(-kp.chi1, taxis_face_coeff(u, rp.n1, rp, kind), dx)
-    jvu = _tri_bands(kp.chi2, taxis_face_coeff(v, rp.n2, rp, kind), dx)
-    druu, druv, drvu, drvv = reaction_jacobian(u, v, kp, rp, kind)
-    juu[0] = juu[0] + druu
-    jvv[0] = jvv[0] + drvv
-    juv[0] = juv[0] + druv
-    jvu[0] = jvu[0] + drvu
-
-    diags = {}
-    for g in range(-2 * _HALFWIDTH, 2 * _HALFWIDTH + 1):
-        diags[g] = np.zeros(2 * n)
-    for k, arr in juu.items():
-        diags[2 * k][0::2] += -dt * arr
-    for k, arr in jvv.items():
-        diags[2 * k][1::2] += -dt * arr
-    for k, arr in juv.items():
-        diags[2 * k + 1][0::2] += -dt * arr
-    for k, arr in jvu.items():
-        diags[2 * k - 1][1::2] += -dt * arr
-    diags[0] += 1.0
-    diags = {g: d for g, d in diags.items() if -_HALFWIDTH <= g <= _HALFWIDTH}
-    return _diags_to_ab(diags, _HALFWIDTH, _HALFWIDTH, 2 * n)
+    r = 2 if kind is ModelKind.REGULARIZED else 1
+    ab = _band_storage(_HALFWIDTH, 2 * n)
+    # blocks d(u eq)/du, d(u eq)/dv, d(v eq)/du, d(v eq)/dv, as reaction_jacobian
+    blocks = [_band_slots(ab, _HALFWIDTH, n, width, 2, row_off, col_off)
+              for width, row_off, col_off in ((r, 0, 0), (1, 0, 1), (1, 1, 0), (r, 1, 1))]
+    _stiff_bands(blocks[0], u, dx, kp.d1, rp.n1, rp, kind)
+    _put_div_bands(blocks[1], -kp.chi1, taxis_face_coeff(u, rp.n1, rp, kind), dx)
+    _put_div_bands(blocks[2], kp.chi2, taxis_face_coeff(v, rp.n2, rp, kind), dx)
+    _stiff_bands(blocks[3], v, dx, kp.d2, rp.n2, rp, kind)
+    for bands, dr in zip(blocks, reaction_jacobian(u, v, kp, rp, kind)):
+        bands[bands.shape[0] // 2] += dr
+        bands *= -dt
+    return ab
 
 
 def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
     """Backward-Euler solve; returns (u_new, v_new, iters) or None on failure."""
 
-    def residual(uc, vc):
+    def residual(uc, vc):  # interleaved (u0, v0, u1, ...) like the unknowns
         du, dv = compute_rhs(uc, vc, dx, kp, rp, kind)
-        return _interleave(uc - u - dt * du, vc - v - dt * dv)
+        res = np.empty(2 * u.shape[0])
+        res[0::2], res[1::2] = uc - u - dt * du, vc - v - dt * dv
+        return res
 
     uc, vc = u.copy(), v.copy()
     res = residual(uc, vc)
@@ -255,12 +250,8 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
     for it in range(cfg.newton_max_iter):
         if norm <= cfg.newton_tol:
             return uc, vc, it
-        ab = _jacobian_ab(uc, vc, dx, dt, kp, rp, kind)
-        try:
-            delta = solve_banded((_HALFWIDTH, _HALFWIDTH), ab, res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
+        delta = _solve_shifted(_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), _HALFWIDTH, res)
+        if delta is None or not np.all(np.isfinite(delta)):
             return None
         du_step, dv_step = delta[0::2], delta[1::2]
         lam = 1.0
@@ -293,23 +284,25 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     dx = state.grid.dx
     iters = 0
     if cfg.scheme is Scheme.IMEX:
-        try:
-            un, vn = _imex_advance(u, v, dx, dt, kp, rp, kind)
-        except np.linalg.LinAlgError:
+        result = _imex_advance(u, v, dx, dt, kp, rp, kind)
+        if result is None:
             return StepOutcome(state, dt, False, 0, np.nan, np.nan)
+        un, vn = result
     else:
         result = _newton_advance(u, v, dx, dt, kp, rp, kind, cfg)
         if result is None:
             return StepOutcome(state, dt, False, cfg.newton_max_iter, np.nan, np.nan)
         un, vn, iters = result
 
-    if not (np.all(np.isfinite(un)) and np.all(np.isfinite(vn))):
-        return StepOutcome(state, dt, False, iters, np.nan, np.nan)
     min_u, min_v = float(un.min()), float(vn.min())
+    # min propagates NaN, so the extremes are finite exactly when the arrays are
+    if not (isfinite(min_u) and isfinite(min_v) and isfinite(un.max()) and isfinite(vn.max())):
+        return StepOutcome(state, dt, False, iters, np.nan, np.nan)
     if min_u <= cfg.positivity_floor or min_v <= cfg.positivity_floor:
         return StepOutcome(state, dt, False, iters, min_u, min_v)
+    # un and vn are fresh arrays, proven finite and positive just above
     grid = state.grid
-    new_state = State(state.t + dt, Field(grid, un), Field(grid, vn))
+    new_state = State.trusted(state.t + dt, Field.trusted(grid, un), Field.trusted(grid, vn))
     return StepOutcome(new_state, dt, True, iters, min_u, min_v)
 
 

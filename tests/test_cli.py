@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from pesim import inequalities
 from pesim.cli import main
 from pesim.config import ConfigError, parse_config_text
 from pesim.functionals import DiagnosticsRecord
@@ -160,6 +161,14 @@ def test_experiment_unknown_name(tmp_path):
     assert main(["experiment", cfg, "--which", "bogus"]) == 1
 
 
+def test_experiment_bad_thread_count_names_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PE_SIM_THREADS", "abc")
+    cfg = _write(tmp_path, "eps.cfg", BASE + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["experiment", cfg, "--which", "eps"]) == 1
+    err = capsys.readouterr().err
+    assert "PE_SIM_THREADS" in err and "'abc'" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -177,6 +186,21 @@ def test_verify_all(tmp_path):
 def test_verify_beta_one_exit_1(tmp_path):
     out = str(tmp_path / "reports")
     assert main(["verify", "--out", out, "--suite", "bernis", "--beta", "1.0"]) == 1
+
+
+def test_verify_beta_runs_only_that_beta(tmp_path, monkeypatch):
+    # the default bernis sweep must not run alongside the requested exponent
+    seen = set()
+    real = inequalities.check_bernis
+    monkeypatch.setattr(inequalities, "check_bernis",
+                        lambda f, beta: seen.add(beta) or real(f, beta))
+    out = str(tmp_path / "reports")
+    assert main(["verify", "--out", out, "--suite", "bernis", "--beta", "2.0"]) == 0
+    assert seen == {2.0}
+    assert os.listdir(out) == ["bernis.json"]
+    rep = json.load(open(os.path.join(out, "bernis.json")))
+    assert rep["samples"] == 200  # one ratio per random field
+    assert rep["worst_case_payload"]["beta"] == 2.0
 
 
 def test_verify_single_suite(tmp_path):
