@@ -2,13 +2,12 @@
 thin-film fourth-order regularization, and the entropy/inequality
 diagnostics that monitor its quantitative structure."""
 
-from .grid import Field, Grid1D, diff1, diff2, diff3, extend_mirror, face_divergence, integrate
+from .grid import Field, Grid1D
 from .model import (
     KineticParams,
     ModelKind,
     RegParams,
     State,
-    assemble_rhs,
     fast_diffusion_coeff,
     g_mollifier,
     h_flux,

@@ -100,10 +100,8 @@ def cmd_simulate(config_path, out_override=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     spec = cfg.experiment_spec("simulate")
     records: list[DiagnosticsRecord] = []
-    states = []
 
     def on_sample(s):
-        states.append(s)
         records.append(diagnostics_record(s, spec.kp, spec.rp, spec.gamma))
 
     status, failure = "ok", None
@@ -112,10 +110,10 @@ def cmd_simulate(config_path, out_override=None) -> int:
     except ValueError as exc:
         return _fail(f"initial condition: {exc}", 1)
     try:
-        final, _ = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
-                             cfg.stepper, spec.sample_every, on_sample=on_sample)
+        _, states = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
+                              cfg.stepper, spec.sample_every, on_sample=on_sample)
     except StepperFailure as exc:
-        status, failure = "solver_failure", str(exc)
+        status, failure, states = "solver_failure", str(exc), exc.samples
 
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), records)
     write_snapshots(out_dir, states)

@@ -12,8 +12,6 @@ asymptotic and carry no rates.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -124,10 +122,6 @@ class ExperimentResult:
     extras: dict = field(default_factory=dict)
 
 
-def _default_cfg() -> StepperConfig:
-    return StepperConfig()
-
-
 def _run(spec: ExperimentSpec, cfg: StepperConfig):
     """Run one simulation, collecting a diagnostics record per sample."""
     records: list[DiagnosticsRecord] = []
@@ -176,7 +170,7 @@ def run_coexistence_study(spec: ExperimentSpec, cfg: StepperConfig | None = None
     if ss.regime is not Regime.COEXISTENCE:
         raise RegimeMismatch("coexistence study needs lambda2 > a2*lambda1")
     spec = replace(spec, rp=replace(spec.rp, n1=2.0, n2=2.0))
-    cfg = cfg or _default_cfg()
+    cfg = cfg or StepperConfig()
     final, states, records = _run(spec, cfg)
 
     dev_u = _sup_deviation(final.u.values, ss.u_star)
@@ -205,7 +199,7 @@ def run_extinction_study(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     if ss.regime is not Regime.EXTINCTION:
         raise RegimeMismatch("extinction study needs lambda2 <= a2*lambda1")
     spec = replace(spec, rp=replace(spec.rp, n1=2.0, n2=1.0))
-    cfg = cfg or _default_cfg()
+    cfg = cfg or StepperConfig()
     final, states, records = _run(spec, cfg)
 
     boundary = spec.kp.lambda2 == spec.kp.a2 * spec.kp.lambda1
@@ -224,16 +218,6 @@ def run_extinction_study(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     return ExperimentResult(spec, records, verdicts, states, extras)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("PE_SIM_THREADS", "")
-    if not env.strip():
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"PE_SIM_THREADS must be an integer, got {env!r}") from None
-
-
 def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
                         cfg: StepperConfig | None = None) -> ExperimentResult:
     """Cauchy-in-eps study: identical runs varying only eps, reporting the
@@ -247,14 +231,13 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
         raise ValueError("need at least 3 eps values")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly decreasing")
-    cfg = cfg or _default_cfg()
+    cfg = cfg or StepperConfig()
     specs = [
         replace(base_spec, name=f"{base_spec.name}-eps{e:g}",
                 rp=replace(base_spec.rp, eps=e), kind=ModelKind.REGULARIZED)
         for e in eps_list
     ]
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(specs))) as ex:
-        finals = list(ex.map(lambda s: _run(s, cfg), specs))
+    finals = [_run(s, cfg) for s in specs]
 
     grid = base_spec.grid
     def l2(a, b):
@@ -288,7 +271,7 @@ def run_absorbing_set(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     below margin times the closed-form asymptotic bound."""
     if spec.kind is not ModelKind.REGULARIZED:
         raise ValueError("absorbing-set study runs the regularized system")
-    cfg = cfg or _default_cfg()
+    cfg = cfg or StepperConfig()
     final, states, records = _run(spec, cfg)
     bound = m_infinity(spec.kp, spec.grid.length)
     final_mass = records[-1].mass_u + records[-1].mass_v
@@ -339,7 +322,7 @@ def run_ode_consistency(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     """
     if spec.ic.kind != "constant":
         raise ValueError("ode-consistency study needs a homogeneous initial condition")
-    cfg = cfg or _default_cfg()
+    cfg = cfg or StepperConfig()
     final, states, records = _run(spec, cfg)
     uo, vo = lv_rk4_oracle(spec.ic.base_u, spec.ic.base_v, spec.kp,
                            spec.t_end, oracle_dt)
@@ -358,7 +341,7 @@ def chi_sweep(base_spec: ExperimentSpec, cfg: StepperConfig | None = None,
     within dev_tol of the coexistence state.  The boundary is reported, not
     asserted: the analysis only guarantees existence of a small-chi regime.
     """
-    cfg = cfg or _default_cfg()
+    cfg = cfg or StepperConfig()
 
     def stable(chi: float) -> bool:
         kp = replace(base_spec.kp, chi1=chi, chi2=chi)

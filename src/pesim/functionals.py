@@ -91,18 +91,12 @@ def phi(xi_star: float, xi):
 # entropy / dissipation functionals
 # ---------------------------------------------------------------------------
 
-def _require_positive(state: State):
-    if state.u.min() <= 0.0 or state.v.min() <= 0.0:
-        raise ValueError("state must be strictly positive")
-
-
 def _quad(values, grid) -> float:
     return integrate_values(np.asarray(values), grid)
 
 
 def quasi_entropy_F(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Logarithmic quasi-entropy with the regularization's inverse-power tail."""
-    _require_positive(state)
     g = state.grid
     u, v = state.u.values, state.v.values
     rho = kp.chi1 / kp.chi2
@@ -116,7 +110,6 @@ def quasi_entropy_F(state: State, kp: KineticParams, rp: RegParams) -> float:
 
 def dissipation_D(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the quasi-entropy; nonnegative."""
-    _require_positive(state)
     g = state.grid
     rho = kp.chi1 / kp.chi2
 
@@ -134,7 +127,6 @@ def dissipation_D(state: State, kp: KineticParams, rp: RegParams) -> float:
 
 def entropy_E1(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Coexistence relative entropy; only defined when the prey persists."""
-    _require_positive(state)
     ss = steady_states(kp)
     if ss.regime is not Regime.COEXISTENCE:
         raise ValueError("coexistence entropy undefined in the extinction regime")
@@ -151,7 +143,6 @@ def entropy_E1(state: State, kp: KineticParams, rp: RegParams) -> float:
 
 def dissipation_rate_D1(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the coexistence entropy; nonnegative."""
-    _require_positive(state)
     ss = steady_states(kp)
     g = state.grid
     u, v = state.u.values, state.v.values
@@ -170,7 +161,6 @@ def dissipation_rate_D1(state: State, kp: KineticParams, rp: RegParams) -> float
 
 def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Extinction entropy: relative entropy to lambda1 in u plus prey penalties."""
-    _require_positive(state)
     g = state.grid
     u, v = state.u.values, state.v.values
     a = kp.a1 / kp.a2
@@ -185,7 +175,6 @@ def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
 
 def dissipation_rate_D2(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the extinction entropy; nonnegative."""
-    _require_positive(state)
     g = state.grid
     u, v = state.u.values, state.v.values
     ux = diff1_values(u, g.dx)
@@ -221,7 +210,6 @@ def cross_entropy_productions(state: State, kp: KineticParams, rp: RegParams):
     in exact arithmetic they cancel, and in floating point they agree to a
     few ulp.
     """
-    _require_positive(state)
     g = state.grid
     u, v = state.u.values, state.v.values
     ux = (u[1:] - u[:-1]) / g.dx

@@ -15,12 +15,9 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "Field",
-    "extend_mirror",
-    "diff1",
-    "diff2",
-    "diff3",
-    "face_divergence",
-    "integrate",
+    "mirror_extend",
+    "diff1_values",
+    "diff2_values",
     "integrate_values",
 ]
 
@@ -102,7 +99,7 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# array kernels (used directly by the time stepper for speed)
+# array kernels
 # ---------------------------------------------------------------------------
 
 def mirror_extend(values: np.ndarray, layers: int) -> np.ndarray:
@@ -115,64 +112,19 @@ def mirror_extend(values: np.ndarray, layers: int) -> np.ndarray:
 
 
 def diff1_values(values: np.ndarray, dx: float) -> np.ndarray:
+    """Second-order central first derivative, one mirror ghost layer."""
     e = mirror_extend(values, 1)
     return (e[2:] - e[:-2]) / (2.0 * dx)
 
 
 def diff2_values(values: np.ndarray, dx: float) -> np.ndarray:
+    """Second-order central second derivative, one mirror ghost layer."""
     e = mirror_extend(values, 1)
     return (e[2:] - 2.0 * e[1:-1] + e[:-2]) / (dx * dx)
 
 
-def diff3_values(values: np.ndarray, dx: float) -> np.ndarray:
-    e = mirror_extend(values, 2)
-    return (e[4:] - 2.0 * e[3:-1] + 2.0 * e[1:-3] - e[:-4]) / (2.0 * dx**3)
-
-
 def integrate_values(values: np.ndarray, grid: Grid1D) -> float:
+    """Midpoint-rule integral over the domain; exact for constants."""
     # algebraically dx * sum(values); evaluated as length * mean so that
     # constants integrate exactly
     return grid.length * float(values.mean())
-
-
-# ---------------------------------------------------------------------------
-# Field-level operations
-# ---------------------------------------------------------------------------
-
-def extend_mirror(f: Field, layers: int) -> np.ndarray:
-    """Extended value array of length n_cells + 2*layers with mirror ghosts."""
-    return mirror_extend(f.values, layers)
-
-
-def diff1(f: Field) -> Field:
-    """Second-order central first derivative, one mirror ghost layer."""
-    return Field(f.grid, diff1_values(f.values, f.grid.dx))
-
-
-def diff2(f: Field) -> Field:
-    """Second-order central second derivative, one mirror ghost layer."""
-    return Field(f.grid, diff2_values(f.values, f.grid.dx))
-
-
-def diff3(f: Field) -> Field:
-    """Second-order central third derivative, two mirror ghost layers."""
-    return Field(f.grid, diff3_values(f.values, f.grid.dx))
-
-
-def face_divergence(flux_at_faces: np.ndarray, grid: Grid1D) -> Field:
-    """Conservative divergence (flux[i+1] - flux[i]) / dx of a face flux.
-
-    The boundary faces must carry exactly zero flux (no-flux conditions);
-    anything else is a contract violation and raises.
-    """
-    flux = np.asarray(flux_at_faces, dtype=float)
-    if flux.shape != (grid.n_cells + 1,):
-        raise ValueError(f"expected {grid.n_cells + 1} face values")
-    if flux[0] != 0.0 or flux[-1] != 0.0:
-        raise ValueError("boundary faces must carry zero flux")
-    return Field(grid, (flux[1:] - flux[:-1]) / grid.dx)
-
-
-def integrate(f: Field) -> float:
-    """Midpoint-rule integral over the domain; exact for constants."""
-    return integrate_values(f.values, f.grid)

@@ -39,7 +39,6 @@ __all__ = [
     "m4_mobility",
     "fast_diffusion_coeff",
     "log_entropy_weight",
-    "assemble_rhs",
     "compute_rhs",
 ]
 
@@ -313,10 +312,3 @@ def compute_rhs(u, v, dx, kp: KineticParams, rp: RegParams, kind: ModelKind):
     du = (flux_u[1:] - flux_u[:-1]) / dx + ru
     dv = (flux_v[1:] - flux_v[:-1]) / dx + rv
     return du, dv
-
-
-def assemble_rhs(state: State, kp: KineticParams, rp: RegParams, kind: ModelKind):
-    """Right-hand sides of both equations as Fields on the state's grid."""
-    grid = state.grid
-    du, dv = compute_rhs(state.u.values, state.v.values, grid.dx, kp, rp, kind)
-    return Field(grid, du), Field(grid, dv)

@@ -12,7 +12,7 @@ R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
 (u0, v0, u1, v1, ...) by damped Newton.  The Jacobian freezes the nonlinear
 flux coefficients at the current iterate and differentiates through the
 derivative factors and the reactions, which keeps the matrix banded with
-half-bandwidth 5 -- matrices are not symmetric, so banded LU with partial
+half-bandwidth 4 -- matrices are not symmetric, so banded LU with partial
 pivoting (LAPACK gbsv) does the solves.
 
 Positivity is enforced by step rejection, never by clamping: clamped values
@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+_SAFETY = 0.5  # dt factor after a rejected step
+_GROWTH = 1.2  # dt factor after an accepted step, capped at dt_max
+_NEWTON_MAX_ITER = 25
+
+
 class Scheme(Enum):
     IMEX = "imex"
     FULLY_IMPLICIT = "fully_implicit"
@@ -65,20 +70,13 @@ class StepperConfig:
     dt_max: float = 5e-2
     scheme: Scheme = Scheme.IMEX
     newton_tol: float = 1e-10
-    newton_max_iter: int = 25
     positivity_floor: float = 1e-12
-    safety: float = 0.5
-    growth: float = 1.2
 
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.newton_tol <= 0.0 or self.positivity_floor <= 0.0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("safety must lie in (0, 1)")
-        if not self.growth > 1.0:
-            raise ValueError("growth must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,7 @@ def _imex_advance(u, v, dx, dt, kp, rp, kind):
 # fully implicit scheme
 # ---------------------------------------------------------------------------
 
-_HALFWIDTH = 5  # interleaved stencil: radius 2 per field, two fields
+_HALFWIDTH = 4  # interleaved stencil: radius 2 per field, two fields
 
 
 def _jacobian_ab(u, v, dx, dt, kp, rp, kind):
@@ -247,7 +245,7 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
     uc, vc = u.copy(), v.copy()
     res = residual(uc, vc)
     norm = float(np.abs(res).max())
-    for it in range(cfg.newton_max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         if norm <= cfg.newton_tol:
             return uc, vc, it
         delta = _solve_shifted(_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), _HALFWIDTH, res)
@@ -267,7 +265,7 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
             return None
         uc, vc, res, norm = ut, vt, res_t, norm_t
     if norm <= cfg.newton_tol:
-        return uc, vc, cfg.newton_max_iter
+        return uc, vc, _NEWTON_MAX_ITER
     return None
 
 
@@ -291,7 +289,7 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     else:
         result = _newton_advance(u, v, dx, dt, kp, rp, kind, cfg)
         if result is None:
-            return StepOutcome(state, dt, False, cfg.newton_max_iter, np.nan, np.nan)
+            return StepOutcome(state, dt, False, _NEWTON_MAX_ITER, np.nan, np.nan)
         un, vn, iters = result
 
     min_u, min_v = float(un.min()), float(vn.min())
@@ -340,9 +338,9 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
                 emit(state)
                 while next_sample <= state.t + tol_t:
                     next_sample += sample_every
-            dt = min(dt * cfg.growth, cfg.dt_max)
+            dt = min(dt * _GROWTH, cfg.dt_max)
         else:
-            dt = dt * cfg.safety
+            dt = dt * _SAFETY
             if dt < cfg.dt_min:
                 raise StepperFailure(
                     f"dt underflow below dt_min={cfg.dt_min} at t={state.t}",

@@ -111,6 +111,7 @@ def test_simulate_solver_failure_exit_2(tmp_path, capsys):
     # partial outputs flushed: the initial sample is on disk
     lines = open(os.path.join(out, "timeseries.csv")).read().splitlines()
     assert len(lines) >= 2
+    assert len(os.listdir(os.path.join(out, "snapshots"))) == len(lines) - 1
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["run"]["status"] == "solver_failure"
 
@@ -159,14 +160,6 @@ def test_experiment_eps_writes_distances(tmp_path):
 def test_experiment_unknown_name(tmp_path):
     cfg = _write(tmp_path, "c.cfg", BASE)
     assert main(["experiment", cfg, "--which", "bogus"]) == 1
-
-
-def test_experiment_bad_thread_count_names_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PE_SIM_THREADS", "abc")
-    cfg = _write(tmp_path, "eps.cfg", BASE + f"out.dir = {tmp_path / 'out'}\n")
-    assert main(["experiment", cfg, "--which", "eps"]) == 1
-    err = capsys.readouterr().err
-    assert "PE_SIM_THREADS" in err and "'abc'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pesim.grid import Field, Grid1D, integrate
+from pesim.grid import Field, Grid1D, integrate_values
 from pesim.model import (
     KineticParams,
     ModelKind,
     RegParams,
     State,
-    assemble_rhs,
+    compute_rhs,
     fast_diffusion_coeff,
     g_mollifier,
     g_mollifier_deriv,
@@ -152,18 +152,20 @@ def test_g_mollifier_deriv_matches_fd():
 def test_rhs_steady_state_identically_zero(unit_grid, coex_params, reg_params):
     st = State(0.0, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
     for kind in ModelKind:
-        du, dv = assemble_rhs(st, coex_params, reg_params, kind)
-        assert np.all(du.values == 0.0)
-        assert np.all(dv.values == 0.0)
+        du, dv = compute_rhs(st.u.values, st.v.values, unit_grid.dx,
+                             coex_params, reg_params, kind)
+        assert np.all(du == 0.0)
+        assert np.all(dv == 0.0)
 
 
 def test_rhs_homogeneous_reduces_to_ode(unit_grid, coex_params, reg_params):
     c1, c2 = 1.3, 0.7
     st = State(0.0, Field.constant(unit_grid, c1), Field.constant(unit_grid, c2))
-    du, dv = assemble_rhs(st, coex_params, reg_params, ModelKind.LIMIT)
+    du, dv = compute_rhs(st.u.values, st.v.values, unit_grid.dx,
+                         coex_params, reg_params, ModelKind.LIMIT)
     kp = coex_params
-    assert du.values == pytest.approx(c1 * (kp.lambda1 - c1 + kp.a1 * c2), rel=1e-14)
-    assert dv.values == pytest.approx(c2 * (kp.lambda2 - c2 - kp.a2 * c1), rel=1e-14)
+    assert du == pytest.approx(c1 * (kp.lambda1 - c1 + kp.a1 * c2), rel=1e-14)
+    assert dv == pytest.approx(c2 * (kp.lambda2 - c2 - kp.a2 * c1), rel=1e-14)
 
 
 def test_rhs_mass_identity(unit_grid, coex_params, reg_params):
@@ -172,13 +174,13 @@ def test_rhs_mass_identity(unit_grid, coex_params, reg_params):
     for kind in ModelKind:
         for _ in range(10):
             st = positive_trig_state(unit_grid, rng)
-            du, dv = assemble_rhs(st, coex_params, reg_params, kind)
-            ru, rv = reaction_terms(st.u.values, st.v.values, coex_params,
-                                    reg_params, kind)
-            scale = max(1.0, np.abs(du.values).max())
-            assert abs(integrate(du) - integrate(Field(unit_grid, ru))) < 1e-12 * scale
-            scale = max(1.0, np.abs(dv.values).max())
-            assert abs(integrate(dv) - integrate(Field(unit_grid, rv))) < 1e-12 * scale
+            u, v = st.u.values, st.v.values
+            du, dv = compute_rhs(u, v, unit_grid.dx, coex_params, reg_params, kind)
+            ru, rv = reaction_terms(u, v, coex_params, reg_params, kind)
+            for d, r in ((du, ru), (dv, rv)):
+                scale = max(1.0, np.abs(d).max())
+                gap = integrate_values(d, unit_grid) - integrate_values(r, unit_grid)
+                assert abs(gap) < 1e-12 * scale
 
 
 def test_rhs_rejects_bad_input(unit_grid, coex_params, reg_params):
@@ -199,16 +201,17 @@ def test_rhs_eps_consistency(unit_grid, coex_params):
         Field(unit_grid, 1.5 + 0.4 * np.cos(np.pi * s)),
         Field(unit_grid, 1.0 + 0.3 * np.cos(2 * np.pi * s)),
     )
-    du_lim, dv_lim = assemble_rhs(st, coex_params, RegParams(1e-8), ModelKind.LIMIT)
+    u, v, dx = st.u.values, st.v.values, unit_grid.dx
+    du_lim, dv_lim = compute_rhs(u, v, dx, coex_params, RegParams(1e-8), ModelKind.LIMIT)
     errs = []
     eps_values = (1e-2, 1e-4, 1e-6, 1e-8)
     for eps in eps_values:
         rp = RegParams(eps, alpha=0.5, n1=2.0, n2=2.0)
-        du, dv = assemble_rhs(st, coex_params, rp, ModelKind.REGULARIZED)
+        du, dv = compute_rhs(u, v, dx, coex_params, rp, ModelKind.REGULARIZED)
         interior = slice(2, -2)
         err = max(
-            np.abs(du.values[interior] - du_lim.values[interior]).max(),
-            np.abs(dv.values[interior] - dv_lim.values[interior]).max(),
+            np.abs(du[interior] - du_lim[interior]).max(),
+            np.abs(dv[interior] - dv_lim[interior]).max(),
         )
         errs.append(err)
     assert all(b < a for a, b in zip(errs, errs[1:]))

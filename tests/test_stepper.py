@@ -4,7 +4,7 @@ from scipy.linalg import solve_banded
 from scipy.optimize import fsolve
 
 import pesim.stepper as stp
-from pesim.grid import Field, Grid1D, integrate, integrate_values
+from pesim.grid import Field, Grid1D, integrate_values
 from pesim.model import (
     KineticParams,
     ModelKind,
@@ -43,8 +43,6 @@ def _smooth_state(grid, t=0.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt_init=1e-3, dt_min=2e-3, dt_max=1e-2)
-    with pytest.raises(ValueError):
-        StepperConfig(safety=1.5)
 
 
 def _dense(ab, kl):
@@ -177,7 +175,8 @@ def test_mass_identity_per_implicit_step(unit_grid, coex_params):
     out = step(st, dt, coex_params, rp, ModelKind.REGULARIZED, cfg)
     assert out.accepted
     u1, v1 = out.state.u.values, out.state.v.values
-    mass_rate = (integrate(out.state.u) - integrate(st.u)) / dt
+    mass_rate = (integrate_values(u1, unit_grid)
+                 - integrate_values(st.u.values, unit_grid)) / dt
     reaction = integrate_values(
         g_mollifier(u1, rp.eps) * (coex_params.lambda1 - u1 + coex_params.a1 * v1),
         unit_grid,
@@ -387,7 +386,7 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
     uc, vc = u.copy(), v.copy()
     res = residual(uc, vc)
     norm = float(np.abs(res).max())
-    for it in range(cfg.newton_max_iter):
+    for it in range(stp._NEWTON_MAX_ITER):
         if norm <= cfg.newton_tol:
             return uc, vc, it
         delta = solve_banded((5, 5), _ref_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), res)
@@ -403,7 +402,7 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
         else:
             return None
         uc, vc, res, norm = ut, vt, res_t, norm_t
-    return (uc, vc, cfg.newton_max_iter) if norm <= cfg.newton_tol else None
+    return (uc, vc, stp._NEWTON_MAX_ITER) if norm <= cfg.newton_tol else None
 
 
 @pytest.mark.parametrize("n", [128, 1024])
