@@ -65,11 +65,10 @@ def write_snapshots(out_dir, states):
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     for i, s in enumerate(states):
-        x = s.grid.centers
+        rows = zip(s.grid.centers, s.u.values, s.v.values)
         with open(os.path.join(snap_dir, f"state_{i:05d}.csv"), "w", encoding="utf-8") as fh:
             fh.write("x,u,v\n")
-            for xv, uv, vv in zip(x, s.u.values, s.v.values):
-                fh.write(f"{_fmt(xv)},{_fmt(uv)},{_fmt(vv)}\n")
+            fh.writelines("%.17g,%.17g,%.17g\n" % r for r in rows)
 
 
 def write_summary(out_dir, cfg: RunConfig, run_info: dict):

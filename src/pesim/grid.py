@@ -102,24 +102,20 @@ class Field:
 # array kernels
 # ---------------------------------------------------------------------------
 
-def mirror_extend(values: np.ndarray, layers: int) -> np.ndarray:
-    """Even reflection about both boundary faces: g[-k] = f[k-1], g[n+k-1] = f[n-k]."""
-    if layers not in (1, 2):
-        raise ValueError("layers must be 1 or 2")
-    left = values[layers - 1 :: -1]
-    right = values[: -layers - 1 : -1]
-    return np.concatenate([left, values, right])
+def mirror_extend(values: np.ndarray) -> np.ndarray:
+    """Even reflection about both boundary faces, one ghost layer: g[-1] = f[0], g[n] = f[n-1]."""
+    return np.concatenate([values[:1], values, values[-1:]])
 
 
 def diff1_values(values: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central first derivative, one mirror ghost layer."""
-    e = mirror_extend(values, 1)
+    e = mirror_extend(values)
     return (e[2:] - e[:-2]) / (2.0 * dx)
 
 
 def diff2_values(values: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central second derivative, one mirror ghost layer."""
-    e = mirror_extend(values, 1)
+    e = mirror_extend(values)
     return (e[2:] - 2.0 * e[1:-1] + e[:-2]) / (dx * dx)
 
 

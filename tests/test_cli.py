@@ -1,12 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pesim import inequalities
-from pesim.cli import main
+from pesim.cli import _fmt, main, write_snapshots
 from pesim.config import ConfigError, parse_config_text
 from pesim.functionals import DiagnosticsRecord
+from pesim.grid import Field, Grid1D
+from pesim.model import State
 
 
 def _write(tmp_path, name, text):
@@ -68,6 +71,24 @@ def test_simulate_smoke(tmp_path, capsys):
     summary = json.load(open(os.path.join(out, "summary.json")))
     assert summary["run"]["status"] == "ok"
     assert summary["config"]["grid.n"] == 48
+
+
+def test_write_snapshots_text_and_roundtrip(tmp_path):
+    # values the row formatting must render exactly as _fmt does
+    g = Grid1D(0.1, 0.7, 64)  # centers that need all 17 digits
+    u = np.linspace(-3.0, 3.0, 64) ** 3 / 7.0
+    u[:6] = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0 / 3.0]
+    v = np.geomspace(1e-17, 1e17, 64)
+    v[:3] = [np.inf, -np.inf, np.nan]
+    write_snapshots(str(tmp_path), [State.trusted(0.0, Field.trusted(g, u), Field.trusted(g, v))])
+    with open(tmp_path / "snapshots" / "state_00000.csv", encoding="utf-8") as fh:
+        text = fh.read()
+    expected = "x,u,v\n" + "".join(
+        f"{_fmt(x)},{_fmt(a)},{_fmt(b)}\n" for x, a, b in zip(g.centers, u, v))
+    assert text == expected
+    back = np.array([[float(c) for c in row.split(",")] for row in text.splitlines()[1:]])
+    assert np.array_equal(back, np.column_stack([g.centers, u, v]), equal_nan=True)
+    assert np.array_equal(np.signbit(back[:2, 1]), [True, False])
 
 
 def test_simulate_roundtrip_bitwise(tmp_path):

@@ -34,30 +34,29 @@ def test_field_validation():
 def test_mirror_constant_all_layers():
     g = Grid1D(0.0, 1.0, 16)
     f = Field.constant(g, 3.7)
-    for layers in (1, 2):
-        ext = mirror_extend(f.values, layers)
-        assert np.all(ext == 3.7)
-        assert ext.shape == (16 + 2 * layers,)
+    ext = mirror_extend(f.values)
+    assert np.all(ext == 3.7)
+    assert ext.shape == (16 + 2,)
 
 
 def test_mirror_cos_left_ghost():
     g = Grid1D(0.0, 1.0, 32)
     f = Field.from_function(g, lambda x: np.cos(np.pi * x))
-    ext = mirror_extend(f.values, 1)
+    ext = mirror_extend(f.values)
     assert ext[0] == f.values[0]
     assert ext[-1] == f.values[-1]
 
 
-def test_mirror_linear_two_layers():
-    # centers of f = x on (0,1) with 4 cells... use 8 cells (minimum size);
-    # the reflection rule applied by hand: g[-1] = f[0], g[-2] = f[1]
+def test_mirror_linear_one_layer():
+    # f = x on 8 cells (minimum size); the reflection rule applied by hand:
+    # g[-1] = f[0] = 1/16 and g[n] = f[n-1] = 15/16, the interior untouched
     g = Grid1D(0.0, 1.0, 8)
     f = Field.from_function(g, lambda x: x)
-    ext = mirror_extend(f.values, 2)
-    assert ext[0] == f.values[1]
-    assert ext[1] == f.values[0]
-    assert ext[-1] == f.values[-2]
-    assert ext[-2] == f.values[-1]
+    ext = mirror_extend(f.values)
+    assert ext.shape == (10,)
+    assert ext[0] == 1.0 / 16.0
+    assert ext[-1] == 15.0 / 16.0
+    assert np.array_equal(ext[1:-1], f.values)
 
 
 def test_diff2_constant_is_zero():

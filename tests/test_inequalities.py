@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pesim import inequalities
 from pesim.grid import Field, Grid1D
 from pesim.inequalities import (
     all_reports,
@@ -193,6 +194,96 @@ def test_ode_comparison_random_draws():
     rep = ode_comparison_report(n_draws=100, seed=20244)
     assert rep.passed
     assert rep.samples == 100
+
+
+def _two_branch_reference(t0, a, b, beta, y0, t_end, n_steps):
+    """The per-step RK4 loop the kernel replaced: both rate branches for every
+    draw, combined with np.where, and the barrier compared after every step."""
+    a, b, beta, y0 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b, beta, y0))
+    y_eq = (b / a) ** (1.0 / beta)
+    zmode = y0 > y_eq
+    p = beta / (beta - 1.0)
+    s = np.where(zmode, np.where(zmode, y0, 1.0) ** (1.0 - beta), y0)
+
+    def rate(sv):
+        f_y = b - a * np.where(zmode, 1.0, sv) ** beta
+        f_z = (beta - 1.0) * (a - b * np.where(zmode, sv, 0.5) ** p)
+        return np.where(zmode, f_z, f_y)
+
+    dt = (t_end - t0) / n_steps
+    exp_back = -1.0 / (beta - 1.0)
+    worst = 0.0
+    t = t0
+    with np.errstate(over="ignore"):
+        for _ in range(n_steps):
+            k1 = rate(s)
+            k2 = rate(s + 0.5 * dt * k1)
+            k3 = rate(s + 0.5 * dt * k2)
+            k4 = rate(s + dt * k3)
+            s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+            y = np.where(zmode, np.where(zmode, s, 1.0) ** exp_back, s)
+            bound = ((beta - 1.0) * a * (t - t0)) ** exp_back + y_eq
+            worst = max(worst, float((y / bound).max()))
+    return worst
+
+
+# (a, b, beta, y0): z-mode from a huge datum, y-mode from zero, a start exactly
+# at the equilibrium (b/a)^(1/beta) = 1, beta = 1.001 (the early barrier
+# overflows to inf) in both modes, and a fractional exponent in both modes
+_ODE_DRAWS = [
+    (1.0, 1.0, 2.0, 1e6),
+    (3.0, 0.5, 1.5, 0.0),
+    (2.0, 2.0, 2.5, 1.0),
+    (0.4, 7.0, 1.001, 5e5),
+    (5.0, 0.2, 1.001, 0.0),
+    (2.0, 0.5, 5.0 / 3.0, 100.0),
+    (0.1, 9.0, 5.0 / 3.0, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "n_steps", [1, inequalities._ODE_BLOCK, inequalities._ODE_BLOCK + 1, 2000])
+def test_rk4_barrier_kernel_matches_two_branch_loop(n_steps, monkeypatch):
+    rng = np.random.default_rng(7)
+    a, b, beta, y0 = (np.array(col) for col in zip(*_ODE_DRAWS))
+    a = np.concatenate([a, rng.uniform(0.1, 10.0, 8)])
+    b = np.concatenate([b, rng.uniform(0.1, 10.0, 8)])
+    beta = np.concatenate([beta, rng.uniform(1.001, 3.0, 8)])
+    y0 = np.concatenate([y0, rng.uniform(0.0, 1e6, 8)])
+    t_end = 10.0 * n_steps / 2000
+    ref = _two_branch_reference(0.0, a, b, beta, y0, t_end, n_steps)
+    assert inequalities._rk4_barrier_worst(0.0, a, b, beta, y0, t_end, n_steps) == ref
+
+    # the scalar path, one draw at a time through ode_comparison_bound
+    seen = []
+    kernel = inequalities._rk4_barrier_worst
+
+    def spy(*args):
+        seen.append(kernel(*args, n_steps=n_steps))
+        return seen[-1]
+
+    monkeypatch.setattr(inequalities, "_rk4_barrier_worst", spy)
+    for draw in _ODE_DRAWS:
+        ref = _two_branch_reference(0.0, *draw, t_end, n_steps)
+        assert ode_comparison_bound(0.0, *draw, t_end) == (ref <= 1.0 + inequalities._ODE_FP_TOL)
+        assert seen[-1] == ref
+
+
+@np.errstate(invalid="ignore")
+def test_ode_comparison_diverged_integration_fails(monkeypatch):
+    kernel = inequalities._rk4_barrier_worst
+    # one RK4 step of dt = 10 overshoots to a negative y, and y^1.5 is NaN
+    assert math.isnan(kernel(0.0, 10.0, 10.0, 1.5, 0.0, 10.0, n_steps=1))
+    # a NaN in one draw must not hide behind, or wipe out, the other draw
+    for order in ((0, 1), (1, 0)):
+        draws = np.array([[10.0, 10.0, 1.5, 0.0], [1.0, 1.0, 2.0, 1.0]])[list(order)]
+        assert math.isnan(kernel(0.0, *draws.T, 10.0, n_steps=1))
+    monkeypatch.setattr(inequalities, "_rk4_barrier_worst",
+                        lambda *args: kernel(*args, n_steps=1))
+    assert not ode_comparison_bound(0.0, 10.0, 10.0, 1.5, 0.0, 10.0)
+    rep = ode_comparison_report(n_draws=3, t_span=1e4)
+    assert math.isnan(rep.worst_ratio) and not rep.passed
 
 
 # ---------------------------------------------------------------------------
