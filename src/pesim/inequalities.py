@@ -208,7 +208,8 @@ _ODE_FP_TOL = 1e-9
 
 def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
     """Integrate y' = b - a*y^beta for each draw and return the worst
-    y(t)/bound(t) over the shared time grid (vectorized over draws).
+    y(t)/bound(t) over the shared time grid (vectorized over draws), with the
+    index of the draw and the time where it occurs.
 
     Draws above the equilibrium (b/a)^(1/beta) are integrated in z = y^(1-beta),
     whose dynamics z' = (beta-1)*(a - b*z^(beta/(beta-1))) are non-stiff even
@@ -236,7 +237,7 @@ def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
 
     dt = (t_end - t0) / n_steps
     h2, h6, exp_back, bm1a = 0.5 * dt, dt / 6.0, -1.0 / bm1, bm1 * a
-    worst, t = 0.0, t0
+    worst, worst_draw, worst_t, t = 0.0, 0, t0, t0
     # for beta near 1 the early barrier overflows to +inf, which is the
     # mathematically correct value (the check is then trivially satisfied)
     with np.errstate(over="ignore"):
@@ -253,18 +254,22 @@ def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
                 t_blk[j] = t
             y = np.where(zmode, np.where(zmode, s_blk, 1.0) ** exp_back, s_blk)
             bound = (bm1a * (t_blk - t0)) ** exp_back + y_eq
-            ratio = float((y / bound).max())
-            if math.isnan(ratio):
-                return ratio
-            worst = max(worst, ratio)
-    return worst
+            ratios = y / bound
+            k = int(ratios.argmax())  # argmax, like max, stops at the first NaN
+            ratio = float(ratios.flat[k])
+            if ratio > worst or math.isnan(ratio):
+                row, worst_draw = divmod(k, s.size)
+                worst, worst_t = ratio, float(t_blk[row, 0])
+                if math.isnan(ratio):
+                    break
+    return worst, worst_draw, worst_t
 
 
 def ode_comparison_bound(t0: float, a: float, b: float, beta: float,
                          y0: float, t_end: float) -> bool:
     """Whether the solution of y' = b - a*y^beta, y(t0) = y0, stays below
     ((beta-1)*a*(t-t0))^(-1/(beta-1)) + (b/a)^(1/beta) on the sampled grid."""
-    worst = _rk4_barrier_worst(t0, a, b, beta, y0, t_end)
+    worst = _rk4_barrier_worst(t0, a, b, beta, y0, t_end)[0]
     return worst <= 1.0 + _ODE_FP_TOL
 
 
@@ -369,11 +374,13 @@ def ode_comparison_report(n_draws=100, t_span=10.0, tolerance=0.0,
     b = rng.uniform(0.1, 10.0, n_draws)
     beta = rng.uniform(1.001, 3.0, n_draws)
     y0 = rng.uniform(0.0, 1e6, n_draws)
-    worst = _rk4_barrier_worst(0.0, a, b, beta, y0, t_span)
+    worst, i, t = _rk4_barrier_worst(0.0, a, b, beta, y0, t_span)
     # the barrier is approached at equilibrium, so allow the ulp-level wobble
     passed = worst <= 1.0 + max(tolerance, _ODE_FP_TOL)
+    payload = {"t_span": t_span, "draw": i, "a": float(a[i]), "b": float(b[i]),
+               "beta": float(beta[i]), "y0": float(y0[i]), "t": t}
     return CheckReport("ode_comparison", n_draws, worst, passed,
-                       max(tolerance, _ODE_FP_TOL), {"t_span": t_span})
+                       max(tolerance, _ODE_FP_TOL), payload)
 
 
 _SUITES = {

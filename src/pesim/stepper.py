@@ -21,12 +21,14 @@ would silently break the entropy identities the diagnostics monitor.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .grid import Field
 from .model import (
@@ -42,6 +44,18 @@ from .model import (
     taxis_face_coeff,
     thinfilm_face_coeff,
 )
+
+# dgtsv/dgbsv come from scipy's f2py LAPACK extension, loaded from its file:
+# importing it as scipy.linalg.lapack would run scipy.linalg's __init__, which
+# loads about 300 more modules and costs about 0.3 s per process.
+_FLAPACK = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                        "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+if not os.path.isfile(_FLAPACK):
+    raise ImportError(f"scipy's LAPACK extension {_FLAPACK} is missing")
+_loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", _FLAPACK)
+_flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_loader.name, _loader))
+_loader.exec_module(_flapack)
+dgbsv, dgtsv = _flapack.dgbsv, _flapack.dgtsv
 
 __all__ = [
     "Scheme",

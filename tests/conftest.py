@@ -1,8 +1,20 @@
+import time
+
 import numpy as np
 import pytest
 
 from pesim.grid import Field, Grid1D
+from pesim.inequalities import all_reports
 from pesim.model import KineticParams, RegParams, State
+
+
+@pytest.fixture(scope="session")
+def shipped_reports():
+    """The shipped inequality suites, all_reports("all"), computed once per
+    session, and the wall time in seconds that computing them took."""
+    t0 = time.time()
+    reports = all_reports("all")
+    return reports, time.time() - t0
 
 
 @pytest.fixture

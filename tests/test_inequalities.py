@@ -190,8 +190,9 @@ def test_ode_comparison_rejects_beta_below_one():
         ode_comparison_bound(0.0, 1.0, 1.0, 0.9, 1.0, 5.0)
 
 
-def test_ode_comparison_random_draws():
-    rep = ode_comparison_report(n_draws=100, seed=20244)
+def test_ode_comparison_random_draws(shipped_reports):
+    # the shipped suite's report: ode_comparison_report(n_draws=100, seed=20244)
+    rep = next(r for r in shipped_reports[0] if r.name == "ode_comparison")
     assert rep.passed
     assert rep.samples == 100
 
@@ -253,7 +254,7 @@ def test_rk4_barrier_kernel_matches_two_branch_loop(n_steps, monkeypatch):
     y0 = np.concatenate([y0, rng.uniform(0.0, 1e6, 8)])
     t_end = 10.0 * n_steps / 2000
     ref = _two_branch_reference(0.0, a, b, beta, y0, t_end, n_steps)
-    assert inequalities._rk4_barrier_worst(0.0, a, b, beta, y0, t_end, n_steps) == ref
+    assert inequalities._rk4_barrier_worst(0.0, a, b, beta, y0, t_end, n_steps)[0] == ref
 
     # the scalar path, one draw at a time through ode_comparison_bound
     seen = []
@@ -267,18 +268,19 @@ def test_rk4_barrier_kernel_matches_two_branch_loop(n_steps, monkeypatch):
     for draw in _ODE_DRAWS:
         ref = _two_branch_reference(0.0, *draw, t_end, n_steps)
         assert ode_comparison_bound(0.0, *draw, t_end) == (ref <= 1.0 + inequalities._ODE_FP_TOL)
-        assert seen[-1] == ref
+        assert seen[-1][0] == ref
 
 
 @np.errstate(invalid="ignore")
 def test_ode_comparison_diverged_integration_fails(monkeypatch):
     kernel = inequalities._rk4_barrier_worst
     # one RK4 step of dt = 10 overshoots to a negative y, and y^1.5 is NaN
-    assert math.isnan(kernel(0.0, 10.0, 10.0, 1.5, 0.0, 10.0, n_steps=1))
+    assert math.isnan(kernel(0.0, 10.0, 10.0, 1.5, 0.0, 10.0, n_steps=1)[0])
     # a NaN in one draw must not hide behind, or wipe out, the other draw
     for order in ((0, 1), (1, 0)):
         draws = np.array([[10.0, 10.0, 1.5, 0.0], [1.0, 1.0, 2.0, 1.0]])[list(order)]
-        assert math.isnan(kernel(0.0, *draws.T, 10.0, n_steps=1))
+        worst, draw, t = kernel(0.0, *draws.T, 10.0, n_steps=1)
+        assert math.isnan(worst) and draw == order.index(0) and t == 10.0
     monkeypatch.setattr(inequalities, "_rk4_barrier_worst",
                         lambda *args: kernel(*args, n_steps=1))
     assert not ode_comparison_bound(0.0, 10.0, 10.0, 1.5, 0.0, 10.0)
@@ -286,12 +288,52 @@ def test_ode_comparison_diverged_integration_fails(monkeypatch):
     assert math.isnan(rep.worst_ratio) and not rep.passed
 
 
+@pytest.mark.parametrize("n_steps", [inequalities._ODE_BLOCK, 2 * inequalities._ODE_BLOCK + 2])
+@pytest.mark.parametrize("planted", [0, 2, 4])
+def test_rk4_barrier_worst_names_planted_draw(planted, n_steps):
+    # draws rising slowly from y0 = 0 stay far below their barriers.  A draw
+    # resting at its equilibrium y = 1 has the ratio t/(1 + t), largest at the
+    # last step; a draw falling from y0 = 1e6 comes closest to its barrier
+    # right after the first step.
+    kernel = inequalities._rk4_barrier_worst
+    draws = np.array([[0.1 + 0.01 * k, 0.1, 3.0, 0.0] for k in range(5)])
+    t_last = 0.0
+    for _ in range(n_steps):
+        t_last += 1.0 / n_steps
+    draws[planted] = [1.0, 1.0, 2.0, 1.0]
+    worst, draw, t = kernel(0.0, *draws.T, 1.0, n_steps)
+    assert draw == planted and t == t_last
+    assert worst == pytest.approx(t_last / (1.0 + t_last), rel=1e-14)
+    draws[planted] = [1.0, 1.0, 2.0, 1e6]
+    worst, draw, t = kernel(0.0, *draws.T, 1.0, n_steps)
+    assert draw == planted and t == 1.0 / n_steps
+    assert worst > 0.9
+
+
+def test_ode_report_payload_names_worst_draw(monkeypatch):
+    kernel = inequalities._rk4_barrier_worst
+    monkeypatch.setattr(inequalities, "_rk4_barrier_worst",
+                        lambda *args: kernel(*args, n_steps=2000))
+    rep = ode_comparison_report(n_draws=20, t_span=5.0, seed=5)
+    payload = rep.worst_case_payload
+    rng = np.random.default_rng(5)
+    draws = [rng.uniform(lo, hi, 20)
+             for lo, hi in ((0.1, 10.0), (0.1, 10.0), (1.001, 3.0), (0.0, 1e6))]
+    i = payload["draw"]
+    assert [payload[k] for k in ("a", "b", "beta", "y0")] == [col[i] for col in draws]
+    assert payload["t_span"] == 5.0
+    # the named draw alone reaches the same worst ratio at the named time
+    worst, _, t = kernel(0.0, *(col[i] for col in draws), 5.0, n_steps=2000)
+    assert t == payload["t"]
+    assert worst == pytest.approx(rep.worst_ratio, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # shipped suites
 # ---------------------------------------------------------------------------
 
-def test_all_reports_pass():
-    reports = all_reports("all")
+def test_all_reports_pass(shipped_reports):
+    reports = shipped_reports[0]
     assert len(reports) >= 5
     for rep in reports:
         assert rep.passed, rep

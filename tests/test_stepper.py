@@ -1,6 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 from scipy.optimize import fsolve
 
 import pesim.stepper as stp
@@ -288,6 +293,51 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
     assert not out.accepted
     assert out.state is st
     assert np.isnan(out.min_u) and np.isnan(out.min_v)
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK routines, loaded from scipy's extension file without scipy.linalg
+# ---------------------------------------------------------------------------
+
+def _lapack_solve(routine, kl, ab, b):
+    """(x, info) of one banded solve, called as stepper._solve_shifted does."""
+    ab, b = np.array(ab, order="F"), b.copy()
+    if kl == 1:
+        return routine(ab[3, :-1], ab[2], ab[1, 1:], b, 1, 1, 1, 1)[3:]
+    return routine(kl, kl, ab, b, 1, 1)[2:]
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("kl", [1, 2, 4])
+def test_lapack_routines_match_scipy_linalg(kl, singular):
+    m = 97
+    rng = np.random.default_rng(10 * kl + singular)
+    ab = np.zeros((3 * kl + 1, m))
+    ab[kl:] = rng.standard_normal((2 * kl + 1, m))  # random entries: rows get swapped
+    if singular:
+        ab[:, m // 2] = 0.0  # a zero column: elimination meets a zero pivot there
+    b = rng.standard_normal((m, 1))
+    name = "dgtsv" if kl == 1 else "dgbsv"
+    x, info = _lapack_solve(getattr(stp, name), kl, ab, b)
+    x_ref, info_ref = _lapack_solve(getattr(lapack, name), kl, ab, b)
+    assert info == info_ref
+    assert (info > 0) == singular
+    assert np.array_equal(x, x_ref)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    # the extension module itself registers as scipy.linalg._flapack; any
+    # import through scipy.linalg would also load the package
+    code = ("import json, pesim.cli, sys; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout)
+    assert "scipy.linalg" not in loaded, loaded
 
 
 # ---------------------------------------------------------------------------
