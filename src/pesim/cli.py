@@ -14,17 +14,16 @@ import sys
 
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
-    ExperimentResult,
-    RegimeMismatch,
+    _run,
     run_absorbing_set,
     run_coexistence_study,
     run_eps_convergence,
     run_extinction_study,
     run_ode_consistency,
 )
-from .functionals import DiagnosticsRecord, diagnostics_record, steady_states
+from .functionals import DiagnosticsRecord, steady_states
 from .inequalities import all_reports, bernis_report
-from .stepper import StepperFailure, run_until
+from .stepper import StepperFailure
 
 __all__ = ["main", "cmd_simulate", "cmd_experiment", "cmd_verify", "cmd_plot"]
 
@@ -77,13 +76,6 @@ def write_summary(out_dir, cfg: RunConfig, run_info: dict):
         fh.write("\n")
 
 
-def _verdicts_payload(result: ExperimentResult) -> dict:
-    return {
-        name: {"pass": v.passed, "value": v.value, "threshold": v.threshold}
-        for name, v in result.verdicts.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -95,40 +87,15 @@ def cmd_simulate(config_path, out_override=None) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     spec = cfg.experiment_spec("simulate")
-    records: list[DiagnosticsRecord] = []
-
-    def on_sample(s):
-        records.append(diagnostics_record(s, spec.kp, spec.rp, spec.gamma))
-
-    status, failure = "ok", None
     try:
-        state0 = spec.ic.build(spec.grid)
+        states, records = _run(spec, cfg.stepper)
     except ValueError as exc:
         return _fail(f"initial condition: {exc}", 1)
-    try:
-        _, states = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
-                              cfg.stepper, spec.sample_every, on_sample=on_sample)
     except StepperFailure as exc:
-        status, failure, states = "solver_failure", str(exc), exc.samples
-
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), records)
-    write_snapshots(out_dir, states)
-    ss = steady_states(spec.kp)
-    write_summary(out_dir, cfg, {
-        "status": status,
-        "failure": failure,
-        "final_time": records[-1].t if records else None,
-        "sample_times": [r.t for r in records],
-        "u_star": ss.u_star,
-        "v_star": ss.v_star,
-        "regime": ss.regime.value,
-    })
-    if status != "ok":
-        return _fail(f"solver failure: {failure}", 2)
-    return 0
+        return _write_run(cfg, exc.samples, exc.records, exc)
+    return _write_run(cfg, states, records)
 
 
 def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
@@ -150,44 +117,53 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
                                          cfg.stepper)
         else:
             result = _EXPERIMENTS[which](spec, cfg.stepper)
-    except (RegimeMismatch, ValueError) as exc:
+    except ValueError as exc:  # RegimeMismatch included
         return _fail(str(exc), 1)
     except StepperFailure as exc:
-        return _fail(f"solver failure: {exc}", 2)
+        return _write_run(cfg, exc.samples, exc.records, exc, which)
 
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), result.records)
-    if result.states:
-        write_snapshots(out_dir, result.states)
     if "distances" in result.extras:
         with open(os.path.join(out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
             fh.write("eps_hi,eps_lo,dist_u,dist_v\n")
             for row in result.extras["distances"]:
                 fh.write(",".join(_fmt(row[c]) for c in
                                   ("eps_hi", "eps_lo", "dist_u", "dist_v")) + "\n")
-    verdicts = _verdicts_payload(result)
+    verdicts = {name: {"pass": v.passed, "value": v.value, "threshold": v.threshold}
+                for name, v in result.verdicts.items()}
     with open(os.path.join(out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
-        extras = {k: v for k, v in result.extras.items() if _jsonable(v)}
-        json.dump({"experiment": which, "verdicts": verdicts, "extras": extras},
+        json.dump({"experiment": which, "verdicts": verdicts, "extras": result.extras},
                   fh, indent=2)
         fh.write("\n")
-    ss = steady_states(spec.kp)
-    write_summary(out_dir, cfg, {
-        "status": "ok", "failure": None, "experiment": which,
-        "final_time": result.records[-1].t if result.records else None,
-        "sample_times": [r.t for r in result.records],
-        "u_star": ss.u_star, "v_star": ss.v_star, "regime": ss.regime.value,
-    })
+    _write_run(cfg, result.states, result.records, experiment=which)
     if not all(v["pass"] for v in verdicts.values()):
         return _fail("one or more verdicts failed (see verdicts.json)", 3)
     return 0
 
 
-def _jsonable(v) -> bool:
-    try:
-        json.dumps(v)
-        return True
-    except TypeError:
-        return False
+def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
+               failure: StepperFailure | None = None, experiment=None) -> int:
+    """Write timeseries.csv, the snapshots (if any states) and summary.json of
+    one run, complete or cut short by failure; returns the exit code, 2 after
+    a failure and 0 otherwise."""
+    write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
+    if states:
+        write_snapshots(cfg.out_dir, states)
+    run_info = {"status": "ok" if failure is None else "solver_failure",
+                "failure": None if failure is None else str(failure)}
+    if experiment is not None:
+        run_info["experiment"] = experiment
+    ss = steady_states(cfg.kp)
+    write_summary(cfg.out_dir, cfg, {
+        **run_info,
+        "final_time": records[-1].t if records else None,
+        "sample_times": [r.t for r in records],
+        "u_star": ss.u_star,
+        "v_star": ss.v_star,
+        "regime": ss.regime.value,
+    })
+    if failure is not None:
+        return _fail(f"solver failure: {failure}", 2)
+    return 0
 
 
 def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:

@@ -8,6 +8,7 @@ resolved with defaults can be echoed back out and re-parsed bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .experiments import ExperimentSpec, InitialCondition
@@ -197,7 +198,10 @@ def _parse_value(key: str, raw: str):
     try:
         if key in _INT_KEYS:
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError:
         kind = "an integer" if key in _INT_KEYS else "a number"
         raise ConfigError(key, f"expected {kind}, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {raw!r}")
+    return value

@@ -25,7 +25,7 @@ from .functionals import (
 )
 from .grid import Field, Grid1D, integrate_values
 from .model import KineticParams, ModelKind, RegParams, State
-from .stepper import StepperConfig, run_until
+from .stepper import StepperConfig, StepperFailure, run_until
 
 __all__ = [
     "InitialCondition",
@@ -38,7 +38,6 @@ __all__ = [
     "run_eps_convergence",
     "run_absorbing_set",
     "run_ode_consistency",
-    "chi_sweep",
     "lv_rk4_oracle",
 ]
 
@@ -122,19 +121,25 @@ class ExperimentResult:
     extras: dict = field(default_factory=dict)
 
 
-def _run(spec: ExperimentSpec, cfg: StepperConfig):
-    """Run one simulation, collecting a diagnostics record per sample."""
-    records: list[DiagnosticsRecord] = []
+def _run(spec: ExperimentSpec, cfg: StepperConfig | None):
+    """Run one simulation from spec's initial condition (cfg None: the default
+    stepper); returns the sample log and one diagnostics record per sample.
 
-    def on_sample(s: State):
-        records.append(diagnostics_record(s, spec.kp, spec.rp, spec.gamma))
-
+    A StepperFailure propagates with the records of its partial log attached
+    as `records`.
+    """
     state0 = spec.ic.build(spec.grid)
-    final, states = run_until(
-        state0, spec.t_end, spec.kp, spec.rp, spec.kind, cfg,
-        spec.sample_every, on_sample=on_sample,
-    )
-    return final, states, records
+    try:
+        samples = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
+                            cfg or StepperConfig(), spec.sample_every)
+    except StepperFailure as exc:
+        exc.records = _records(spec, exc.samples)
+        raise
+    return samples, _records(spec, samples)
+
+
+def _records(spec: ExperimentSpec, samples) -> list[DiagnosticsRecord]:
+    return [diagnostics_record(s, spec.kp, spec.rp, spec.gamma) for s in samples]
 
 
 def _sup_deviation(values: np.ndarray, target: float) -> float:
@@ -156,6 +161,33 @@ def _tail_slope(records, attr) -> float:
 # studies
 # ---------------------------------------------------------------------------
 
+def _stabilization_study(spec, cfg, dev_tol, slope_allowance, regime: Regime, n2: float,
+                         entropy: str, v_verdict: str, mismatch: str) -> ExperimentResult:
+    """Shared body of the stabilization studies: pin n1 = 2 and n2, run, and
+    score the final sup-deviations of u and v from the regime's steady state
+    and the tail slope of its entropy against the sqrt(eps) allowance."""
+    ss = steady_states(spec.kp)
+    if ss.regime is not regime:
+        raise RegimeMismatch(mismatch)
+    spec = replace(spec, rp=replace(spec.rp, n1=2.0, n2=n2))
+    samples, records = _run(spec, cfg)
+
+    boundary = spec.kp.lambda2 == spec.kp.a2 * spec.kp.lambda1  # extinction regime only
+    extras = {"boundary_case": boundary} if regime is Regime.EXTINCTION else {}
+    tol = dev_tol * (10.0 if boundary else 1.0)
+    dev_u = _sup_deviation(samples[-1].u.values, ss.u_star)
+    dev_v = _sup_deviation(samples[-1].v.values, ss.v_star)
+    slope = _tail_slope(records, entropy)
+    allowance = slope_allowance * math.sqrt(spec.rp.eps)
+    verdicts = {
+        "u_deviation": Verdict(dev_u < tol, dev_u, tol),
+        v_verdict: Verdict(dev_v < tol, dev_v, tol),
+        "entropy_tail_slope": Verdict(slope <= allowance, slope, allowance),
+    }
+    extras["slope_constant"] = max(0.0, slope) / math.sqrt(spec.rp.eps)
+    return ExperimentResult(spec, records, verdicts, samples, extras)
+
+
 def run_coexistence_study(spec: ExperimentSpec, cfg: StepperConfig | None = None,
                           dev_tol: float = 1e-2,
                           slope_allowance: float = 10.0) -> ExperimentResult:
@@ -166,56 +198,24 @@ def run_coexistence_study(spec: ExperimentSpec, cfg: StepperConfig | None = None
     sup-deviation of u and v from the coexistence state, and the tail slope
     of E1 against the sqrt(eps) allowance.
     """
-    ss = steady_states(spec.kp)
-    if ss.regime is not Regime.COEXISTENCE:
-        raise RegimeMismatch("coexistence study needs lambda2 > a2*lambda1")
-    spec = replace(spec, rp=replace(spec.rp, n1=2.0, n2=2.0))
-    cfg = cfg or StepperConfig()
-    final, states, records = _run(spec, cfg)
-
-    dev_u = _sup_deviation(final.u.values, ss.u_star)
-    dev_v = _sup_deviation(final.v.values, ss.v_star)
-    slope = _tail_slope(records, "E1")
-    allowance = slope_allowance * math.sqrt(spec.rp.eps)
-    verdicts = {
-        "u_deviation": Verdict(dev_u < dev_tol, dev_u, dev_tol),
-        "v_deviation": Verdict(dev_v < dev_tol, dev_v, dev_tol),
-        "entropy_tail_slope": Verdict(slope <= allowance, slope, allowance),
-    }
-    extras = {"slope_constant": max(0.0, slope) / math.sqrt(spec.rp.eps)}
-    return ExperimentResult(spec, records, verdicts, states, extras)
+    return _stabilization_study(
+        spec, cfg, dev_tol, slope_allowance, Regime.COEXISTENCE, n2=2.0, entropy="E1",
+        v_verdict="v_deviation", mismatch="coexistence study needs lambda2 > a2*lambda1")
 
 
 def run_extinction_study(spec: ExperimentSpec, cfg: StepperConfig | None = None,
                          dev_tol: float = 1e-2,
                          slope_allowance: float = 10.0) -> ExperimentResult:
     """Stabilization toward the prey-extinction state (lambda1, 0);
-    requires lambda2 <= a2*lambda1 and pins n1 = 2, n2 = 1.
+    requires lambda2 <= a2*lambda1 and pins n1 = 2, n2 = 1.  Verdicts: final
+    sup-deviations of u from lambda1 and of v from 0, and the tail slope of E2.
 
     On the boundary lambda2 = a2*lambda1 the decay is slower and the
     deviation thresholds are relaxed by a factor of 10 (values reported).
     """
-    ss = steady_states(spec.kp)
-    if ss.regime is not Regime.EXTINCTION:
-        raise RegimeMismatch("extinction study needs lambda2 <= a2*lambda1")
-    spec = replace(spec, rp=replace(spec.rp, n1=2.0, n2=1.0))
-    cfg = cfg or StepperConfig()
-    final, states, records = _run(spec, cfg)
-
-    boundary = spec.kp.lambda2 == spec.kp.a2 * spec.kp.lambda1
-    tol = dev_tol * (10.0 if boundary else 1.0)
-    dev_u = _sup_deviation(final.u.values, spec.kp.lambda1)
-    dev_v = float(np.abs(final.v.values).max())
-    slope = _tail_slope(records, "E2")
-    allowance = slope_allowance * math.sqrt(spec.rp.eps)
-    verdicts = {
-        "u_deviation": Verdict(dev_u < tol, dev_u, tol),
-        "v_sup": Verdict(dev_v < tol, dev_v, tol),
-        "entropy_tail_slope": Verdict(slope <= allowance, slope, allowance),
-    }
-    extras = {"boundary_case": boundary,
-              "slope_constant": max(0.0, slope) / math.sqrt(spec.rp.eps)}
-    return ExperimentResult(spec, records, verdicts, states, extras)
+    return _stabilization_study(
+        spec, cfg, dev_tol, slope_allowance, Regime.EXTINCTION, n2=1.0, entropy="E2",
+        v_verdict="v_sup", mismatch="extinction study needs lambda2 <= a2*lambda1")
 
 
 def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
@@ -231,22 +231,20 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
         raise ValueError("need at least 3 eps values")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly decreasing")
-    cfg = cfg or StepperConfig()
     specs = [
         replace(base_spec, name=f"{base_spec.name}-eps{e:g}",
                 rp=replace(base_spec.rp, eps=e), kind=ModelKind.REGULARIZED)
         for e in eps_list
     ]
-    finals = [_run(s, cfg) for s in specs]
+    runs = [_run(s, cfg) for s in specs]
 
     grid = base_spec.grid
     def l2(a, b):
         return math.sqrt(integrate_values((a - b) ** 2, grid))
 
+    finals = [samples[-1] for samples, _ in runs]
     rows = []
-    for (e1, (f1, _, _)), (e2, (f2, _, _)) in zip(
-        zip(eps_list, finals), zip(eps_list[1:], finals[1:])
-    ):
+    for e1, e2, f1, f2 in zip(eps_list, eps_list[1:], finals, finals[1:]):
         rows.append({
             "eps_hi": e1,
             "eps_lo": e2,
@@ -261,8 +259,7 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
         "distances_decreasing_u": Verdict(dec_u, du[-1]),
         "distances_decreasing_v": Verdict(dec_v, dv[-1]),
     }
-    _, _, records = finals[-1]
-    return ExperimentResult(specs[-1], records, verdicts, extras={"distances": rows})
+    return ExperimentResult(specs[-1], runs[-1][1], verdicts, extras={"distances": rows})
 
 
 def run_absorbing_set(spec: ExperimentSpec, cfg: StepperConfig | None = None,
@@ -271,8 +268,7 @@ def run_absorbing_set(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     below margin times the closed-form asymptotic bound."""
     if spec.kind is not ModelKind.REGULARIZED:
         raise ValueError("absorbing-set study runs the regularized system")
-    cfg = cfg or StepperConfig()
-    final, states, records = _run(spec, cfg)
+    samples, records = _run(spec, cfg)
     bound = m_infinity(spec.kp, spec.grid.length)
     final_mass = records[-1].mass_u + records[-1].mass_v
     max_mass = max(r.mass_u + r.mass_v for r in records)
@@ -282,7 +278,7 @@ def run_absorbing_set(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     }
     extras = {"m_infinity": bound, "max_mass": max_mass,
               "initial_mass": records[0].mass_u + records[0].mass_v}
-    return ExperimentResult(spec, records, verdicts, states, extras)
+    return ExperimentResult(spec, records, verdicts, samples, extras)
 
 
 def lv_rk4_oracle(u0: float, v0: float, kp: KineticParams, t_end: float,
@@ -322,48 +318,11 @@ def run_ode_consistency(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     """
     if spec.ic.kind != "constant":
         raise ValueError("ode-consistency study needs a homogeneous initial condition")
-    cfg = cfg or StepperConfig()
-    final, states, records = _run(spec, cfg)
+    samples, records = _run(spec, cfg)
+    final = samples[-1]
     uo, vo = lv_rk4_oracle(spec.ic.base_u, spec.ic.base_v, spec.kp,
                            spec.t_end, oracle_dt)
     dev = max(_sup_deviation(final.u.values, uo), _sup_deviation(final.v.values, vo))
     verdicts = {"oracle_deviation": Verdict(dev <= dev_tol, dev, dev_tol)}
     extras = {"oracle_u": uo, "oracle_v": vo}
-    return ExperimentResult(spec, records, verdicts, states, extras)
-
-
-def chi_sweep(base_spec: ExperimentSpec, cfg: StepperConfig | None = None,
-              chi_lo: float = 1e-3, chi_hi: float = 2.0, iters: int = 8,
-              dev_tol: float = 1e-2) -> dict:
-    """Bisect for the empirical stability boundary in chi1 = chi2 = chi.
-
-    A value counts as stable when the coexistence run completes and ends
-    within dev_tol of the coexistence state.  The boundary is reported, not
-    asserted: the analysis only guarantees existence of a small-chi regime.
-    """
-    cfg = cfg or StepperConfig()
-
-    def stable(chi: float) -> bool:
-        kp = replace(base_spec.kp, chi1=chi, chi2=chi)
-        spec = replace(base_spec, kp=kp)
-        try:
-            result = run_coexistence_study(spec, cfg, dev_tol=dev_tol)
-        except Exception:
-            return False
-        return result.verdicts["u_deviation"].passed and result.verdicts["v_deviation"].passed
-
-    if not stable(chi_lo):
-        return {"stable_lo": False, "chi_lo": chi_lo, "chi_hi": chi_hi,
-                "boundary": None}
-    lo, hi = chi_lo, chi_hi
-    if stable(hi):
-        return {"stable_lo": True, "chi_lo": chi_lo, "chi_hi": chi_hi,
-                "boundary": None, "stable_up_to": hi}
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return {"stable_lo": True, "chi_lo": chi_lo, "chi_hi": chi_hi,
-            "boundary": 0.5 * (lo + hi), "bracket": (lo, hi)}
+    return ExperimentResult(spec, records, verdicts, samples, extras)

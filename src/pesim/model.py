@@ -138,6 +138,10 @@ def _m4_mobility(s, n, eps):
     return s**4 / (s ** (4.0 - n) + eps)
 
 
+def _g_mollifier_deriv(s, eps):
+    return (9.0 * s**4 + 9.0 * eps * s**2) / (3.0 * s**2 + eps) ** 2
+
+
 def _fast_diffusion_coeff(s, alpha, eps):
     return eps ** (alpha / 2.0) * s ** (-alpha)
 
@@ -155,7 +159,7 @@ def g_mollifier(s, eps):
 def g_mollifier_deriv(s, eps):
     """d/ds of the mollified reaction factor: (9 s^4 + 9 eps s^2) / (3 s^2 + eps)^2."""
     _check_nonneg(s)
-    return (9.0 * s**4 + 9.0 * eps * s**2) / (3.0 * s**2 + eps) ** 2
+    return _g_mollifier_deriv(s, eps)
 
 
 def h_flux(s, n, eps):
@@ -249,8 +253,8 @@ def reaction_jacobian(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
         return bu - u, kp.a1 * u, -kp.a2 * v, bv - v
     gu = _g_mollifier(u, rp.eps)
     gv = _g_mollifier(v, rp.eps)
-    gpu = g_mollifier_deriv(u, rp.eps)
-    gpv = g_mollifier_deriv(v, rp.eps)
+    gpu = _g_mollifier_deriv(u, rp.eps)
+    gpv = _g_mollifier_deriv(v, rp.eps)
     return gpu * bu - gu, kp.a1 * gu, -kp.a2 * gv, gpv * bv - gv
 
 

@@ -319,37 +319,34 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
 
 
 def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
-              kind: ModelKind, cfg: StepperConfig, sample_every: float,
-              on_sample=None):
-    """Advance to t_end with adaptive dt; returns (final state, sample log).
+              kind: ModelKind, cfg: StepperConfig, sample_every: float):
+    """Advance to t_end with adaptive dt; returns the sample log, which ends
+    with the final state.
 
-    Samples are taken at the start and then at the first step boundary after
-    each multiple of sample_every; the final state is always sampled.  A dt
-    underflow below dt_min raises StepperFailure carrying the partial log.
+    Samples are taken at the start and at the first step boundary after each
+    multiple of sample_every; a step that would pass two pending multiples is
+    cut short to land on the first.  A dt underflow below dt_min raises
+    StepperFailure carrying the partial log.
     """
     if t_end < state.t:
         raise ValueError("t_end must not precede state.t")
 
-    def emit(s):
-        samples.append(s)
-        if on_sample is not None:
-            on_sample(s)
-
-    samples: list[State] = []
-    emit(state)
+    samples: list[State] = [state]
     tol_t = 1e-9 * max(1.0, abs(t_end))
     if t_end <= state.t + tol_t:
-        return state, samples
+        return samples
 
     next_sample = state.t + sample_every
     dt = min(max(cfg.dt_init, cfg.dt_min), cfg.dt_max)
     while state.t < t_end - tol_t:
         dt_try = min(dt, t_end - state.t)
+        if state.t + dt_try >= next_sample + sample_every - tol_t:
+            dt_try = next_sample - state.t
         out = step(state, dt_try, kp, rp, kind, cfg)
         if out.accepted:
             state = out.state
             if state.t >= next_sample - tol_t:
-                emit(state)
+                samples.append(state)
                 while next_sample <= state.t + tol_t:
                     next_sample += sample_every
             dt = min(dt * _GROWTH, cfg.dt_max)
@@ -361,5 +358,5 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
                     last_state=state, samples=samples,
                 )
     if samples[-1].t < state.t:
-        emit(state)
-    return state, samples
+        samples.append(state)
+    return samples

@@ -3,9 +3,16 @@ import time
 import numpy as np
 import pytest
 
+from pesim.experiments import ExperimentSpec, InitialCondition, run_ode_consistency
+from pesim.functionals import CosineBumpTestFunction, weak_residual
 from pesim.grid import Field, Grid1D
 from pesim.inequalities import all_reports
-from pesim.model import KineticParams, RegParams, State
+from pesim.model import KineticParams, ModelKind, RegParams, State
+from pesim.stepper import Scheme, StepperConfig, run_until
+
+# lambda2 > a2*lambda1: coexistence state (1.5, 0.5), exactly representable
+COEX_KP = KineticParams(d1=1.0, d2=1.0, chi1=0.05, chi2=0.05,
+                        a1=1.0, a2=1.0, lambda1=1.0, lambda2=2.0)
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +24,46 @@ def shipped_reports():
     return reports, time.time() - t0
 
 
+@pytest.fixture(scope="session")
+def homogeneous_ode_run():
+    """The ODE-consistency study of acceptance criterion 5, computed once per
+    session: 1e5 IMEX steps of dt = 1e-4 from the constant state (1, 1) on
+    128 cells (limit model, COEX_KP) to t = 10, against the RK4 kinetics
+    oracle at dt = 1e-5."""
+    spec = ExperimentSpec(
+        name="acceptance-ode",
+        kp=COEX_KP,
+        rp=RegParams(1e-4),
+        kind=ModelKind.LIMIT,
+        grid=Grid1D(0.0, 1.0, 128),
+        ic=InitialCondition("constant", 1.0, 1.0),
+        t_end=10.0,
+        sample_every=1.0,
+    )
+    cfg = StepperConfig(scheme=Scheme.IMEX, dt_init=1e-4, dt_max=1e-4)
+    return run_ode_consistency(spec, cfg, dev_tol=1e-6, oracle_dt=1e-5)
+
+
+@pytest.fixture(scope="session")
+def weak_residual_pair():
+    """Weak residuals (ru, rv) of two limit-model IMEX runs to t = 1 from
+    u = 1.5 + 0.3 cos(pi x), v = 0.5 + 0.3 cos(pi x) (COEX_KP), sampled every
+    step: n = 16 at dt = 1e-4, then n = 32 at dt = 5e-5.  Computed once per
+    session."""
+    def residuals(n, dt, t_end=1.0):
+        grid = Grid1D(0.0, 1.0, n)
+        s = grid.centers
+        st = State(0.0, Field(grid, 1.5 + 0.3 * np.cos(np.pi * s)),
+                   Field(grid, 0.5 + 0.3 * np.cos(np.pi * s)))
+        cfg = StepperConfig(dt_init=dt, dt_min=dt * 0.5, dt_max=dt,
+                            scheme=Scheme.IMEX)
+        samples = run_until(st, t_end, COEX_KP, RegParams(1e-4),
+                            ModelKind.LIMIT, cfg, sample_every=dt)
+        return weak_residual(samples, COEX_KP, CosineBumpTestFunction(1, t_end))
+
+    return residuals(16, 1e-4), residuals(32, 5e-5)
+
+
 @pytest.fixture
 def unit_grid():
     return Grid1D(0.0, 1.0, 128)
@@ -24,9 +71,7 @@ def unit_grid():
 
 @pytest.fixture
 def coex_params():
-    # lambda2 > a2*lambda1: coexistence state (1.5, 0.5), exactly representable
-    return KineticParams(d1=1.0, d2=1.0, chi1=0.05, chi2=0.05,
-                         a1=1.0, a2=1.0, lambda1=1.0, lambda2=2.0)
+    return COEX_KP
 
 
 @pytest.fixture

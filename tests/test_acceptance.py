@@ -18,22 +18,14 @@ from pesim.experiments import (
     run_coexistence_study,
     run_eps_convergence,
     run_extinction_study,
-    run_ode_consistency,
 )
-from pesim.functionals import (
-    CosineBumpTestFunction,
-    cross_entropy_productions,
-    m_infinity,
-    weak_residual,
-)
+from pesim.functionals import cross_entropy_productions, m_infinity
 from pesim.grid import Field, Grid1D
 from pesim.model import KineticParams, ModelKind, RegParams, State
-from pesim.stepper import Scheme, StepperConfig, run_until
-from conftest import positive_trig_state
+from pesim.stepper import StepperConfig, run_until
+from conftest import COEX_KP, positive_trig_state
 
 GRID = Grid1D(0.0, 1.0, 128)
-COEX_KP = KineticParams(d1=1.0, d2=1.0, chi1=0.05, chi2=0.05,
-                        a1=1.0, a2=1.0, lambda1=1.0, lambda2=2.0)
 EXT_KP = KineticParams(d1=1.0, d2=1.0, chi1=0.05, chi2=0.05,
                        a1=1.0, a2=1.0, lambda1=2.0, lambda2=1.0)
 
@@ -66,8 +58,8 @@ def test_criterion_1_steady_state_exactness():
     ic = State(0.0, Field.constant(GRID, 1.5), Field.constant(GRID, 0.5))
     worst = 0.0
     for kind in (ModelKind.LIMIT, ModelKind.REGULARIZED):
-        final, _ = run_until(ic, 10.0, COEX_KP, RegParams(1e-4), kind,
-                             StepperConfig(), sample_every=5.0)
+        final = run_until(ic, 10.0, COEX_KP, RegParams(1e-4), kind,
+                          StepperConfig(), sample_every=5.0)[-1]
         worst = max(worst,
                     np.abs(final.u.values - 1.5).max(),
                     np.abs(final.v.values - 0.5).max())
@@ -134,20 +126,8 @@ def test_criterion_4_absorbing_set():
             f"runtime {elapsed:.1f}s (cap 180s)")
 
 
-def test_criterion_5_ode_consistency():
-    spec = ExperimentSpec(
-        name="acceptance-ode",
-        kp=COEX_KP,
-        rp=RegParams(1e-4),
-        kind=ModelKind.LIMIT,
-        grid=GRID,
-        ic=InitialCondition("constant", 1.0, 1.0),
-        t_end=10.0,
-        sample_every=1.0,
-    )
-    cfg = StepperConfig(scheme=Scheme.IMEX, dt_init=1e-4, dt_max=1e-4)
-    result = run_ode_consistency(spec, cfg, dev_tol=1e-6, oracle_dt=1e-5)
-    dev = result.verdicts["oracle_deviation"].value
+def test_criterion_5_ode_consistency(homogeneous_ode_run):
+    dev = homogeneous_ode_run.verdicts["oracle_deviation"].value
     _report(5, "ODE consistency",
             dev <= 1e-6,
             f"max deviation from RK4 oracle at T=10: {dev:.3e} (tol 1e-6)")
@@ -218,20 +198,8 @@ def test_criterion_9_entropy_tail_monitor(coexistence_run):
             f"(allowance {allowance:.1e})")
 
 
-def test_criterion_10_weak_residual():
-    def residuals(n, dt, t_end=1.0):
-        grid = Grid1D(0.0, 1.0, n)
-        s = grid.centers
-        st = State(0.0, Field(grid, 1.5 + 0.3 * np.cos(np.pi * s)),
-                   Field(grid, 0.5 + 0.3 * np.cos(np.pi * s)))
-        cfg = StepperConfig(dt_init=dt, dt_min=dt * 0.5, dt_max=dt,
-                            scheme=Scheme.IMEX)
-        _, samples = run_until(st, t_end, COEX_KP, RegParams(1e-4),
-                               ModelKind.LIMIT, cfg, sample_every=dt)
-        return weak_residual(samples, COEX_KP, CosineBumpTestFunction(1, t_end))
-
-    ru1, rv1 = residuals(16, 1e-4)
-    ru2, rv2 = residuals(32, 5e-5)
+def test_criterion_10_weak_residual(weak_residual_pair):
+    (ru1, rv1), (ru2, rv2) = weak_residual_pair
     factor = min(ru1 / ru2, rv1 / rv2)
     _report(10, "weak residual refinement",
             factor >= 2.0,

@@ -118,16 +118,28 @@ def test_simulate_unknown_key_exit_1(tmp_path):
     assert main(["simulate", cfg]) == 1
 
 
+# lambda2 = a2*lambda1 (the extinction regime) and a far too stiff start: the
+# first step is rejected and dt halves below dt_min
+STIFF = (
+    "model.lambda1 = 1.0\nmodel.lambda2 = 1.0\n"
+    "ic.kind = constant\nic.base_u = 30\nic.base_v = 30\n"
+    "stepper.dt_init = 10\nstepper.dt_min = 10\nstepper.dt_max = 10\n"
+    "time.t_end = 50\n"
+)
+
+
+@pytest.mark.parametrize("key", ["time.t_end", "stepper.newton_tol", "model.lambda1",
+                                 "domain.right"])
+def test_nonfinite_config_value_exit_1(tmp_path, capsys, key):
+    out = str(tmp_path / "out")
+    cfg = _write(tmp_path, "inf.cfg", BASE + f"{key} = inf\nout.dir = {out}\n")
+    assert main(["simulate", cfg]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_simulate_solver_failure_exit_2(tmp_path, capsys):
     out = str(tmp_path / "out")
-    text = (
-        "model.lambda1 = 1.0\nmodel.lambda2 = 1.0\n"
-        "ic.kind = constant\nic.base_u = 30\nic.base_v = 30\n"
-        "stepper.dt_init = 10\nstepper.dt_min = 10\nstepper.dt_max = 10\n"
-        "time.t_end = 50\n"
-        f"out.dir = {out}\n"
-    )
-    cfg = _write(tmp_path, "stiff.cfg", text)
+    cfg = _write(tmp_path, "stiff.cfg", STIFF + f"out.dir = {out}\n")
     assert main(["simulate", cfg]) == 2
     # partial outputs flushed: the initial sample is on disk
     lines = open(os.path.join(out, "timeseries.csv")).read().splitlines()
@@ -176,6 +188,21 @@ def test_experiment_eps_writes_distances(tmp_path):
     lines = open(os.path.join(out, "eps_distances.csv")).read().splitlines()
     assert lines[0] == "eps_hi,eps_lo,dist_u,dist_v"
     assert len(lines) == 3
+
+
+def test_experiment_solver_failure_keeps_partial_output(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = _write(tmp_path, "stiff.cfg", STIFF + f"out.dir = {out}\n")
+    assert main(["experiment", cfg, "--which", "extinction"]) == 2
+    assert "solver failure" in capsys.readouterr().err
+    lines = open(os.path.join(out, "timeseries.csv")).read().splitlines()
+    assert len(lines) >= 2  # header + the initial sample
+    assert len(os.listdir(os.path.join(out, "snapshots"))) == len(lines) - 1
+    run = json.load(open(os.path.join(out, "summary.json")))["run"]
+    assert list(run)[:3] == ["status", "failure", "experiment"]
+    assert run["status"] == "solver_failure"
+    assert "dt underflow" in run["failure"]
+    assert run["experiment"] == "extinction"
 
 
 def test_experiment_unknown_name(tmp_path):

@@ -5,7 +5,6 @@ from pesim.experiments import (
     ExperimentSpec,
     InitialCondition,
     RegimeMismatch,
-    chi_sweep,
     run_absorbing_set,
     run_coexistence_study,
     run_eps_convergence,
@@ -206,10 +205,3 @@ def test_determinism_bitwise():
     assert [v.value for v in r1.verdicts.values()] == [v.value for v in r2.verdicts.values()]
     for a, b in zip(r1.records, r2.records):
         assert a.t == b.t and a.F == b.F and a.E2 == b.E2
-
-
-def test_chi_sweep_reports_boundary():
-    spec = _coex_spec(t_end=10.0, n=32)
-    out = chi_sweep(spec, chi_lo=0.01, chi_hi=0.02, iters=2)
-    assert out["stable_lo"] is True
-    assert "boundary" in out

@@ -22,7 +22,6 @@ from pesim.functionals import (
 )
 from pesim.grid import Field, Grid1D
 from pesim.model import KineticParams, ModelKind, RegParams, State
-from pesim.stepper import Scheme, StepperConfig, run_until
 from conftest import positive_trig_state
 
 
@@ -272,19 +271,7 @@ def test_weak_residual_needs_three_samples(unit_grid, coex_params):
         weak_residual(states, coex_params, CosineBumpTestFunction(1, 1.0))
 
 
-def _residual_for(n, dt, kp, t_end=1.0):
-    grid = Grid1D(0.0, 1.0, n)
-    s = grid.centers
-    st = State(0.0, Field(grid, 1.5 + 0.3 * np.cos(np.pi * s)),
-               Field(grid, 0.5 + 0.3 * np.cos(np.pi * s)))
-    cfg = StepperConfig(dt_init=dt, dt_min=dt * 0.5, dt_max=dt, scheme=Scheme.IMEX)
-    _, samples = run_until(st, t_end, kp, RegParams(1e-4), ModelKind.LIMIT,
-                           cfg, sample_every=dt)
-    return weak_residual(samples, kp, CosineBumpTestFunction(1, t_end))
-
-
-def test_weak_residual_refinement(coex_params):
-    ru1, rv1 = _residual_for(16, 1e-4, coex_params)
-    ru2, rv2 = _residual_for(32, 5e-5, coex_params)
+def test_weak_residual_refinement(weak_residual_pair):
+    (ru1, rv1), (ru2, rv2) = weak_residual_pair
     assert ru1 / ru2 >= 2.0
     assert rv1 / rv2 >= 2.0

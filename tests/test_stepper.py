@@ -32,7 +32,6 @@ from pesim.stepper import (
     run_until,
     step,
 )
-from pesim.experiments import lv_rk4_oracle
 from conftest import positive_trig_state
 
 
@@ -133,17 +132,26 @@ def test_schemes_agree_for_small_dt(unit_grid, coex_params, reg_params):
 
 def test_run_until_zero_span(unit_grid, coex_params, reg_params):
     st = _smooth_state(unit_grid, t=2.0)
-    final, samples = run_until(st, 2.0, coex_params, reg_params,
-                               ModelKind.REGULARIZED, StepperConfig(), 1.0)
-    assert final is st
-    assert len(samples) == 1 and samples[0].t == 2.0
+    samples = run_until(st, 2.0, coex_params, reg_params,
+                        ModelKind.REGULARIZED, StepperConfig(), 1.0)
+    assert len(samples) == 1 and samples[0] is st
 
 
-def test_homogeneous_run_matches_rk4_oracle(unit_grid, coex_params, reg_params):
-    st = State(0.0, Field.constant(unit_grid, 1.0), Field.constant(unit_grid, 1.0))
-    cfg = StepperConfig(scheme=Scheme.IMEX, dt_init=1e-4, dt_max=1e-4, dt_min=1e-12)
-    final, _ = run_until(st, 10.0, coex_params, reg_params, ModelKind.LIMIT, cfg, 1.0)
-    uo, vo = lv_rk4_oracle(1.0, 1.0, coex_params, 10.0, dt=1e-5)
+def test_run_until_samples_every_multiple(coex_params, reg_params):
+    # steps of 0.05 would pass five sample times each; every step is cut to
+    # land on the next one, so no multiple of sample_every is skipped
+    grid = Grid1D(0.0, 1.0, 32)
+    cfg = StepperConfig(dt_init=0.05, dt_max=0.05)
+    samples = run_until(_smooth_state(grid), 0.5, coex_params, reg_params,
+                        ModelKind.LIMIT, cfg, 0.01)
+    assert len(samples) == 51
+    for k, s in enumerate(samples):
+        assert abs(s.t - k * 0.01) < 1e-12
+
+
+def test_homogeneous_run_matches_rk4_oracle(homogeneous_ode_run):
+    final = homogeneous_ode_run.states[-1]
+    uo, vo = homogeneous_ode_run.extras["oracle_u"], homogeneous_ode_run.extras["oracle_v"]
     assert abs(final.u.values[0] - uo) < 1e-6
     assert abs(final.v.values[0] - vo) < 1e-6
 
@@ -158,9 +166,9 @@ def test_first_order_temporal_convergence(scheme, coex_params):
     def final_u(dt):
         cfg = StepperConfig(scheme=scheme, dt_init=dt, dt_min=dt * 0.5, dt_max=dt,
                             newton_tol=1e-12)
-        final, _ = run_until(st, t_end, coex_params, rp, ModelKind.REGULARIZED,
-                             cfg, t_end)
-        return final.u.values
+        samples = run_until(st, t_end, coex_params, rp, ModelKind.REGULARIZED,
+                            cfg, t_end)
+        return samples[-1].u.values
 
     ref = final_u(7.8125e-5)
     errs = [np.abs(final_u(dt) - ref).max() for dt in (4e-3, 2e-3, 1e-3)]
@@ -193,12 +201,11 @@ def test_determinism(unit_grid, coex_params, reg_params):
     def run():
         st = _smooth_state(unit_grid)
         cfg = StepperConfig()
-        final, samples = run_until(st, 1.0, coex_params, reg_params,
-                                   ModelKind.REGULARIZED, cfg, 0.25)
-        return final, samples
+        return run_until(st, 1.0, coex_params, reg_params,
+                         ModelKind.REGULARIZED, cfg, 0.25)
 
-    f1, s1 = run()
-    f2, s2 = run()
+    s1 = run()
+    s2 = run()
     assert len(s1) == len(s2)
     for a, b in zip(s1, s2):
         assert a.t == b.t
@@ -236,8 +243,8 @@ def test_adaptive_run_recovers_from_rejections(unit_grid):
     rp = RegParams(1e-4)
     st = State(0.0, Field.constant(unit_grid, 30.0), Field.constant(unit_grid, 30.0))
     cfg = StepperConfig(dt_init=0.05, dt_min=1e-10, dt_max=0.05)
-    final, samples = run_until(st, 5.0, kp, rp, ModelKind.REGULARIZED, cfg, 0.5)
-    assert final.t == pytest.approx(5.0, abs=1e-6)
+    samples = run_until(st, 5.0, kp, rp, ModelKind.REGULARIZED, cfg, 0.5)
+    assert samples[-1].t == pytest.approx(5.0, abs=1e-6)
     for s in samples:
         assert s.u.min() > cfg.positivity_floor
         assert s.v.min() > cfg.positivity_floor
@@ -249,11 +256,11 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
     # must be read-only and must not change while later steps run
     kind = ModelKind.REGULARIZED
     cfg = StepperConfig(scheme=scheme)
-    final, samples = run_until(_smooth_state(unit_grid), 0.2, coex_params, reg_params,
-                               kind, cfg, 0.05)
-    out = step(final, 1e-3, coex_params, reg_params, kind, cfg)
+    samples = run_until(_smooth_state(unit_grid), 0.2, coex_params, reg_params,
+                        kind, cfg, 0.05)
+    out = step(samples[-1], 1e-3, coex_params, reg_params, kind, cfg)
     assert out.accepted
-    states = samples + [final, out.state]
+    states = samples + [out.state]
     saved = [(s.u.values.copy(), s.v.values.copy()) for s in states]
     for s in states:
         assert not s.u.values.flags.writeable and not s.v.values.flags.writeable
