@@ -80,14 +80,23 @@ def write_summary(out_dir, cfg: RunConfig, run_info: dict):
 # commands
 # ---------------------------------------------------------------------------
 
+def _load_config(config_path, out_override) -> RunConfig:
+    """Parse the config file and create its output directory; raises
+    ConfigError or OSError (the config file unreadable)."""
+    cfg = parse_config(config_path, {"out.dir": out_override} if out_override else None)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out.dir", f"cannot create {cfg.out_dir!r}: {exc.strerror or exc}")
+    return cfg
+
+
 def cmd_simulate(config_path, out_override=None) -> int:
     try:
-        cfg = parse_config(config_path,
-                           {"out.dir": out_override} if out_override else None)
+        cfg = _load_config(config_path, out_override)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     spec = cfg.experiment_spec("simulate")
     try:
         states, records = _run(spec, cfg.stepper)
@@ -103,13 +112,11 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
         return _fail(f"unknown experiment {which!r} "
                      f"(choose from {', '.join(sorted(_EXPERIMENTS))})", 1)
     try:
-        cfg = parse_config(config_path,
-                           {"out.dir": out_override} if out_override else None)
+        cfg = _load_config(config_path, out_override)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     spec = cfg.experiment_spec(which)
     try:
         if which == "eps":

@@ -151,8 +151,10 @@ class RunConfig:
              self.gamma)
         if not self.values["time.t_end"] > 0.0:
             raise ConfigError("time.t_end", "must be positive")
-        if not self.values["time.sample_every"] > 0.0:
-            raise ConfigError("time.sample_every", "must be positive")
+        # a sample interval below dt_min would cut every step to a sliver
+        dt_min = self.values["stepper.dt_min"]
+        if not self.values["time.sample_every"] >= dt_min:
+            raise ConfigError("time.sample_every", f"must be at least stepper.dt_min = {dt_min:g}")
         return self
 
 

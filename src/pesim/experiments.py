@@ -67,6 +67,8 @@ class InitialCondition:
     def __post_init__(self):
         if self.kind not in ("constant", "perturbed", "random-trig"):
             raise ValueError(f"unknown ic kind {self.kind!r}")
+        if self.kind == "random-trig" and self.mode < 1:
+            raise ValueError(f"mode must be at least 1 for random-trig, got {self.mode}")
 
     def build(self, grid: Grid1D) -> State:
         s = (grid.centers - grid.x_left) / grid.length

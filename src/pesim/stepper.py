@@ -26,7 +26,7 @@ import importlib.util
 import os
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -69,6 +69,7 @@ __all__ = [
 
 _SAFETY = 0.5  # dt factor after a rejected step
 _GROWTH = 1.2  # dt factor after an accepted step, capped at dt_max
+_TOL = 1e-5  # fully implicit: local error per step, relative to 1 + |w|
 _NEWTON_MAX_ITER = 25
 
 
@@ -248,7 +249,13 @@ def _jacobian_ab(u, v, dx, dt, kp, rp, kind):
 
 
 def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
-    """Backward-Euler solve; returns (u_new, v_new, iters) or None on failure."""
+    """Backward-Euler solve; returns (u_new, v_new, iters) or None on failure.
+
+    Every solve takes at least one correction.  It has converged once the
+    residual, or the full Newton increment with a positive result, is at most
+    newton_tol in max norm: on fine grids the residual stalls at a roundoff
+    floor, machine epsilon times dt / dx^4, while the increment keeps falling.
+    """
 
     def residual(uc, vc):  # interleaved (u0, v0, u1, ...) like the unknowns
         du, dv = compute_rhs(uc, vc, dx, kp, rp, kind)
@@ -256,16 +263,18 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
         res[0::2], res[1::2] = uc - u - dt * du, vc - v - dt * dv
         return res
 
-    uc, vc = u.copy(), v.copy()
+    uc, vc = u, v
     res = residual(uc, vc)
     norm = float(np.abs(res).max())
-    for it in range(_NEWTON_MAX_ITER):
-        if norm <= cfg.newton_tol:
-            return uc, vc, it
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         delta = _solve_shifted(_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), _HALFWIDTH, res)
         if delta is None or not np.all(np.isfinite(delta)):
             return None
         du_step, dv_step = delta[0::2], delta[1::2]
+        if float(np.abs(delta).max()) <= cfg.newton_tol:
+            ut, vt = uc - du_step, vc - dv_step
+            if ut.min() > 0.0 and vt.min() > 0.0:
+                return ut, vt, it
         lam = 1.0
         for _ in range(10):
             ut, vt = uc - lam * du_step, vc - lam * dv_step
@@ -278,8 +287,8 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
         else:
             return None
         uc, vc, res, norm = ut, vt, res_t, norm_t
-    if norm <= cfg.newton_tol:
-        return uc, vc, _NEWTON_MAX_ITER
+        if norm <= cfg.newton_tol:
+            return uc, vc, it
     return None
 
 
@@ -318,10 +327,39 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     return StepOutcome(new_state, dt, True, iters, min_u, min_v)
 
 
+def _bdf1_error(old: State, new: State, dt: float, history):
+    """Scaled local error of the backward-Euler step old -> new of size dt, and
+    the step's slopes (w_new - w_old) / dt of both fields.
+
+    history is (dt_prev, slopes_prev) of the accepted step before, or None,
+    which gives error None.  The estimate needs no extra solve: it is
+    dt^2 / (dt + dt_prev) times the change of slope, the BDF1 estimate of
+    (dt^2 / 2) w'', measured against _TOL * (1 + |w_new|); above 1 the step
+    fails the tolerance.
+    """
+    pairs = ((old.u.values, new.u.values), (old.v.values, new.v.values))
+    slopes = [(w1 - w0) / dt for w0, w1 in pairs]
+    if history is None:
+        return None, slopes
+    dt_prev, slopes_prev = history
+    c = dt * dt / (dt + dt_prev)
+    err = max(float((np.abs(c * (s1 - s0)) / (_TOL * (1.0 + np.abs(w1)))).max())
+              for s1, s0, (_, w1) in zip(slopes, slopes_prev, pairs))
+    return err, slopes
+
+
 def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
               kind: ModelKind, cfg: StepperConfig, sample_every: float):
     """Advance to t_end with adaptive dt; returns the sample log, which ends
     with the final state.
+
+    A step that step() rejects is retried at half the dt.  IMEX grows dt by
+    _GROWTH after each accepted step, and so does the fully implicit scheme
+    after its first step, which has no history.  After that, a fully
+    implicit step is rejected when its BDF1 local error estimate
+    (_bdf1_error) exceeds 1, and the next dt is the step just taken times
+    the standard controller factor 0.9 / sqrt(err), bounded to [0.2, 2].
+    dt never exceeds dt_max.
 
     Samples are taken at the start and at the first step boundary after each
     multiple of sample_every; a step that would pass two pending multiples is
@@ -338,25 +376,34 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
 
     next_sample = state.t + sample_every
     dt = min(max(cfg.dt_init, cfg.dt_min), cfg.dt_max)
+    history = None  # fully implicit: (dt, slopes) of the last accepted step
     while state.t < t_end - tol_t:
         dt_try = min(dt, t_end - state.t)
         if state.t + dt_try >= next_sample + sample_every - tol_t:
             dt_try = next_sample - state.t
         out = step(state, dt_try, kp, rp, kind, cfg)
-        if out.accepted:
+        accepted, err = out.accepted, None
+        if accepted and cfg.scheme is Scheme.FULLY_IMPLICIT:
+            err, slopes = _bdf1_error(state, out.state, dt_try, history)
+            accepted = err is None or err <= 1.0
+            if accepted:
+                history = (dt_try, slopes)
+        if err is None:
+            dt = min(dt * _GROWTH, cfg.dt_max) if accepted else dt * _SAFETY
+        else:
+            factor = min(2.0, max(0.2, 0.9 / sqrt(err))) if err > 0.0 else 2.0
+            dt = min(dt_try * factor, cfg.dt_max)
+        if accepted:
             state = out.state
             if state.t >= next_sample - tol_t:
                 samples.append(state)
                 while next_sample <= state.t + tol_t:
                     next_sample += sample_every
-            dt = min(dt * _GROWTH, cfg.dt_max)
-        else:
-            dt = dt * _SAFETY
-            if dt < cfg.dt_min:
-                raise StepperFailure(
-                    f"dt underflow below dt_min={cfg.dt_min} at t={state.t}",
-                    last_state=state, samples=samples,
-                )
+        elif dt < cfg.dt_min:
+            raise StepperFailure(
+                f"dt underflow below dt_min={cfg.dt_min} at t={state.t}",
+                last_state=state, samples=samples,
+            )
     if samples[-1].t < state.t:
         samples.append(state)
     return samples

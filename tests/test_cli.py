@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ STIFF = (
     "model.lambda1 = 1.0\nmodel.lambda2 = 1.0\n"
     "ic.kind = constant\nic.base_u = 30\nic.base_v = 30\n"
     "stepper.dt_init = 10\nstepper.dt_min = 10\nstepper.dt_max = 10\n"
-    "time.t_end = 50\n"
+    "time.t_end = 50\ntime.sample_every = 10\n"
 )
 
 
@@ -135,6 +136,36 @@ def test_nonfinite_config_value_exit_1(tmp_path, capsys, key):
     cfg = _write(tmp_path, "inf.cfg", BASE + f"{key} = inf\nout.dir = {out}\n")
     assert main(["simulate", cfg]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "--which", "coexistence"]])
+def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
+    blocker = _write(tmp_path, "plain_file", "")
+    cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {os.path.join(blocker, 'out')}\n")
+    assert main(command[:1] + [cfg] + command[1:]) == 1
+    assert "out.dir" in capsys.readouterr().err
+
+
+def test_random_trig_mode_zero_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = _write(tmp_path, "m0.cfg", BASE + f"ic.kind = random-trig\nic.mode = 0\nout.dir = {out}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "ic.mode" in err and "Warning" not in err
+    assert not caught
+
+
+def test_sample_every_below_dt_min_exit_1(tmp_path, capsys):
+    # every step would be cut to the next sample time: rejected up front
+    text = "grid.n = 16\ntime.t_end = 1\ntime.sample_every = 1e-13\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert exc.value.key == "time.sample_every"
+    cfg = _write(tmp_path, "tiny.cfg", text + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", cfg]) == 1
+    assert "time.sample_every" in capsys.readouterr().err
 
 
 def test_simulate_solver_failure_exit_2(tmp_path, capsys):

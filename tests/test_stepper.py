@@ -9,6 +9,7 @@ from scipy.linalg import lapack, solve_banded
 from scipy.optimize import fsolve
 
 import pesim.stepper as stp
+from pesim.experiments import InitialCondition
 from pesim.grid import Field, Grid1D, integrate_values
 from pesim.model import (
     KineticParams,
@@ -164,11 +165,15 @@ def test_first_order_temporal_convergence(scheme, coex_params):
     t_end = 0.1
 
     def final_u(dt):
+        # a fixed dt through step(): run_until sizes fully implicit steps itself
         cfg = StepperConfig(scheme=scheme, dt_init=dt, dt_min=dt * 0.5, dt_max=dt,
                             newton_tol=1e-12)
-        samples = run_until(st, t_end, coex_params, rp, ModelKind.REGULARIZED,
-                            cfg, t_end)
-        return samples[-1].u.values
+        s = st
+        for _ in range(round(t_end / dt)):
+            out = step(s, dt, coex_params, rp, ModelKind.REGULARIZED, cfg)
+            assert out.accepted
+            s = out.state
+        return s.u.values
 
     ref = final_u(7.8125e-5)
     errs = [np.abs(final_u(dt) - ref).max() for dt in (4e-3, 2e-3, 1e-3)]
@@ -300,6 +305,93 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
     assert not out.accepted
     assert out.state is st
     assert np.isnan(out.min_u) and np.isnan(out.min_v)
+
+
+def test_jacobian_matches_finite_differences(coex_params):
+    # -dt * J from _jacobian_ab against central differences of the interleaved
+    # right-hand side, block by block.  The cross blocks are exact; the
+    # diagonal blocks freeze the diffusion, thin-film and taxis coefficients
+    # at the iterate, which drops lower-order terms of relative size about dx
+    grid = Grid1D(0.0, 1.0, 32)
+    rp = RegParams(1e-3, 0.5, 2.0, 1.0)
+    kind = ModelKind.REGULARIZED
+    st = _smooth_state(grid)
+    n, dx = grid.n_cells, grid.dx
+    w = np.empty(2 * n)
+    w[0::2], w[1::2] = st.u.values, st.v.values
+
+    def rhs(w):
+        du, dv = compute_rhs(w[0::2], w[1::2], dx, coex_params, rp, kind)
+        out = np.empty(2 * n)
+        out[0::2], out[1::2] = du, dv
+        return out
+
+    jac = -_dense(stp._jacobian_ab(st.u.values, st.v.values, dx, 1.0, coex_params, rp, kind),
+                  stp._HALFWIDTH)
+    jac_fd = np.empty_like(jac)
+    for j in range(2 * n):
+        e = np.zeros(2 * n)
+        e[j] = 1e-6 * w[j]
+        jac_fd[:, j] = (rhs(w + e) - rhs(w - e)) / (2 * e[j])
+    for rows, cols, rtol in ((0, 0, 1e-2), (0, 1, 1e-6), (1, 0, 1e-6), (1, 1, 1e-2)):
+        block, block_fd = jac[rows::2, cols::2], jac_fd[rows::2, cols::2]
+        assert np.abs(block - block_fd).max() <= rtol * np.abs(block_fd).max()
+
+
+def _implicit_n1024_state():
+    """The fully implicit benchmark's initial condition at IC seed 1."""
+    return InitialCondition("random-trig", mode=4, seed=1).build(Grid1D(0.0, 1.0, 1024))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_implicit_step_at_n1024_is_accepted(dt, coex_params, reg_params):
+    # at n = 1024 the Newton residual stalls at a roundoff floor above
+    # newton_tol; the increment test still accepts the step, which must agree
+    # with IMEX to first order in dt
+    st = _implicit_n1024_state()
+    kind = ModelKind.REGULARIZED
+    outs = [step(st, dt, coex_params, reg_params, kind, StepperConfig(scheme=scheme))
+            for scheme in (Scheme.FULLY_IMPLICIT, Scheme.IMEX)]
+    assert outs[0].accepted and outs[1].accepted
+    assert outs[0].newton_iters < stp._NEWTON_MAX_ITER
+    for field in ("u", "v"):
+        diff = getattr(outs[0].state, field).values - getattr(outs[1].state, field).values
+        assert np.abs(diff).max() <= dt
+
+
+def test_newton_always_takes_a_correction(coex_params, reg_params):
+    # a newton_tol that every residual meets must still move the solution
+    st = _smooth_state(Grid1D(0.0, 1.0, 16))
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT, newton_tol=1e300)
+    samples = run_until(st, 0.1, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 0.1)
+    final = samples[-1]
+    assert final.t == pytest.approx(0.1)
+    assert not np.array_equal(final.u.values, st.u.values)
+    assert not np.array_equal(final.v.values, st.v.values)
+
+
+def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkeypatch):
+    # on the n = 1024 benchmark start every attempt passes Newton and
+    # positivity, yet dt falls well below its first value: only the local
+    # error estimate shrinks dt, by a factor in [0.2, 2] per attempt
+    attempts = []
+
+    def counted(*args):
+        out = step(*args)
+        attempts.append(out)
+        return out
+
+    monkeypatch.setattr(stp, "step", counted)
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    samples = run_until(_implicit_n1024_state(), 0.01, coex_params, reg_params,
+                        ModelKind.REGULARIZED, cfg, 0.005)
+    assert len(samples) == 3 and samples[-1].t == pytest.approx(0.01)
+    assert all(out.accepted for out in attempts)
+    dts = [out.dt_used for out in attempts[:-1]]  # the last step is cut to t_end
+    assert dts[1] == pytest.approx(stp._GROWTH * dts[0])  # the first step has no history
+    assert min(dts) < 0.2 * dts[0]
+    ratios = [b / a for a, b in zip(dts, dts[1:])]
+    assert 0.2 * (1 - 1e-12) <= min(ratios) and max(ratios) <= 2.0 * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +532,15 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
         res[0::2], res[1::2] = uc - u - dt * du, vc - v - dt * dv
         return res
 
-    uc, vc = u.copy(), v.copy()
+    uc, vc = u, v
     res = residual(uc, vc)
     norm = float(np.abs(res).max())
-    for it in range(stp._NEWTON_MAX_ITER):
-        if norm <= cfg.newton_tol:
-            return uc, vc, it
+    for it in range(1, stp._NEWTON_MAX_ITER + 1):
         delta = solve_banded((5, 5), _ref_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), res)
+        if np.abs(delta).max() <= cfg.newton_tol:  # converged on the increment
+            ut, vt = uc - delta[0::2], vc - delta[1::2]
+            if ut.min() > 0.0 and vt.min() > 0.0:
+                return ut, vt, it
         lam = 1.0
         for _ in range(10):
             ut, vt = uc - lam * delta[0::2], vc - lam * delta[1::2]
@@ -459,7 +553,9 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
         else:
             return None
         uc, vc, res, norm = ut, vt, res_t, norm_t
-    return (uc, vc, stp._NEWTON_MAX_ITER) if norm <= cfg.newton_tol else None
+        if norm <= cfg.newton_tol:
+            return uc, vc, it
+    return None
 
 
 @pytest.mark.parametrize("n", [128, 1024])
