@@ -9,11 +9,13 @@ stacked block-diagonally.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
-(u0, v0, u1, v1, ...) by damped Newton.  The Jacobian freezes the nonlinear
-flux coefficients at the current iterate and differentiates through the
-derivative factors and the reactions, which keeps the matrix banded with
-half-bandwidth 4 -- matrices are not symmetric, so banded LU with partial
-pivoting (LAPACK gbsv) does the solves.
+(u0, v0, u1, v1, ...) by damped simplified Newton.  The Jacobian freezes the
+nonlinear flux coefficients and differentiates through the derivative
+factors and the reactions, which keeps the matrix banded with half-bandwidth
+4.  It is built once per step, at w_old, and factored once by banded LU with
+partial pivoting (LAPACK gbtrf; the matrices are not symmetric); every Newton
+iteration then solves with that factorization (gbtrs).  Only when the line
+search finds no decrease is it rebuilt, at the current iterate.
 
 Positivity is enforced by step rejection, never by clamping: clamped values
 would silently break the entropy identities the diagnostics monitor.
@@ -45,9 +47,10 @@ from .model import (
     thinfilm_face_coeff,
 )
 
-# dgtsv/dgbsv come from scipy's f2py LAPACK extension, loaded from its file:
-# importing it as scipy.linalg.lapack would run scipy.linalg's __init__, which
-# loads about 300 more modules and costs about 0.3 s per process.
+# dgtsv, dgbsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
+# loaded from its file: importing it as scipy.linalg.lapack would run
+# scipy.linalg's __init__, which loads about 300 more modules and costs about
+# 0.3 s per process.
 _FLAPACK = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
                         "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
 if not os.path.isfile(_FLAPACK):
@@ -55,7 +58,7 @@ if not os.path.isfile(_FLAPACK):
 _loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", _FLAPACK)
 _flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_loader.name, _loader))
 _loader.exec_module(_flapack)
-dgbsv, dgtsv = _flapack.dgbsv, _flapack.dgtsv
+dgbsv, dgbtrf, dgbtrs, dgtsv = _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
 
 __all__ = [
     "Scheme",
@@ -117,8 +120,9 @@ class StepperFailure(RuntimeError):
 # banded assembly
 #
 # Matrices live in LAPACK band storage: ab[2kl + i - j, j] = A[i, j] with
-# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbsv works
-# in place and gtsv reads its three diagonals from rows kl..2kl + 1 (kl = 1).
+# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbsv and
+# gbtrf work in place and gtsv reads its three diagonals from rows
+# kl..2kl + 1 (kl = 1).
 # The array carries kl spare columns on each side.  Operator bands are written
 # through a sheared view whose row r + k, index i, is the slot of L[i, i + k];
 # slots of entries outside the matrix fall into the spare columns.
@@ -153,6 +157,18 @@ def _solve_shifted(ab, kl, b):
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
     return x if info == 0 else None
+
+
+def _factor_shifted(ab, kl):
+    """Band LU of I + B for B in band storage, in place: (lu, pivots), or None
+    when LAPACK reports an exactly singular pivot (info > 0).  Solve with
+    dgbtrs(lu, kl, kl, b, pivots)."""
+    a = ab[:, kl:-kl]
+    a[2 * kl] += 1.0
+    lu, piv, info = dgbtrf(a, kl, kl, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"LAPACK: illegal value in argument {-info}")
+    return (lu, piv) if info == 0 else None
 
 
 def _put_div_bands(out, sigma, c_face, dx):
@@ -249,12 +265,19 @@ def _jacobian_ab(u, v, dx, dt, kp, rp, kind):
 
 
 def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
-    """Backward-Euler solve; returns (u_new, v_new, iters) or None on failure.
+    """Backward-Euler solve by damped simplified Newton; returns
+    (u_new, v_new, iters), or (None, None, iters) on failure, where iters
+    counts the iterations taken.
 
-    Every solve takes at least one correction.  It has converged once the
-    residual, or the full Newton increment with a positive result, is at most
-    newton_tol in max norm: on fine grids the residual stalls at a roundoff
-    floor, machine epsilon times dt / dx^4, while the increment keeps falling.
+    The Jacobian is built and factored once, at the start state, and each
+    iteration solves with that factorization.  When the line search finds no
+    decrease with a factorization built at an earlier iterate, it is rebuilt
+    at the current iterate and the iteration retried; a failure with a fresh
+    factorization rejects the step.  Every solve takes at least one
+    correction.  It has converged once the residual, or the increment with a
+    positive result, is at most newton_tol in max norm: on fine grids the
+    residual stalls at a roundoff floor, machine epsilon times dt / dx^4,
+    while the increment keeps falling.
     """
 
     def residual(uc, vc):  # interleaved (u0, v0, u1, ...) like the unknowns
@@ -263,18 +286,24 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
         res[0::2], res[1::2] = uc - u - dt * du, vc - v - dt * dv
         return res
 
-    uc, vc = u, v
-    res = residual(uc, vc)
-    norm = float(np.abs(res).max())
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        delta = _solve_shifted(_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), _HALFWIDTH, res)
-        if delta is None or not np.all(np.isfinite(delta)):
+    def factor(uc, vc):
+        return _factor_shifted(_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), _HALFWIDTH)
+
+    def correct(lu):
+        """One damped correction of (uc, vc) with the factorization lu:
+        (u, v, residual, norm), with norm 0 when the increment test has
+        converged; None when lu is singular, the increment is not finite or
+        no damping lowers the residual."""
+        if lu is None:
+            return None
+        delta = dgbtrs(lu[0], _HALFWIDTH, _HALFWIDTH, res, lu[1])[0]
+        if not np.all(np.isfinite(delta)):
             return None
         du_step, dv_step = delta[0::2], delta[1::2]
         if float(np.abs(delta).max()) <= cfg.newton_tol:
             ut, vt = uc - du_step, vc - dv_step
             if ut.min() > 0.0 and vt.min() > 0.0:
-                return ut, vt, it
+                return ut, vt, None, 0.0
         lam = 1.0
         for _ in range(10):
             ut, vt = uc - lam * du_step, vc - lam * dv_step
@@ -282,14 +311,25 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
                 res_t = residual(ut, vt)
                 norm_t = float(np.abs(res_t).max())
                 if np.isfinite(norm_t) and norm_t < norm:
-                    break
+                    return ut, vt, res_t, norm_t
             lam *= 0.5
-        else:
-            return None
-        uc, vc, res, norm = ut, vt, res_t, norm_t
+        return None
+
+    uc, vc = u, v
+    res = residual(uc, vc)
+    norm = float(np.abs(res).max())
+    lu, built = factor(uc, vc), 1  # built: the iteration whose start iterate lu is at
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        new = correct(lu)
+        if new is None and built < it:
+            lu, built = factor(uc, vc), it
+            new = correct(lu)
+        if new is None:
+            return None, None, it
+        uc, vc, res, norm = new
         if norm <= cfg.newton_tol:
             return uc, vc, it
-    return None
+    return None, None, _NEWTON_MAX_ITER
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +350,9 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
             return StepOutcome(state, dt, False, 0, np.nan, np.nan)
         un, vn = result
     else:
-        result = _newton_advance(u, v, dx, dt, kp, rp, kind, cfg)
-        if result is None:
-            return StepOutcome(state, dt, False, _NEWTON_MAX_ITER, np.nan, np.nan)
-        un, vn, iters = result
+        un, vn, iters = _newton_advance(u, v, dx, dt, kp, rp, kind, cfg)
+        if un is None:
+            return StepOutcome(state, dt, False, iters, np.nan, np.nan)
 
     min_u, min_v = float(un.min()), float(vn.min())
     # min propagates NaN, so the extremes are finite exactly when the arrays are

@@ -281,7 +281,7 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
 @pytest.mark.parametrize("scheme, kind", [
     (Scheme.IMEX, ModelKind.LIMIT),             # gtsv
     (Scheme.IMEX, ModelKind.REGULARIZED),       # gbsv, half-bandwidth 2
-    (Scheme.FULLY_IMPLICIT, ModelKind.REGULARIZED),  # gbsv, half-bandwidth 5
+    (Scheme.FULLY_IMPLICIT, ModelKind.REGULARIZED),  # gbtrf, half-bandwidth 4
 ])
 def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
                                            reg_params, monkeypatch):
@@ -305,6 +305,7 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
     assert not out.accepted
     assert out.state is st
     assert np.isnan(out.min_u) and np.isnan(out.min_v)
+    assert out.newton_iters <= 1  # the first factorization failed
 
 
 def test_jacobian_matches_finite_differences(coex_params):
@@ -357,6 +358,47 @@ def test_implicit_step_at_n1024_is_accepted(dt, coex_params, reg_params):
     for field in ("u", "v"):
         diff = getattr(outs[0].state, field).values - getattr(outs[1].state, field).values
         assert np.abs(diff).max() <= dt
+
+
+def _count_jacobian_builds(monkeypatch, plant=None):
+    """Record each _jacobian_ab call; plant(ab) replaces the first result."""
+    builds = []
+    build = stp._jacobian_ab
+
+    def counted(*args):
+        ab = build(*args)
+        builds.append(ab)
+        return plant(ab) if plant is not None and len(builds) == 1 else ab
+
+    monkeypatch.setattr(stp, "_jacobian_ab", counted)
+    return builds
+
+
+def test_implicit_step_builds_one_jacobian(coex_params, reg_params, monkeypatch):
+    # simplified Newton: one Jacobian and one factorization, at the start
+    # state, serve every iteration of the n = 1024 start step
+    builds = _count_jacobian_builds(monkeypatch)
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    out = step(_implicit_n1024_state(), cfg.dt_init, coex_params, reg_params,
+               ModelKind.REGULARIZED, cfg)
+    assert out.accepted and out.newton_iters > 1
+    assert len(builds) == 1
+
+
+def test_wrong_first_jacobian_is_rebuilt(coex_params, reg_params, monkeypatch):
+    # a planted -10 * (-dt * J) first Jacobian leads the line search to a
+    # dead end; the loop rebuilds at the current iterate and the step still
+    # converges to the one a correct Jacobian gives
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    args = (_implicit_n1024_state(), cfg.dt_init, coex_params, reg_params,
+            ModelKind.REGULARIZED, cfg)
+    expected = step(*args)
+    builds = _count_jacobian_builds(monkeypatch, plant=lambda ab: -10.0 * ab)
+    out = step(*args)
+    assert out.accepted and len(builds) == 2
+    for field in ("u", "v"):
+        diff = getattr(out.state, field).values - getattr(expected.state, field).values
+        assert np.abs(diff).max() <= 10 * cfg.newton_tol
 
 
 def test_newton_always_takes_a_correction(coex_params, reg_params):
@@ -422,6 +464,16 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
     assert info == info_ref
     assert (info > 0) == singular
     assert np.array_equal(x, x_ref)
+    if kl == stp._HALFWIDTH:  # Newton factors once and solves once per iteration
+        lu, piv, info = stp.dgbtrf(np.array(ab, order="F"), kl, kl)
+        lu_ref, piv_ref, info_ref = lapack.dgbtrf(np.array(ab, order="F"), kl, kl)
+        assert info == info_ref and (info > 0) == singular
+        assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+        x, info = stp.dgbtrs(lu, kl, kl, b, piv)
+        x_ref, info_ref = lapack.dgbtrs(lu_ref, kl, kl, b, piv_ref)
+        assert info == info_ref == 0
+        # past a zero pivot the solve divides by zero: same infs and nans
+        assert np.array_equal(x, x_ref, equal_nan=True)
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
@@ -535,23 +587,29 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
     uc, vc = u, v
     res = residual(uc, vc)
     norm = float(np.abs(res).max())
+    jac, built = _ref_jacobian_ab(u, v, dx, dt, kp, rp, kind), 1  # frozen at the start
     for it in range(1, stp._NEWTON_MAX_ITER + 1):
-        delta = solve_banded((5, 5), _ref_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), res)
-        if np.abs(delta).max() <= cfg.newton_tol:  # converged on the increment
-            ut, vt = uc - delta[0::2], vc - delta[1::2]
-            if ut.min() > 0.0 and vt.min() > 0.0:
-                return ut, vt, it
-        lam = 1.0
-        for _ in range(10):
-            ut, vt = uc - lam * delta[0::2], vc - lam * delta[1::2]
-            if ut.min() > 0.0 and vt.min() > 0.0:
-                res_t = residual(ut, vt)
-                norm_t = float(np.abs(res_t).max())
-                if np.isfinite(norm_t) and norm_t < norm:
-                    break
-            lam *= 0.5
-        else:
-            return None
+        while True:
+            delta = solve_banded((5, 5), jac, res)
+            if np.abs(delta).max() <= cfg.newton_tol:  # converged on the increment
+                ut, vt = uc - delta[0::2], vc - delta[1::2]
+                if ut.min() > 0.0 and vt.min() > 0.0:
+                    return ut, vt, it
+            lam, found = 1.0, False
+            for _ in range(10):
+                ut, vt = uc - lam * delta[0::2], vc - lam * delta[1::2]
+                if ut.min() > 0.0 and vt.min() > 0.0:
+                    res_t = residual(ut, vt)
+                    norm_t = float(np.abs(res_t).max())
+                    if np.isfinite(norm_t) and norm_t < norm:
+                        found = True
+                        break
+                lam *= 0.5
+            if found:
+                break
+            if built == it:  # no decrease with a fresh Jacobian either
+                return None
+            jac, built = _ref_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), it
         uc, vc, res, norm = ut, vt, res_t, norm_t
         if norm <= cfg.newton_tol:
             return uc, vc, it
