@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
     _run,
+    check_eps_list,
     run_absorbing_set,
     run_coexistence_study,
     run_eps_convergence,
@@ -97,11 +99,8 @@ def cmd_simulate(config_path, out_override=None) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    spec = cfg.experiment_spec("simulate")
     try:
-        states, records = _run(spec, cfg.stepper)
-    except ValueError as exc:
-        return _fail(f"initial condition: {exc}", 1)
+        states, records = _run(cfg.experiment_spec("simulate"), cfg.stepper)
     except StepperFailure as exc:
         return _write_run(cfg, exc.samples, exc.records, exc)
     return _write_run(cfg, states, records)
@@ -159,7 +158,7 @@ def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
                 "failure": None if failure is None else str(failure)}
     if experiment is not None:
         run_info["experiment"] = experiment
-    ss = steady_states(cfg.kp)
+    ss = steady_states(cfg.spec.kp)
     write_summary(cfg.out_dir, cfg, {
         **run_info,
         "final_time": records[-1].t if records else None,
@@ -174,8 +173,11 @@ def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
 
 
 def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
-    if bernis_beta is not None and bernis_beta == 1.0:
-        return _fail("bernis: beta must differ from 1", 1)
+    if bernis_beta is not None:
+        if suite not in ("all", "bernis"):
+            return _fail(f"--beta: suite {suite!r} has no bernis exponent sweep", 1)
+        if not math.isfinite(bernis_beta) or bernis_beta == 1.0:
+            return _fail(f"--beta: must be finite and differ from 1, got {bernis_beta!r}", 1)
     os.makedirs(out_dir, exist_ok=True)
     try:
         reports = all_reports(suite, skip=() if bernis_beta is None else ("bernis",))
@@ -318,9 +320,9 @@ def main(argv=None) -> int:
         eps_list = None
         if args.eps_list:
             try:
-                eps_list = [float(tok) for tok in args.eps_list.split(",")]
-            except ValueError:
-                return _fail(f"bad --eps-list: {args.eps_list!r}", 1)
+                eps_list = check_eps_list(float(tok) for tok in args.eps_list.split(","))
+            except ValueError as exc:
+                return _fail(f"--eps-list: {exc} ({args.eps_list!r})", 1)
         return cmd_experiment(args.config, args.which, args.out, eps_list)
     if args.command == "verify":
         return cmd_verify(args.out, args.suite, args.beta)

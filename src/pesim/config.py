@@ -9,7 +9,7 @@ resolved with defaults can be echoed back out and re-parsed bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .experiments import ExperimentSpec, InitialCondition
 from .grid import Grid1D
@@ -69,104 +69,49 @@ _STR_KEYS = {"model.kind", "ic.kind", "stepper.scheme", "out.dir"}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved flat configuration plus the objects it builds."""
+    """A fully resolved flat configuration and the objects built from it."""
 
     values: dict
-
-    @property
-    def kp(self) -> KineticParams:
-        v = self.values
-        return _build("model.", KineticParams,
-                      d1=v["model.d1"], d2=v["model.d2"],
-                      chi1=v["model.chi1"], chi2=v["model.chi2"],
-                      a1=v["model.a1"], a2=v["model.a2"],
-                      lambda1=v["model.lambda1"], lambda2=v["model.lambda2"])
-
-    @property
-    def rp(self) -> RegParams:
-        v = self.values
-        return _build("reg.", RegParams, eps=v["reg.eps"], alpha=v["reg.alpha"],
-                      n1=v["reg.n1"], n2=v["reg.n2"])
-
-    @property
-    def grid(self) -> Grid1D:
-        v = self.values
-        return _build("", Grid1D, x_left=v["domain.left"],
-                      x_right=v["domain.right"], n_cells=v["grid.n"],
-                      key_map={"x_left": "domain.left", "x_right": "domain.right",
-                               "n_cells": "grid.n"})
-
-    @property
-    def kind(self) -> ModelKind:
-        raw = self.values["model.kind"]
-        try:
-            return ModelKind(raw)
-        except ValueError:
-            raise ConfigError("model.kind", f"must be limit or regularized, got {raw!r}")
-
-    @property
-    def ic(self) -> InitialCondition:
-        v = self.values
-        return _build("ic.", InitialCondition, kind=v["ic.kind"],
-                      base_u=v["ic.base_u"], base_v=v["ic.base_v"],
-                      amp_u=v["ic.amp_u"], amp_v=v["ic.amp_v"],
-                      mode=v["ic.mode"], seed=v["ic.seed"])
-
-    @property
-    def stepper(self) -> StepperConfig:
-        v = self.values
-        raw = v["stepper.scheme"]
-        try:
-            scheme = Scheme(raw)
-        except ValueError:
-            raise ConfigError("stepper.scheme",
-                              f"must be imex or fully_implicit, got {raw!r}")
-        return _build("stepper.", StepperConfig,
-                      dt_init=v["stepper.dt_init"], dt_min=v["stepper.dt_min"],
-                      dt_max=v["stepper.dt_max"], scheme=scheme,
-                      newton_tol=v["stepper.newton_tol"],
-                      positivity_floor=v["stepper.positivity_floor"])
+    spec: ExperimentSpec
+    stepper: StepperConfig
 
     @property
     def out_dir(self) -> str:
         return self.values["out.dir"]
 
-    @property
-    def gamma(self) -> float:
-        if not self.values["diag.gamma"] > 0.0:
-            raise ConfigError("diag.gamma", "must be positive")
-        return self.values["diag.gamma"]
-
     def experiment_spec(self, name: str) -> ExperimentSpec:
-        v = self.values
-        return ExperimentSpec(
-            name=name, kp=self.kp, rp=self.rp, kind=self.kind, grid=self.grid,
-            ic=self.ic, t_end=v["time.t_end"], sample_every=v["time.sample_every"],
-            gamma=self.gamma,
-        )
-
-    def validate(self):
-        """Force every derived object so bad values surface as ConfigError."""
-        _ = (self.kp, self.rp, self.grid, self.kind, self.ic, self.stepper,
-             self.gamma)
-        if not self.values["time.t_end"] > 0.0:
-            raise ConfigError("time.t_end", "must be positive")
-        # a sample interval below dt_min would cut every step to a sliver
-        dt_min = self.values["stepper.dt_min"]
-        if not self.values["time.sample_every"] >= dt_min:
-            raise ConfigError("time.sample_every", f"must be at least stepper.dt_min = {dt_min:g}")
-        return self
+        return replace(self.spec, name=name)
 
 
-def _build(prefix, cls, key_map=None, **kwargs):
+# fields whose config key is not the object's prefix plus the field name
+_RENAMES = {
+    Grid1D: {"x_left": "domain.left", "x_right": "domain.right", "n_cells": "grid.n"},
+    ExperimentSpec: {"t_end": "time.t_end", "sample_every": "time.sample_every",
+                     "gamma": "diag.gamma"},
+}
+
+
+def _build(cls, prefix, values, **given):
+    """cls with each field not in given read from its config key.
+
+    Every ValueError message of these classes starts with the field it
+    rejects; the ConfigError names that field's config key.
+    """
+    renames = _RENAMES.get(cls, {})
+    keys = {f.name: renames.get(f.name, prefix + f.name)
+            for f in fields(cls) if f.name not in given}
     try:
-        return cls(**kwargs)
+        return cls(**given, **{name: values[key] for name, key in keys.items()})
     except ValueError as exc:
-        # the dataclass message starts with its own field name; map it back
-        # to the config key so the error names what the user wrote
-        fld = str(exc).split(" ")[0]
-        key = (key_map or {}).get(fld, prefix + fld)
-        raise ConfigError(key, str(exc))
+        raise ConfigError(keys[str(exc).split(" ", 1)[0]], str(exc)) from None
+
+
+def _enum(cls, key, values):
+    try:
+        return cls(values[key])
+    except ValueError:
+        choices = " or ".join(m.value for m in cls)
+        raise ConfigError(key, f"must be {choices}, got {values[key]!r}") from None
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
@@ -186,7 +131,23 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
             if key not in DEFAULTS:
                 raise ConfigError(key, "unknown key")
             values[key] = val
-    return RunConfig(values).validate()
+    spec = _build(ExperimentSpec, "", values, name="run",
+                  kp=_build(KineticParams, "model.", values),
+                  rp=_build(RegParams, "reg.", values),
+                  kind=_enum(ModelKind, "model.kind", values),
+                  grid=_build(Grid1D, "", values),
+                  ic=_build(InitialCondition, "ic.", values))
+    stepper = _build(StepperConfig, "stepper.", values,
+                     scheme=_enum(Scheme, "stepper.scheme", values))
+    # a sample interval below dt_min would cut every step to a sliver
+    if not spec.sample_every >= stepper.dt_min:
+        raise ConfigError("time.sample_every",
+                          f"must be at least stepper.dt_min = {stepper.dt_min:g}")
+    try:
+        spec.ic.build(spec.grid)
+    except ValueError as exc:  # the message starts with the ic field at fault
+        raise ConfigError("ic." + str(exc).split(" ", 1)[0], str(exc)) from None
+    return RunConfig(values, spec, stepper)
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:

@@ -23,7 +23,7 @@ from .functionals import (
     m_infinity,
     steady_states,
 )
-from .grid import Field, Grid1D, integrate_values
+from .grid import Field, Grid1D, integrate_values, random_cosine_series
 from .model import KineticParams, ModelKind, RegParams, State
 from .stepper import StepperConfig, StepperFailure, run_until
 
@@ -35,6 +35,7 @@ __all__ = [
     "RegimeMismatch",
     "run_coexistence_study",
     "run_extinction_study",
+    "check_eps_list",
     "run_eps_convergence",
     "run_absorbing_set",
     "run_ode_consistency",
@@ -66,27 +67,27 @@ class InitialCondition:
 
     def __post_init__(self):
         if self.kind not in ("constant", "perturbed", "random-trig"):
-            raise ValueError(f"unknown ic kind {self.kind!r}")
+            raise ValueError(f"kind must be constant, perturbed or random-trig, got {self.kind!r}")
         if self.kind == "random-trig" and self.mode < 1:
             raise ValueError(f"mode must be at least 1 for random-trig, got {self.mode}")
 
     def build(self, grid: Grid1D) -> State:
-        s = (grid.centers - grid.x_left) / grid.length
+        """The initial state on grid; a ValueError if it is not strictly positive."""
         if self.kind == "constant":
             u = np.full(grid.n_cells, self.base_u)
             v = np.full(grid.n_cells, self.base_v)
         elif self.kind == "perturbed":
+            s = (grid.centers - grid.x_left) / grid.length
             u = self.base_u + self.amp_u * np.cos(self.mode * math.pi * s)
             v = self.base_v + self.amp_v * np.cos(self.mode * math.pi * s)
         else:
             rng = np.random.default_rng(self.seed)
-            u = np.full(grid.n_cells, self.base_u)
-            v = np.full(grid.n_cells, self.base_v)
-            for w, amp in ((u, self.amp_u), (v, self.amp_v)):
-                c = rng.uniform(-1.0, 1.0, self.mode)
-                c *= amp / np.abs(c).sum()
-                for k, ck in enumerate(c, start=1):
-                    w += ck * np.cos(k * math.pi * s)
+            u = random_cosine_series(grid, rng, self.base_u, self.amp_u, self.mode)
+            v = random_cosine_series(grid, rng, self.base_v, self.amp_v, self.mode)
+        for name, w in (("u", u), ("v", v)):
+            if not w.min() > 0.0:
+                raise ValueError(f"base_{name} and amp_{name} give an initial {name} with "
+                                 f"minimum {w.min():.6g} on this grid; it must be positive")
         return State(0.0, Field(grid, u), Field(grid, v))
 
 
@@ -105,6 +106,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,19 @@ def run_extinction_study(spec: ExperimentSpec, cfg: StepperConfig | None = None,
         v_verdict="v_sup", mismatch="extinction study needs lambda2 <= a2*lambda1")
 
 
+def check_eps_list(eps_list) -> list[float]:
+    """eps_list as floats; a ValueError unless it holds at least 3 strictly
+    decreasing values in (0, 1)."""
+    eps_list = [float(e) for e in eps_list]
+    if len(eps_list) < 3:
+        raise ValueError(f"need at least 3 eps values, got {len(eps_list)}")
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps values must be strictly decreasing")
+    if not all(0.0 < e < 1.0 for e in eps_list):
+        raise ValueError("eps values must lie in (0, 1)")
+    return eps_list
+
+
 def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
                         cfg: StepperConfig | None = None) -> ExperimentResult:
     """Cauchy-in-eps study: identical runs varying only eps, reporting the
@@ -228,11 +244,7 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
     Verdict: the distances decrease strictly along the (strictly decreasing)
     eps list, for u and for v.
     """
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 3:
-        raise ValueError("need at least 3 eps values")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps values must be strictly decreasing")
+    eps_list = check_eps_list(eps_list)
     specs = [
         replace(base_spec, name=f"{base_spec.name}-eps{e:g}",
                 rp=replace(base_spec.rp, eps=e), kind=ModelKind.REGULARIZED)
@@ -269,7 +281,8 @@ def run_absorbing_set(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     """Mass absorbing set: by the end of the run, the combined mass must sit
     below margin times the closed-form asymptotic bound."""
     if spec.kind is not ModelKind.REGULARIZED:
-        raise ValueError("absorbing-set study runs the regularized system")
+        raise ValueError("model.kind must be regularized: the absorbing-set study "
+                         "runs the regularized system")
     samples, records = _run(spec, cfg)
     bound = m_infinity(spec.kp, spec.grid.length)
     final_mass = records[-1].mass_u + records[-1].mass_v
@@ -319,7 +332,8 @@ def run_ode_consistency(spec: ExperimentSpec, cfg: StepperConfig | None = None,
     perturbs the kinetics by O(sqrt(eps)), so callers should widen dev_tol.
     """
     if spec.ic.kind != "constant":
-        raise ValueError("ode-consistency study needs a homogeneous initial condition")
+        raise ValueError("ic.kind must be constant: the ode-consistency study needs "
+                         "a homogeneous initial condition")
     samples, records = _run(spec, cfg)
     final = samples[-1]
     uo, vo = lv_rk4_oracle(spec.ic.base_u, spec.ic.base_v, spec.kp,

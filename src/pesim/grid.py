@@ -19,6 +19,7 @@ __all__ = [
     "diff1_values",
     "diff2_values",
     "integrate_values",
+    "random_cosine_series",
 ]
 
 
@@ -124,3 +125,17 @@ def integrate_values(values: np.ndarray, grid: Grid1D) -> float:
     # algebraically dx * sum(values); evaluated as length * mean so that
     # constants integrate exactly
     return grid.length * float(values.mean())
+
+
+def random_cosine_series(grid: Grid1D, rng: np.random.Generator, base: float,
+                         amp: float, n_modes: int) -> np.ndarray:
+    """base + sum_k c_k cos(k pi s(x)), k = 1..n_modes, at the cell centers,
+    with s(x) in [0, 1] and c_k drawn uniform in [-1, 1] from rng, then scaled
+    to sum |c_k| = amp; strictly positive whenever base > amp."""
+    c = rng.uniform(-1.0, 1.0, n_modes)
+    c *= amp / np.abs(c).sum()
+    s = (grid.centers - grid.x_left) / grid.length
+    vals = np.full(grid.n_cells, base)
+    for k, ck in enumerate(c, start=1):
+        vals += ck * np.cos(k * np.pi * s)
+    return vals

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid1D, diff1_values, diff2_values, integrate_values
+from .grid import (Field, Grid1D, diff1_values, diff2_values, integrate_values,
+                   random_cosine_series)
 from .model import h_flux, h_flux_deriv, h_flux_deriv2
 
 __all__ = [
@@ -284,13 +285,7 @@ def random_trig_field(grid: Grid1D, rng: np.random.Generator,
     boundary derivative) exactly."""
     base = rng.uniform(1.0, 2.0)
     amp = rng.uniform(0.2, min(base - floor, 1.0))
-    c = rng.uniform(-1.0, 1.0, n_modes)
-    c *= amp / np.abs(c).sum()
-    s = (grid.centers - grid.x_left) / grid.length
-    vals = np.full(grid.n_cells, base)
-    for k, ck in enumerate(c, start=1):
-        vals += ck * np.cos(k * math.pi * s)
-    return Field(grid, vals)
+    return Field(grid, random_cosine_series(grid, rng, base, amp, n_modes))
 
 
 def bernis_report(n_fields=200, n_cells=400, betas=(-1.0, 0.0, 2.0, 3.0),

@@ -47,7 +47,7 @@ from .model import (
     thinfilm_face_coeff,
 )
 
-# dgtsv, dgbsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
+# dgtsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
 # loaded from its file: importing it as scipy.linalg.lapack would run
 # scipy.linalg's __init__, which loads about 300 more modules and costs about
 # 0.3 s per process.
@@ -58,7 +58,7 @@ if not os.path.isfile(_FLAPACK):
 _loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", _FLAPACK)
 _flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_loader.name, _loader))
 _loader.exec_module(_flapack)
-dgbsv, dgbtrf, dgbtrs, dgtsv = _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
+dgbtrf, dgbtrs, dgtsv = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
 
 __all__ = [
     "Scheme",
@@ -91,10 +91,13 @@ class StepperConfig:
     positivity_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.newton_tol <= 0.0 or self.positivity_floor <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.dt_min <= self.dt_init:
+            raise ValueError(f"dt_min must lie in (0, dt_init = {self.dt_init:g}]")
+        if not self.dt_init <= self.dt_max:
+            raise ValueError(f"dt_init must not exceed dt_max = {self.dt_max:g}")
+        for name in ("newton_tol", "positivity_floor"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,8 @@ class StepperFailure(RuntimeError):
 # banded assembly
 #
 # Matrices live in LAPACK band storage: ab[2kl + i - j, j] = A[i, j] with
-# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbsv and
-# gbtrf work in place and gtsv reads its three diagonals from rows
+# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbtrf
+# works in place and gtsv reads its three diagonals from rows
 # kl..2kl + 1 (kl = 1).
 # The array carries kl spare columns on each side.  Operator bands are written
 # through a sheared view whose row r + k, index i, is the slot of L[i, i + k];
@@ -143,17 +146,15 @@ def _band_slots(ab, kl, n, r, stride=1, row_off=0, col_off=0):
                       (stride * (s_col - s_row), stride * s_col))
 
 
-def _solve_shifted(ab, kl, b):
-    """Solve (I + B) x = b for B in band storage; overwrites ab and b.
+def _solve_shifted(ab, b):
+    """Solve (I + B) x = b for a tridiagonal B in band storage (kl = 1);
+    overwrites ab and b.
 
     Returns None when LAPACK reports an exactly singular pivot (info > 0).
     """
-    a = ab[:, kl:-kl]
-    a[2 * kl] += 1.0
-    if kl == 1:
-        x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
-    else:
-        x, info = dgbsv(kl, kl, a, b, 1, 1)[2:]
+    a = ab[:, 1:-1]
+    a[2] += 1.0
+    x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
     return x if info == 0 else None
@@ -235,7 +236,12 @@ def _imex_advance(u, v, dx, dt, kp, rp, kind):
     for off, w, d_coeff, n_exp in ((0, u, kp.d1, rp.n1), (n, v, kp.d2, rp.n2)):
         _stiff_bands(_band_slots(ab, kl, n, kl, 1, off, off), w, dx, d_coeff, n_exp, rp, kind)
     ab *= -dt
-    x = _solve_shifted(ab, kl, np.concatenate((rhs_u, rhs_v)))
+    rhs = np.concatenate((rhs_u, rhs_v))
+    if kl == 1:
+        x = _solve_shifted(ab, rhs)
+    else:
+        lu = _factor_shifted(ab, kl)
+        x = None if lu is None else dgbtrs(lu[0], kl, kl, rhs, lu[1], overwrite_b=1)[0]
     return None if x is None else (x[:n], x[n:])
 
 

@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,16 @@ from pesim.stepper import Scheme, StepperConfig, run_until
 # lambda2 > a2*lambda1: coexistence state (1.5, 0.5), exactly representable
 COEX_KP = KineticParams(d1=1.0, d2=1.0, chi1=0.05, chi2=0.05,
                         a1=1.0, a2=1.0, lambda1=1.0, lambda2=2.0)
+
+
+def pytest_collection_modifyitems(items):
+    """Every warning is an error in the tests of this directory.  The filter
+    goes on each test here, not into pyproject.toml, so it reaches no other
+    test directory run in the same session."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture(scope="session")

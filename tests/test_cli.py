@@ -13,6 +13,11 @@ from pesim.grid import Field, Grid1D
 from pesim.model import State
 
 
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -35,7 +40,7 @@ time.sample_every = 0.5
 def test_parse_defaults_and_comments():
     cfg = parse_config_text("# nothing but comments\n\n")
     assert cfg.values["grid.n"] == 128
-    assert cfg.kind.value == "regularized"
+    assert cfg.spec.kind.value == "regularized"
     cfg = parse_config_text("grid.n = 64  # inline comment\n")
     assert cfg.values["grid.n"] == 64
 
@@ -64,12 +69,12 @@ def test_simulate_smoke(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out}\n")
     assert main(["simulate", cfg]) == 0
-    lines = open(os.path.join(out, "timeseries.csv")).read().splitlines()
+    lines = _read(os.path.join(out, "timeseries.csv")).splitlines()
     assert lines[0] == ",".join(DiagnosticsRecord.CSV_COLUMNS)
     assert len(lines) >= 3  # header + at least two rows
     snaps = os.listdir(os.path.join(out, "snapshots"))
     assert len(snaps) == len(lines) - 1
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
     assert summary["run"]["status"] == "ok"
     assert summary["config"]["grid.n"] == 48
 
@@ -97,14 +102,14 @@ def test_simulate_roundtrip_bitwise(tmp_path):
     out2 = str(tmp_path / "o2")
     cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out1}\n")
     assert main(["simulate", cfg]) == 0
-    summary = json.load(open(os.path.join(out1, "summary.json")))
+    summary = json.loads(_read(os.path.join(out1, "summary.json")))
     # re-emit the fully resolved config and run again
     resolved = summary["config"]
     text = "\n".join(f"{k} = {v}" for k, v in resolved.items() if k != "out.dir")
     cfg2 = _write(tmp_path, "run2.cfg", text + f"\nout.dir = {out2}\n")
     assert main(["simulate", cfg2]) == 0
-    ts1 = open(os.path.join(out1, "timeseries.csv")).read()
-    ts2 = open(os.path.join(out2, "timeseries.csv")).read()
+    ts1 = _read(os.path.join(out1, "timeseries.csv"))
+    ts2 = _read(os.path.join(out2, "timeseries.csv"))
     assert ts1 == ts2
 
 
@@ -146,6 +151,49 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     assert "out.dir" in capsys.readouterr().err
 
 
+# one bad value per case; every one of them must be rejected under its own key
+@pytest.mark.parametrize("key, value", [
+    ("stepper.dt_init", "1"),
+    ("stepper.dt_min", "0"),
+    ("stepper.newton_tol", "-1"),
+    ("stepper.positivity_floor", "0"),
+    ("stepper.scheme", "rk4"),
+    ("ic.kind", "foo"),
+    ("diag.gamma", "-1"),
+    ("model.chi1", "-1"),
+    ("model.kind", "spectral"),
+    ("reg.eps", "2"),
+    ("reg.alpha", "0.75"),
+    ("reg.n2", "3"),
+    ("grid.n", "4"),
+    ("domain.right", "-1"),
+    ("time.t_end", "-1"),
+])
+def test_config_rejection_names_its_key(tmp_path, capsys, key, value):
+    text = BASE + f"{key} = {value}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert exc.value.key == key
+    cfg = _write(tmp_path, "bad.cfg", text + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", cfg]) == 1
+    assert f"pesim: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "--which", "coexistence"]],
+                         ids=["simulate", "experiment"])
+@pytest.mark.parametrize("text, key", [
+    ("ic.base_u = 0.2\n", "ic.base_u"),  # base_u - amp_u < 0 near x = 1
+    ("ic.kind = constant\nic.base_v = 0\n", "ic.base_v"),
+], ids=["perturbed", "constant"])
+def test_nonpositive_initial_state_names_ic_key(tmp_path, capsys, command, text, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(BASE + text)
+    assert exc.value.key == key
+    cfg = _write(tmp_path, "ic.cfg", BASE + text + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(command[:1] + [cfg] + command[1:]) == 1
+    assert f"pesim: {key}: " in capsys.readouterr().err
+
+
 def test_random_trig_mode_zero_exit_1(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = _write(tmp_path, "m0.cfg", BASE + f"ic.kind = random-trig\nic.mode = 0\nout.dir = {out}\n")
@@ -173,10 +221,10 @@ def test_simulate_solver_failure_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "stiff.cfg", STIFF + f"out.dir = {out}\n")
     assert main(["simulate", cfg]) == 2
     # partial outputs flushed: the initial sample is on disk
-    lines = open(os.path.join(out, "timeseries.csv")).read().splitlines()
+    lines = _read(os.path.join(out, "timeseries.csv")).splitlines()
     assert len(lines) >= 2
     assert len(os.listdir(os.path.join(out, "snapshots"))) == len(lines) - 1
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
     assert summary["run"]["status"] == "solver_failure"
 
 
@@ -189,7 +237,7 @@ def test_experiment_coexistence_smoke(tmp_path):
     text = BASE + "ic.kind = constant\nic.base_u = 1.5\nic.base_v = 0.5\n" + f"out.dir = {out}\n"
     cfg = _write(tmp_path, "coex.cfg", text)
     assert main(["experiment", cfg, "--which", "coexistence"]) == 0
-    verdicts = json.load(open(os.path.join(out, "verdicts.json")))
+    verdicts = json.loads(_read(os.path.join(out, "verdicts.json")))
     assert all(v["pass"] for v in verdicts["verdicts"].values())
 
 
@@ -205,7 +253,7 @@ def test_experiment_failed_verdict_exit_3(tmp_path):
     text = BASE.replace("time.t_end = 2.0", "time.t_end = 0.1") + f"out.dir = {out}\n"
     cfg = _write(tmp_path, "c.cfg", text)
     assert main(["experiment", cfg, "--which", "coexistence"]) == 3
-    verdicts = json.load(open(os.path.join(out, "verdicts.json")))
+    verdicts = json.loads(_read(os.path.join(out, "verdicts.json")))
     assert not all(v["pass"] for v in verdicts["verdicts"].values())
 
 
@@ -216,7 +264,7 @@ def test_experiment_eps_writes_distances(tmp_path):
     rc = main(["experiment", cfg, "--which", "eps",
                "--eps-list", "1e-2,2.5e-3,6.25e-4"])
     assert rc == 0
-    lines = open(os.path.join(out, "eps_distances.csv")).read().splitlines()
+    lines = _read(os.path.join(out, "eps_distances.csv")).splitlines()
     assert lines[0] == "eps_hi,eps_lo,dist_u,dist_v"
     assert len(lines) == 3
 
@@ -226,14 +274,38 @@ def test_experiment_solver_failure_keeps_partial_output(tmp_path, capsys):
     cfg = _write(tmp_path, "stiff.cfg", STIFF + f"out.dir = {out}\n")
     assert main(["experiment", cfg, "--which", "extinction"]) == 2
     assert "solver failure" in capsys.readouterr().err
-    lines = open(os.path.join(out, "timeseries.csv")).read().splitlines()
+    lines = _read(os.path.join(out, "timeseries.csv")).splitlines()
     assert len(lines) >= 2  # header + the initial sample
     assert len(os.listdir(os.path.join(out, "snapshots"))) == len(lines) - 1
-    run = json.load(open(os.path.join(out, "summary.json")))["run"]
+    run = json.loads(_read(os.path.join(out, "summary.json")))["run"]
     assert list(run)[:3] == ["status", "failure", "experiment"]
     assert run["status"] == "solver_failure"
     assert "dt underflow" in run["failure"]
     assert run["experiment"] == "extinction"
+
+
+@pytest.mark.parametrize("which, text, key", [
+    ("absorbing", "model.kind = limit\n", "model.kind"),
+    ("ode", "", "ic.kind"),  # the default perturbed initial condition
+], ids=["absorbing", "ode"])
+def test_study_rejection_names_its_key(tmp_path, capsys, which, text, key):
+    cfg = _write(tmp_path, "c.cfg", BASE + text + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["experiment", cfg, "--which", which]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_list", [
+    "1e-2,2.5e-3",  # too few
+    "1e-2,1e-2,1e-3",  # not strictly decreasing
+    "2,1e-2,1e-3",  # above 1
+    "1e-2,1e-3,0",  # not positive
+    "1e-2,nan,1e-3",
+    "1e-2,abc,1e-3",
+])
+def test_experiment_bad_eps_list_exit_1(tmp_path, capsys, eps_list):
+    cfg = _write(tmp_path, "eps.cfg", BASE + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["experiment", cfg, "--which", "eps", "--eps-list", eps_list]) == 1
+    assert "pesim: --eps-list: " in capsys.readouterr().err
 
 
 def test_experiment_unknown_name(tmp_path):
@@ -250,7 +322,7 @@ def test_verify_all(tmp_path):
     assert main(["verify", "--out", out, "--suite", "all"]) == 0
     reports = [f for f in os.listdir(out) if f.endswith(".json")]
     assert len(reports) >= 5
-    moll = json.load(open(os.path.join(out, "mollifier.json")))
+    moll = json.loads(_read(os.path.join(out, "mollifier.json")))
     assert moll["worst_ratio"] <= 1.0
     assert moll["pass"] is True
 
@@ -270,9 +342,22 @@ def test_verify_beta_runs_only_that_beta(tmp_path, monkeypatch):
     assert main(["verify", "--out", out, "--suite", "bernis", "--beta", "2.0"]) == 0
     assert seen == {2.0}
     assert os.listdir(out) == ["bernis.json"]
-    rep = json.load(open(os.path.join(out, "bernis.json")))
+    rep = json.loads(_read(os.path.join(out, "bernis.json")))
     assert rep["samples"] == 200  # one ratio per random field
     assert rep["worst_case_payload"]["beta"] == 2.0
+
+
+@pytest.mark.parametrize("args", [
+    ["--suite", "bernis", "--beta", "nan"],
+    ["--suite", "all", "--beta", "inf"],
+    ["--suite", "ode", "--beta", "2"],  # a suite without the bernis sweep
+    ["--suite", "mollifier", "--beta", "2"],
+], ids=["nan", "inf", "ode-suite", "mollifier-suite"])
+def test_verify_bad_beta_exit_1(tmp_path, capsys, args):
+    out = tmp_path / "reports"
+    assert main(["verify", "--out", str(out), *args]) == 1
+    assert "pesim: --beta: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_single_suite(tmp_path):
@@ -290,7 +375,7 @@ def test_plot_after_simulate(tmp_path):
     cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out}\n")
     assert main(["simulate", cfg]) == 0
     assert main(["plot", out]) == 0
-    script = open(os.path.join(out, "plot.gp")).read()
+    script = _read(os.path.join(out, "plot.gp"))
     # referenced data files all exist
     assert "timeseries.csv" in script
     for token in ("timeseries.csv", "eps_distances.csv"):
@@ -315,5 +400,5 @@ def test_plot_eps_table(tmp_path):
     cfg = _write(tmp_path, "eps.cfg", text)
     assert main(["experiment", cfg, "--which", "eps"]) == 0
     assert main(["plot", out]) == 0
-    script = open(os.path.join(out, "plot.gp")).read()
+    script = _read(os.path.join(out, "plot.gp"))
     assert "eps_distances.csv" in script

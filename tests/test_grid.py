@@ -8,6 +8,7 @@ from pesim.grid import (
     diff2_values,
     integrate_values,
     mirror_extend,
+    random_cosine_series,
 )
 from pesim.model import face_third_derivative
 
@@ -139,3 +140,14 @@ def test_diff2_self_adjoint():
         lhs = integrate_values(h * diff2_values(f, g.dx), g)
         rhs = integrate_values(f * diff2_values(h, g.dx), g)
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_random_cosine_series_draws_and_bounds():
+    g = Grid1D(-1.0, 3.0, 64)
+    vals = random_cosine_series(g, np.random.default_rng(7), 1.0, 0.4, 5)
+    c = np.random.default_rng(7).uniform(-1.0, 1.0, 5)
+    c *= 0.4 / np.abs(c).sum()
+    s = (g.centers + 1.0) / 4.0
+    ref = 1.0 + sum(ck * np.cos(k * np.pi * s) for k, ck in enumerate(c, start=1))
+    assert np.allclose(vals, ref, rtol=0.0, atol=1e-14)
+    assert np.abs(vals - 1.0).max() <= 0.4 + 1e-14  # positive since base > amp

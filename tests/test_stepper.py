@@ -280,7 +280,7 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
 
 @pytest.mark.parametrize("scheme, kind", [
     (Scheme.IMEX, ModelKind.LIMIT),             # gtsv
-    (Scheme.IMEX, ModelKind.REGULARIZED),       # gbsv, half-bandwidth 2
+    (Scheme.IMEX, ModelKind.REGULARIZED),       # gbtrf, half-bandwidth 2
     (Scheme.FULLY_IMPLICIT, ModelKind.REGULARIZED),  # gbtrf, half-bandwidth 4
 ])
 def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
@@ -440,14 +440,6 @@ def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkey
 # the LAPACK routines, loaded from scipy's extension file without scipy.linalg
 # ---------------------------------------------------------------------------
 
-def _lapack_solve(routine, kl, ab, b):
-    """(x, info) of one banded solve, called as stepper._solve_shifted does."""
-    ab, b = np.array(ab, order="F"), b.copy()
-    if kl == 1:
-        return routine(ab[3, :-1], ab[2], ab[1, 1:], b, 1, 1, 1, 1)[3:]
-    return routine(kl, kl, ab, b, 1, 1)[2:]
-
-
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("kl", [1, 2, 4])
 def test_lapack_routines_match_scipy_linalg(kl, singular):
@@ -458,22 +450,26 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
     if singular:
         ab[:, m // 2] = 0.0  # a zero column: elimination meets a zero pivot there
     b = rng.standard_normal((m, 1))
-    name = "dgtsv" if kl == 1 else "dgbsv"
-    x, info = _lapack_solve(getattr(stp, name), kl, ab, b)
-    x_ref, info_ref = _lapack_solve(getattr(lapack, name), kl, ab, b)
-    assert info == info_ref
-    assert (info > 0) == singular
-    assert np.array_equal(x, x_ref)
-    if kl == stp._HALFWIDTH:  # Newton factors once and solves once per iteration
-        lu, piv, info = stp.dgbtrf(np.array(ab, order="F"), kl, kl)
-        lu_ref, piv_ref, info_ref = lapack.dgbtrf(np.array(ab, order="F"), kl, kl)
+    if kl == 1:  # tridiagonal: gtsv, called in place as stepper._solve_shifted does
+        def gtsv(routine):
+            a, rhs = ab.copy(), b.copy()
+            return routine(a[3, :-1], a[2], a[1, 1:], rhs, 1, 1, 1, 1)[3:]
+        (x, info), (x_ref, info_ref) = gtsv(stp.dgtsv), gtsv(lapack.dgtsv)
         assert info == info_ref and (info > 0) == singular
-        assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
-        x, info = stp.dgbtrs(lu, kl, kl, b, piv)
-        x_ref, info_ref = lapack.dgbtrs(lu_ref, kl, kl, b, piv_ref)
-        assert info == info_ref == 0
-        # past a zero pivot the solve divides by zero: same infs and nans
-        assert np.array_equal(x, x_ref, equal_nan=True)
+        assert np.array_equal(x, x_ref)
+        return
+    # wider bands: factor once (gbtrf), then solve with the factors (gbtrs)
+    lu, piv, info = stp.dgbtrf(np.array(ab, order="F"), kl, kl)
+    lu_ref, piv_ref, info_ref = lapack.dgbtrf(np.array(ab, order="F"), kl, kl)
+    assert info == info_ref and (info > 0) == singular
+    assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+    x, info = stp.dgbtrs(lu, kl, kl, b, piv)
+    x_ref, info_ref = lapack.dgbtrs(lu_ref, kl, kl, b, piv_ref)
+    assert info == info_ref == 0
+    # past a zero pivot the solve divides by zero: same infs and nans
+    assert np.array_equal(x, x_ref, equal_nan=True)
+    if not singular:  # bitwise the solution of the one-call driver gbsv
+        assert np.array_equal(x, lapack.dgbsv(kl, kl, np.array(ab, order="F"), b)[2])
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
