@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 
 from .config import ConfigError, RunConfig, parse_config
@@ -82,25 +83,35 @@ def write_summary(out_dir, cfg: RunConfig, run_info: dict):
 # commands
 # ---------------------------------------------------------------------------
 
-def _load_config(config_path, out_override) -> RunConfig:
-    """Parse the config file and create its output directory; raises
+def _make_dir(path, key) -> str | None:
+    """Create directory path and its missing parents; returns the topmost
+    directory created, None if path existed.  A ConfigError naming key if
+    it cannot be created."""
+    created, parent = None, os.path.abspath(path)
+    while not os.path.exists(parent):
+        created, parent = parent, os.path.dirname(parent)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(key, f"cannot create {path!r}: {exc.strerror or exc}") from None
+    return created
+
+
+def _load_config(config_path, out_override) -> tuple[RunConfig, str | None]:
+    """The parsed config and _make_dir's result for its out.dir; raises
     ConfigError or OSError (the config file unreadable)."""
     cfg = parse_config(config_path, {"out.dir": out_override} if out_override else None)
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("out.dir", f"cannot create {cfg.out_dir!r}: {exc.strerror or exc}")
-    return cfg
+    return cfg, _make_dir(cfg.out_dir, "out.dir")
 
 
 def cmd_simulate(config_path, out_override=None) -> int:
     try:
-        cfg = _load_config(config_path, out_override)
+        cfg, _ = _load_config(config_path, out_override)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
     try:
-        states, records = _run(cfg.experiment_spec("simulate"), cfg.stepper)
+        states, records = _run(cfg.spec, cfg.stepper)
     except StepperFailure as exc:
         return _write_run(cfg, exc.samples, exc.records, exc)
     return _write_run(cfg, states, records)
@@ -110,20 +121,20 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     if which not in _EXPERIMENTS:
         return _fail(f"unknown experiment {which!r} "
                      f"(choose from {', '.join(sorted(_EXPERIMENTS))})", 1)
+    if eps_list is not None and which != "eps":
+        return _fail(f"--eps-list: experiment {which!r} has no eps sweep", 1)
     try:
-        cfg = _load_config(config_path, out_override)
+        cfg, created = _load_config(config_path, out_override)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
     out_dir = cfg.out_dir
-    spec = cfg.experiment_spec(which)
+    args = (cfg.spec, eps_list or _DEFAULT_EPS_LIST) if which == "eps" else (cfg.spec,)
     try:
-        if which == "eps":
-            result = run_eps_convergence(spec, eps_list or _DEFAULT_EPS_LIST,
-                                         cfg.stepper)
-        else:
-            result = _EXPERIMENTS[which](spec, cfg.stepper)
-    except ValueError as exc:  # RegimeMismatch included
+        result = _EXPERIMENTS[which](*args, cfg.stepper)
+    except ValueError as exc:  # RegimeMismatch included; nothing written yet
+        if created:
+            shutil.rmtree(created)
         return _fail(str(exc), 1)
     except StepperFailure as exc:
         return _write_run(cfg, exc.samples, exc.records, exc, which)
@@ -178,10 +189,10 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
             return _fail(f"--beta: suite {suite!r} has no bernis exponent sweep", 1)
         if not math.isfinite(bernis_beta) or bernis_beta == 1.0:
             return _fail(f"--beta: must be finite and differ from 1, got {bernis_beta!r}", 1)
-    os.makedirs(out_dir, exist_ok=True)
     try:
+        _make_dir(out_dir, "--out")
         reports = all_reports(suite, skip=() if bernis_beta is None else ("bernis",))
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         return _fail(str(exc), 1)
     if bernis_beta is not None:
         reports.append(bernis_report(betas=(bernis_beta,)))
@@ -201,13 +212,11 @@ def cmd_plot(out_dir) -> int:
     if not os.path.isdir(out_dir):
         return _fail(f"not a directory: {out_dir}", 1)
     sections = []
-    have_any = False
 
     def png(name):
         return f"set output '{name}.png'"
 
     if os.path.isfile(ts):
-        have_any = True
         sections.append("\n".join([
             png("mass"),
             "set title 'total masses'",
@@ -243,7 +252,6 @@ def cmd_plot(out_dir) -> int:
     if os.path.isdir(snap_dir):
         snaps = sorted(f for f in os.listdir(snap_dir) if f.endswith(".csv"))
         if snaps:
-            have_any = True
             last = f"snapshots/{snaps[-1]}"
             sections.append("\n".join([
                 png("profiles"),
@@ -254,7 +262,6 @@ def cmd_plot(out_dir) -> int:
             ]))
     eps_csv = os.path.join(out_dir, "eps_distances.csv")
     if os.path.isfile(eps_csv):
-        have_any = True
         sections.append("\n".join([
             png("eps_distances"),
             "set title 'consecutive-eps L2 distances of final profiles'",
@@ -263,7 +270,7 @@ def cmd_plot(out_dir) -> int:
             "     'eps_distances.csv' using 1:4 with linespoints title 'v'",
             "unset logscale xy",
         ]))
-    if not have_any:
+    if not sections:
         return _fail(f"no plottable outputs in {out_dir}", 1)
     header = "\n".join([
         "# gnuplot script generated by pesim; run from inside the output directory",
@@ -318,7 +325,7 @@ def main(argv=None) -> int:
         return cmd_simulate(args.config, args.out)
     if args.command == "experiment":
         eps_list = None
-        if args.eps_list:
+        if args.eps_list is not None:
             try:
                 eps_list = check_eps_list(float(tok) for tok in args.eps_list.split(","))
             except ValueError as exc:

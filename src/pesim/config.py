@@ -9,7 +9,8 @@ resolved with defaults can be echoed back out and re-parsed bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import re
+from dataclasses import dataclass, fields
 
 from .experiments import ExperimentSpec, InitialCondition
 from .grid import Grid1D
@@ -79,9 +80,6 @@ class RunConfig:
     def out_dir(self) -> str:
         return self.values["out.dir"]
 
-    def experiment_spec(self, name: str) -> ExperimentSpec:
-        return replace(self.spec, name=name)
-
 
 # fields whose config key is not the object's prefix plus the field name
 _RENAMES = {
@@ -91,19 +89,26 @@ _RENAMES = {
 }
 
 
-def _build(cls, prefix, values, **given):
-    """cls with each field not in given read from its config key.
+def _fault(exc, keys, chosen) -> ConfigError:
+    """The ConfigError for a ValueError whose message starts with the field it
+    rejects; keys maps field names to config keys.  If that field's key was
+    not set (chosen) but another field the message names was, as for two
+    conflicting step sizes, that one is named instead."""
+    message = str(exc)
+    named = [keys[word] for word in re.findall(r"\w+", message) if word in keys]
+    return ConfigError(next((k for k in named if k in chosen), named[0]), message)
 
-    Every ValueError message of these classes starts with the field it
-    rejects; the ConfigError names that field's config key.
-    """
+
+def _build(cls, prefix, values, chosen, **given):
+    """cls with each field not in given read from its config key; chosen
+    holds the keys the config set."""
     renames = _RENAMES.get(cls, {})
     keys = {f.name: renames.get(f.name, prefix + f.name)
             for f in fields(cls) if f.name not in given}
     try:
         return cls(**given, **{name: values[key] for name, key in keys.items()})
     except ValueError as exc:
-        raise ConfigError(keys[str(exc).split(" ", 1)[0]], str(exc)) from None
+        raise _fault(exc, keys, chosen) from None
 
 
 def _enum(cls, key, values):
@@ -116,6 +121,7 @@ def _enum(cls, key, values):
 
 def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     values = dict(DEFAULTS)
+    chosen = set()  # the keys set by text or overrides
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,18 +132,19 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         if key not in DEFAULTS:
             raise ConfigError(key, "unknown key")
         values[key] = _parse_value(key, val)
-    if overrides:
-        for key, val in overrides.items():
-            if key not in DEFAULTS:
-                raise ConfigError(key, "unknown key")
-            values[key] = val
-    spec = _build(ExperimentSpec, "", values, name="run",
-                  kp=_build(KineticParams, "model.", values),
-                  rp=_build(RegParams, "reg.", values),
+        chosen.add(key)
+    for key, val in (overrides or {}).items():
+        if key not in DEFAULTS:
+            raise ConfigError(key, "unknown key")
+        values[key] = val
+        chosen.add(key)
+    spec = _build(ExperimentSpec, "", values, chosen,
+                  kp=_build(KineticParams, "model.", values, chosen),
+                  rp=_build(RegParams, "reg.", values, chosen),
                   kind=_enum(ModelKind, "model.kind", values),
-                  grid=_build(Grid1D, "", values),
-                  ic=_build(InitialCondition, "ic.", values))
-    stepper = _build(StepperConfig, "stepper.", values,
+                  grid=_build(Grid1D, "", values, chosen),
+                  ic=_build(InitialCondition, "ic.", values, chosen))
+    stepper = _build(StepperConfig, "stepper.", values, chosen,
                      scheme=_enum(Scheme, "stepper.scheme", values))
     # a sample interval below dt_min would cut every step to a sliver
     if not spec.sample_every >= stepper.dt_min:
@@ -145,8 +152,9 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
                           f"must be at least stepper.dt_min = {stepper.dt_min:g}")
     try:
         spec.ic.build(spec.grid)
-    except ValueError as exc:  # the message starts with the ic field at fault
-        raise ConfigError("ic." + str(exc).split(" ", 1)[0], str(exc)) from None
+    except ValueError as exc:
+        ic_keys = {f.name: "ic." + f.name for f in fields(InitialCondition)}
+        raise _fault(exc, ic_keys, chosen) from None
     return RunConfig(values, spec, stepper)
 
 

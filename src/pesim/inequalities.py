@@ -64,15 +64,13 @@ class CheckReport:
         )
 
 
-def _make_report(name, ratios_payloads, tolerance) -> CheckReport:
-    worst = -math.inf
-    payload = {}
-    count = 0
-    for ratio, pl in ratios_payloads:
-        count += 1
+def _make_report(name, results, tolerance) -> CheckReport:
+    """The report of a list of (ratio, payload) pairs; the first worst ratio wins."""
+    worst, payload = -math.inf, {}
+    for ratio, pl in results:
         if ratio > worst:
             worst, payload = ratio, pl
-    return CheckReport(name, count, worst, worst <= 1.0 + tolerance, tolerance, payload)
+    return CheckReport(name, len(results), worst, worst <= 1.0 + tolerance, tolerance, payload)
 
 
 def signed_ratio(lhs: float, rhs: float) -> float:
@@ -205,6 +203,7 @@ _ODE_BLOCK = 64  # steps per barrier evaluation
 # crossed) as the solution relaxes to its equilibrium, so exact floating-point
 # equality at the limit may wobble by a few ulp.
 _ODE_FP_TOL = 1e-9
+_ODE_DRAWS, _ODE_T_SPAN = 100, 10.0  # the shipped report's draws and horizon
 
 
 def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
@@ -278,106 +277,100 @@ def ode_comparison_bound(t0: float, a: float, b: float, beta: float,
 # random field family and shipped suites
 # ---------------------------------------------------------------------------
 
-def random_trig_field(grid: Grid1D, rng: np.random.Generator,
-                      n_modes: int = 4, floor: float = 0.5) -> Field:
-    """Positive trig polynomial base + sum c_k cos(k*pi*s(x)), bounded in
-    [floor, 3]; satisfies the continuum hypotheses (positivity, vanishing
-    boundary derivative) exactly."""
+def random_trig_field(grid: Grid1D, rng: np.random.Generator) -> Field:
+    """Positive trig polynomial base + sum c_k cos(k*pi*s(x)), k = 1..4,
+    bounded in [0.5, 3]; satisfies the continuum hypotheses (positivity,
+    vanishing boundary derivative) exactly."""
     base = rng.uniform(1.0, 2.0)
-    amp = rng.uniform(0.2, min(base - floor, 1.0))
-    return Field(grid, random_cosine_series(grid, rng, base, amp, n_modes))
+    amp = rng.uniform(0.2, min(base - 0.5, 1.0))
+    return Field(grid, random_cosine_series(grid, rng, base, amp, 4))
 
 
-def bernis_report(n_fields=200, n_cells=400, betas=(-1.0, 0.0, 2.0, 3.0),
-                  tolerance=0.05, seed=20240) -> CheckReport:
+def _field_sweep(name, seed, check, cases) -> CheckReport:
+    """check(f, **case) for every case on each of 200 random_trig_field draws
+    on a 400-cell unit grid, the fields drawn from default_rng(seed); the
+    payload is {"field": i, **case} and the tolerance 0.05 (quadrature)."""
     rng = np.random.default_rng(seed)
-    grid = Grid1D(0.0, 1.0, n_cells)
+    grid = Grid1D(0.0, 1.0, 400)
     results = []
-    for i in range(n_fields):
+    for i in range(200):
         f = random_trig_field(grid, rng)
-        for beta in betas:
-            results.append((check_bernis(f, beta), {"field": i, "beta": beta}))
-    return _make_report("bernis", results, tolerance)
+        results += [(check(f, **case), {"field": i, **case}) for case in cases]
+    return _make_report(name, results, 0.05)
 
 
-def interp_lower_report(n_fields=200, n_cells=400, pq_values=(1.5, 2.0),
-                        tolerance=0.05, seed=20241) -> CheckReport:
-    rng = np.random.default_rng(seed)
-    grid = Grid1D(0.0, 1.0, n_cells)
-    results = []
-    for i in range(n_fields):
-        f = random_trig_field(grid, rng)
-        for pq in pq_values:
-            results.append((check_interp_lower(f, pq, pq), {"field": i, "p": pq, "q": pq}))
-    return _make_report("interp_lower", results, tolerance)
+def bernis_report(betas=(-1.0, 0.0, 2.0, 3.0)) -> CheckReport:
+    """check_bernis at each beta on the _field_sweep fields of seed 20240."""
+    return _field_sweep("bernis", 20240, check_bernis, [{"beta": b} for b in betas])
 
 
-def interp_log_report(n_fields=200, n_cells=400, tolerance=0.05,
-                      seed=20242) -> CheckReport:
-    rng = np.random.default_rng(seed)
-    grid = Grid1D(0.0, 1.0, n_cells)
-    results = [
-        (check_interp_log(random_trig_field(grid, rng)), {"field": i})
-        for i in range(n_fields)
-    ]
-    return _make_report("interp_log", results, tolerance)
+def interp_lower_report() -> CheckReport:
+    """check_interp_lower at p = q = 1.5 and 2 on the _field_sweep fields of seed 20241."""
+    return _field_sweep("interp_lower", 20241, check_interp_lower,
+                        [{"p": pq, "q": pq} for pq in (1.5, 2.0)])
 
 
-def mollifier_report(nus=(0.0, 0.5, 1.0, 1.5, 2.0),
-                     eps_values=(1e-4, 1e-2, 0.5), tolerance=0.0) -> CheckReport:
+def interp_log_report() -> CheckReport:
+    """check_interp_log on the _field_sweep fields of seed 20242."""
+    return _field_sweep("interp_log", 20242, check_interp_log, [{}])
+
+
+_POINTWISE_EPS = (1e-4, 1e-2, 0.5)  # eps values of the mollifier and hflux sweeps
+_ELEMENTARY_SAMPLES = 4000  # random points per elementary bound
+
+
+def mollifier_report() -> CheckReport:
+    """check_mollifier_bound for nu in {0, 0.5, 1, 1.5, 2} and eps in
+    _POINTWISE_EPS on s = 0 and 2000 points log-spaced over [1e-6, 1e3];
+    exact, so tolerance 0."""
     s = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 2000)])
-    results = []
-    for nu in nus:
-        for eps in eps_values:
-            results.append((check_mollifier_bound(nu, eps, s), {"nu": nu, "eps": eps}))
-    return _make_report("mollifier", results, tolerance)
+    results = [(check_mollifier_bound(nu, eps, s), {"nu": nu, "eps": eps})
+               for nu in (0.0, 0.5, 1.0, 1.5, 2.0) for eps in _POINTWISE_EPS]
+    return _make_report("mollifier", results, 0.0)
 
 
-def hflux_report(n_values=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5),
-                 eps_values=(1e-4, 1e-2, 0.5), tolerance=0.0) -> CheckReport:
+def hflux_report() -> CheckReport:
+    """check_hflux_bounds for n = 0, 0.5, ..., 3.5 and eps in _POINTWISE_EPS
+    on 2000 points log-spaced over [1e-3, 1e2]; exact, so tolerance 0."""
     # s capped at 1e2 so the h <= s margin eps/s^(4-n) stays far above roundoff
     s = np.geomspace(1e-3, 1e2, 2000)
-    results = []
-    for n in n_values:
-        for eps in eps_values:
-            ratios = check_hflux_bounds(n, eps, s)
-            for key, r in ratios.items():
-                results.append((r, {"n": n, "eps": eps, "bound": key}))
-    return _make_report("hflux", results, tolerance)
+    results = [(r, {"n": n, "eps": eps, "bound": key})
+               for n in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5) for eps in _POINTWISE_EPS
+               for key, r in check_hflux_bounds(n, eps, s).items()]
+    return _make_report("hflux", results, 0.0)
 
 
-def elementary_report(n_samples=4000, tolerance=1e-12, seed=20243) -> CheckReport:
+def elementary_report() -> CheckReport:
     """Two elementary scalar bounds: ln(x) <= 2 sqrt(x) on [1, inf) and
-    x^2 ln(x) >= -1/(2e) on (0, 1]; included for coverage."""
-    rng = np.random.default_rng(seed)
-    xi_hi = np.concatenate([[1.0], np.exp(rng.uniform(0.0, 14.0, n_samples))])
-    xi_lo = np.concatenate([[math.exp(-0.5)], rng.uniform(1e-12, 1.0, n_samples)])
-    r1 = float((np.log(xi_hi[1:]) / (2.0 * np.sqrt(xi_hi[1:]))).max())
-    r1 = max(r1, 0.0)  # at xi = 1 both sides: 0 <= 2
+    x^2 ln(x) >= -1/(2e) on (0, 1], each at _ELEMENTARY_SAMPLES random points
+    (seed 20243) plus its equality case; tolerance 1e-12.  Included for
+    coverage."""
+    rng = np.random.default_rng(20243)
+    xi_hi = np.exp(rng.uniform(0.0, 14.0, _ELEMENTARY_SAMPLES))
+    xi_lo = np.concatenate([[math.exp(-0.5)], rng.uniform(1e-12, 1.0, _ELEMENTARY_SAMPLES)])
+    r1 = max(float((np.log(xi_hi) / (2.0 * np.sqrt(xi_hi))).max()), 0.0)  # xi = 1: 0 <= 2
     r2 = float(((-(xi_lo**2) * np.log(xi_lo)) / (1.0 / (2.0 * math.e))).max())
-    results = [
-        (r1, {"bound": "log_vs_sqrt"}),
-        (r2, {"bound": "sq_log_lower"}),
-    ]
-    return _make_report("elementary", results, tolerance)
+    results = [(r1, {"bound": "log_vs_sqrt"}), (r2, {"bound": "sq_log_lower"})]
+    return _make_report("elementary", results, 1e-12)
 
 
-def ode_comparison_report(n_draws=100, t_span=10.0, tolerance=0.0,
-                          seed=20244) -> CheckReport:
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.1, 10.0, n_draws)
-    b = rng.uniform(0.1, 10.0, n_draws)
-    beta = rng.uniform(1.001, 3.0, n_draws)
-    y0 = rng.uniform(0.0, 1e6, n_draws)
-    worst, i, t = _rk4_barrier_worst(0.0, a, b, beta, y0, t_span)
-    # the barrier is approached at equilibrium, so allow the ulp-level wobble
-    passed = worst <= 1.0 + max(tolerance, _ODE_FP_TOL)
-    payload = {"t_span": t_span, "draw": i, "a": float(a[i]), "b": float(b[i]),
+def ode_comparison_report() -> CheckReport:
+    """ode_comparison_bound's barrier check on _ODE_DRAWS random draws
+    (seed 20244) of a, b in [0.1, 10], beta in [1.001, 3] and y0 in [0, 1e6],
+    each integrated over [0, _ODE_T_SPAN]; tolerance _ODE_FP_TOL."""
+    rng = np.random.default_rng(20244)
+    # drawn column by column, in this order
+    a, b, beta, y0 = (rng.uniform(lo, hi, _ODE_DRAWS)
+                      for lo, hi in ((0.1, 10.0), (0.1, 10.0), (1.001, 3.0), (0.0, 1e6)))
+    worst, i, t = _rk4_barrier_worst(0.0, a, b, beta, y0, _ODE_T_SPAN)
+    payload = {"t_span": _ODE_T_SPAN, "draw": i, "a": float(a[i]), "b": float(b[i]),
                "beta": float(beta[i]), "y0": float(y0[i]), "t": t}
-    return CheckReport("ode_comparison", n_draws, worst, passed,
-                       max(tolerance, _ODE_FP_TOL), payload)
+    return CheckReport("ode_comparison", _ODE_DRAWS, worst, worst <= 1.0 + _ODE_FP_TOL,
+                       _ODE_FP_TOL, payload)
 
 
+# the lambdas look each builder up at call time, so rebinding a module
+# attribute (as a tracer does) reaches all_reports too
 _SUITES = {
     "bernis": lambda: [bernis_report()],
     "interp": lambda: [interp_lower_report(), interp_log_report()],

@@ -42,7 +42,6 @@ def homogeneous_ode_run():
     128 cells (limit model, COEX_KP) to t = 10, against the RK4 kinetics
     oracle at dt = 1e-5."""
     spec = ExperimentSpec(
-        name="acceptance-ode",
         kp=COEX_KP,
         rp=RegParams(1e-4),
         kind=ModelKind.LIMIT,

@@ -39,7 +39,6 @@ def _report(num, name, passed, detail):
 def coexistence_run():
     """The criterion-2 configuration, shared with the entropy-tail monitor."""
     spec = ExperimentSpec(
-        name="acceptance-coexistence",
         kp=COEX_KP,
         rp=RegParams(1e-4, alpha=0.5, n1=2.0, n2=2.0),
         kind=ModelKind.REGULARIZED,
@@ -81,7 +80,6 @@ def test_criterion_2_coexistence_stabilization(coexistence_run):
 
 def test_criterion_3_extinction_stabilization():
     spec = ExperimentSpec(
-        name="acceptance-extinction",
         kp=EXT_KP,
         rp=RegParams(1e-4, alpha=0.5, n1=2.0, n2=1.0),
         kind=ModelKind.REGULARIZED,
@@ -104,7 +102,6 @@ def test_criterion_3_extinction_stabilization():
 def test_criterion_4_absorbing_set():
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)
     spec = ExperimentSpec(
-        name="acceptance-absorbing",
         kp=kp,
         rp=RegParams(1e-4),
         kind=ModelKind.REGULARIZED,
@@ -168,7 +165,6 @@ def test_criterion_7_inequality_suite(shipped_reports):
 
 def test_criterion_8_eps_consistency():
     spec = ExperimentSpec(
-        name="acceptance-eps",
         kp=COEX_KP,
         rp=RegParams(1e-2),
         kind=ModelKind.REGULARIZED,

@@ -45,3 +45,14 @@ def test_benchmark_child_setup_and_trace(tmp_path):
     assert res.returncode == 0, res.stderr
     names = {sp[3] for sp in json.loads(spans_path.read_text())}  # Span.to_list rows
     assert {"run_eps_convergence", "run_until", "step", "diagnostics_record"} <= names
+
+
+def test_traced_verify_sees_report_builders(tmp_path):
+    # all_reports must reach the builders through the module attributes the
+    # tracer rebinds; otherwise inequalities.*_s silently reads 0
+    spans_path = tmp_path / "spans.json"
+    res = _child("trace", str(spans_path), "--", "verify", "--out", str(tmp_path / "reports"),
+                 "--suite", "hflux")
+    assert res.returncode == 0, res.stderr
+    names = {sp[3] for sp in json.loads(spans_path.read_text())}
+    assert {"hflux_report", "elementary_report", "all_reports"} <= names

@@ -143,10 +143,16 @@ def test_nonfinite_config_value_exit_1(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["simulate"], ["experiment", "--which", "coexistence"]])
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "--which", "coexistence"],
+                                     ["verify", "--suite", "mollifier"]])
 def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     blocker = _write(tmp_path, "plain_file", "")
-    cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {os.path.join(blocker, 'out')}\n")
+    out = os.path.join(blocker, "out")
+    if command[0] == "verify":
+        assert main(command + ["--out", out]) == 1
+        assert "pesim: --out: cannot create " in capsys.readouterr().err
+        return
+    cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out}\n")
     assert main(command[:1] + [cfg] + command[1:]) == 1
     assert "out.dir" in capsys.readouterr().err
 
@@ -155,6 +161,8 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
 @pytest.mark.parametrize("key, value", [
     ("stepper.dt_init", "1"),
     ("stepper.dt_min", "0"),
+    ("stepper.dt_max", "1e-4"),  # below the default dt_init
+    ("stepper.dt_init", "1e-11"),  # below the default dt_min
     ("stepper.newton_tol", "-1"),
     ("stepper.positivity_floor", "0"),
     ("stepper.scheme", "rk4"),
@@ -289,9 +297,13 @@ def test_experiment_solver_failure_keeps_partial_output(tmp_path, capsys):
     ("ode", "", "ic.kind"),  # the default perturbed initial condition
 ], ids=["absorbing", "ode"])
 def test_study_rejection_names_its_key(tmp_path, capsys, which, text, key):
-    cfg = _write(tmp_path, "c.cfg", BASE + text + f"out.dir = {tmp_path / 'out'}\n")
+    cfg = _write(tmp_path, "c.cfg", BASE + text + f"out.dir = {tmp_path / 'out' / 'run'}\n")
     assert main(["experiment", cfg, "--which", which]) == 1
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # every directory the call made is gone
+    (tmp_path / "out" / "run").mkdir(parents=True)
+    assert main(["experiment", cfg, "--which", which]) == 1
+    assert (tmp_path / "out" / "run").is_dir()  # a directory that existed is kept
 
 
 @pytest.mark.parametrize("eps_list", [
@@ -306,6 +318,14 @@ def test_experiment_bad_eps_list_exit_1(tmp_path, capsys, eps_list):
     cfg = _write(tmp_path, "eps.cfg", BASE + f"out.dir = {tmp_path / 'out'}\n")
     assert main(["experiment", cfg, "--which", "eps", "--eps-list", eps_list]) == 1
     assert "pesim: --eps-list: " in capsys.readouterr().err
+
+
+def test_eps_list_without_eps_study_exit_1(tmp_path, capsys):
+    cfg = _write(tmp_path, "co.cfg", BASE + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["experiment", cfg, "--which", "coexistence",
+                 "--eps-list", "1e-2,1e-3,1e-4"]) == 1
+    assert "pesim: --eps-list: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_unknown_name(tmp_path):

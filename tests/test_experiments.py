@@ -24,7 +24,7 @@ def _grid(n=64):
 def _coex_spec(t_end=5.0, ic=None, n=64, **kw):
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 2)
     ic = ic or InitialCondition("perturbed", 1.5, 0.5, 0.2, 0.2, 1, 0)
-    defaults = dict(name="coex", kp=kp, rp=RegParams(1e-4), kind=ModelKind.REGULARIZED,
+    defaults = dict(kp=kp, rp=RegParams(1e-4), kind=ModelKind.REGULARIZED,
                     grid=_grid(n), ic=ic, t_end=t_end, sample_every=0.5)
     defaults.update(kw)
     return ExperimentSpec(**defaults)
@@ -71,7 +71,7 @@ def test_coexistence_converges_and_chi_free_run_faster():
 def test_extinction_study_converges(ext_params):
     ic = InitialCondition("perturbed", 2.0, 0.5, 0.3, 0.2, 1, 0)
     spec = _coex_spec(t_end=60.0, ic=ic, kp=ext_params,
-                      rp=RegParams(1e-4, 0.5, 2.0, 1.0), name="ext")
+                      rp=RegParams(1e-4, 0.5, 2.0, 1.0))
     res = run_extinction_study(spec)
     assert all(v.passed for v in res.verdicts.values())
     assert res.spec.rp.n2 == 1.0
@@ -81,7 +81,7 @@ def test_extinction_study_converges(ext_params):
 def test_extinction_boundary_case_relaxed():
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)  # lambda2 = a2*lambda1
     ic = InitialCondition("perturbed", 1.0, 0.3, 0.1, 0.1, 1, 0)
-    spec = _coex_spec(t_end=30.0, ic=ic, kp=kp, name="ext-boundary")
+    spec = _coex_spec(t_end=30.0, ic=ic, kp=kp)
     res = run_extinction_study(spec)
     assert res.extras["boundary_case"]
     assert res.verdicts["u_deviation"].threshold == pytest.approx(0.1)
@@ -89,7 +89,7 @@ def test_extinction_boundary_case_relaxed():
 
 def test_extinction_tiny_prey_mass_decays(ext_params):
     ic = InitialCondition("constant", 2.0, 1e-6)
-    spec = _coex_spec(t_end=5.0, ic=ic, kp=ext_params, name="ext-tiny")
+    spec = _coex_spec(t_end=5.0, ic=ic, kp=ext_params)
     res = run_extinction_study(spec)
     masses = [r.mass_v for r in res.records]
     assert all(b < a for a, b in zip(masses, masses[1:]))
@@ -129,7 +129,7 @@ def test_eps_convergence_tiny_chi():
 def test_absorbing_set_large_datum():
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)
     ic = InitialCondition("constant", 30.0, 30.0)
-    spec = _coex_spec(t_end=20.0, ic=ic, kp=kp, name="absorbing")
+    spec = _coex_spec(t_end=20.0, ic=ic, kp=kp)
     res = run_absorbing_set(spec)
     assert res.verdicts["final_mass_within_bound"].passed
     assert res.extras["initial_mass"] > 10.0 * res.extras["m_infinity"]
@@ -139,7 +139,7 @@ def test_absorbing_set_small_datum_stays_below():
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)
     bound = m_infinity(kp, 1.0)
     ic = InitialCondition("constant", 1.0, 1.0)
-    spec = _coex_spec(t_end=10.0, ic=ic, kp=kp, name="absorbing-small")
+    spec = _coex_spec(t_end=10.0, ic=ic, kp=kp)
     res = run_absorbing_set(spec)
     assert res.extras["max_mass"] <= 1.05 * bound
 
@@ -153,7 +153,7 @@ def test_absorbing_set_requires_regularized(coex_params):
 
 def test_ode_consistency_steady_start(coex_params):
     ic = InitialCondition("constant", 1.5, 0.5)
-    spec = _coex_spec(t_end=2.0, ic=ic, kind=ModelKind.LIMIT, name="ode")
+    spec = _coex_spec(t_end=2.0, ic=ic, kind=ModelKind.LIMIT)
     cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
     res = run_ode_consistency(spec, cfg, dev_tol=1e-9, oracle_dt=1e-4)
     assert res.verdicts["oracle_deviation"].passed
@@ -163,7 +163,7 @@ def test_ode_consistency_steady_start(coex_params):
 
 def test_ode_consistency_short_run(coex_params):
     ic = InitialCondition("constant", 1.0, 1.0)
-    spec = _coex_spec(t_end=1.0, ic=ic, kind=ModelKind.LIMIT, name="ode")
+    spec = _coex_spec(t_end=1.0, ic=ic, kind=ModelKind.LIMIT)
     cfg = StepperConfig(dt_init=1e-4, dt_max=1e-4)
     res = run_ode_consistency(spec, cfg, dev_tol=5e-3, oracle_dt=1e-4)
     assert res.verdicts["oracle_deviation"].passed
@@ -174,7 +174,7 @@ def test_ode_consistency_regularized_perturbation(coex_params):
     # limit kinetics
     ic = InitialCondition("constant", 1.0, 1.0)
     spec = _coex_spec(t_end=2.0, ic=ic, kind=ModelKind.REGULARIZED,
-                      rp=RegParams(1e-8), name="ode-reg")
+                      rp=RegParams(1e-8))
     cfg = StepperConfig(dt_init=1e-4, dt_max=1e-4)
     res = run_ode_consistency(spec, cfg, dev_tol=1e-4, oracle_dt=1e-4)
     assert res.verdicts["oracle_deviation"].passed
