@@ -25,7 +25,6 @@ from .experiments import (
     run_ode_consistency,
 )
 from .functionals import DiagnosticsRecord, steady_states
-from .inequalities import all_reports, bernis_report
 from .stepper import StepperFailure
 
 __all__ = ["main", "cmd_simulate", "cmd_experiment", "cmd_verify", "cmd_plot"]
@@ -184,6 +183,10 @@ def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
 
 
 def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
+    # imported here so that simulate and experiment runs, which never check
+    # an inequality, do not load the module (+0.4 MB peak RSS when they did)
+    from .inequalities import all_reports, bernis_report
+
     if bernis_beta is not None:
         if suite not in ("all", "bernis"):
             return _fail(f"--beta: suite {suite!r} has no bernis exponent sweep", 1)

@@ -148,8 +148,9 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
                      scheme=_enum(Scheme, "stepper.scheme", values))
     # a sample interval below dt_min would cut every step to a sliver
     if not spec.sample_every >= stepper.dt_min:
-        raise ConfigError("time.sample_every",
-                          f"must be at least stepper.dt_min = {stepper.dt_min:g}")
+        exc = ValueError(f"dt_min must not exceed sample_every = {spec.sample_every:g}")
+        raise _fault(exc, {"dt_min": "stepper.dt_min", "sample_every": "time.sample_every"},
+                     chosen)
     try:
         spec.ic.build(spec.grid)
     except ValueError as exc:

@@ -10,6 +10,7 @@ vanishing boundary derivative) hold exactly rather than being violated.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -197,8 +198,11 @@ def check_hflux_bounds(n: float, eps: float, s_samples) -> dict:
 # ODE comparison bound
 # ---------------------------------------------------------------------------
 
-_ODE_GRID_STEPS = 100_000
-_ODE_BLOCK = 64  # steps per barrier evaluation
+_ODE_GRID_STEPS = 100_000  # sample times on every draw's barrier
+# graded RK4 steps: the step from sample j spans max(1, min(floor(C*j), M))
+# samples, so h ~ C*(t - t0) inside the initial layer and M samples beyond it
+_ODE_GRADE, _ODE_MAX_SPAN = 0.003, 50
+_ODE_BLOCK = 64  # samples per barrier evaluation
 # Relative allowance for the barrier check: the bound is approached (never
 # crossed) as the solution relaxes to its equilibrium, so exact floating-point
 # equality at the limit may wobble by a few ulp.
@@ -206,15 +210,66 @@ _ODE_FP_TOL = 1e-9
 _ODE_DRAWS, _ODE_T_SPAN = 100, 10.0  # the shipped report's draws and horizon
 
 
-def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
-    """Integrate y' = b - a*y^beta for each draw and return the worst
-    y(t)/bound(t) over the shared time grid (vectorized over draws), with the
-    index of the draw and the time where it occurs.
+@functools.lru_cache(maxsize=None)
+def _hermite_weights(m):
+    """The (m-1, 4) cubic Hermite weights of (s0, h*f0, s1, h*f1) at
+    theta = i/m, i = 1..m-1."""
+    th = np.arange(1, m) / m
+    return np.stack([(1.0 + 2.0 * th) * (1.0 - th) ** 2, th * (1.0 - th) ** 2,
+                     th**2 * (3.0 - 2.0 * th), th**2 * (th - 1.0)], axis=1)
+
+
+def _rk4_dense(s, rate, dt, n_steps):
+    """Yield the RK4 solution of s' = rate(s) at samples 1..n_steps of spacing
+    dt, one (m, draws) slab per graded step of m samples; each slab is
+    overwritten by the next.  A step's last row is its end value; the rows
+    before it interpolate the end values and the slopes, the end slope being
+    the next step's k1 (dense output, Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6)."""
+    k1, j, buf = rate(s), 0, np.empty((_ODE_MAX_SPAN, s.size))
+    while j < n_steps:
+        m = min(max(1, min(int(_ODE_GRADE * j), _ODE_MAX_SPAN)), n_steps - j)
+        h = m * dt
+        k2 = rate(s + 0.5 * h * k1)
+        k3 = rate(s + 0.5 * h * k2)
+        k4 = rate(s + h * k3)
+        s1 = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f1 = rate(s1)
+        if m > 1:
+            # einsum, not @: BLAS buffers would add about 0.25 MB to the peak RSS
+            ends = np.stack([s, h * k1, s1, h * f1])
+            np.einsum("ik,kj->ij", _hermite_weights(m), ends, out=buf[:m - 1])
+        buf[m - 1] = s1
+        yield buf[:m]
+        s, k1, j = s1, f1, j + m
+
+
+def _in_blocks(slabs, width):
+    """The rows of slabs regrouped into blocks of _ODE_BLOCK rows, the last
+    one possibly shorter; each block is overwritten by the next."""
+    blk, rows = np.empty((_ODE_BLOCK, width)), 0
+    for slab in slabs:
+        while len(slab):
+            take = min(len(slab), _ODE_BLOCK - rows)
+            blk[rows:rows + take] = slab[:take]
+            slab, rows = slab[take:], rows + take
+            if rows == _ODE_BLOCK:
+                yield blk
+                rows = 0
+    if rows:
+        yield blk[:rows]
+
+
+def _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
+    """Integrate y' = b - a*y^beta for each draw and yield y(t)/bound(t) at
+    the n_steps sample times t0 + dt, t0 + 2*dt, ... (summed one dt at a
+    time), dt = (t_end - t0)/n_steps, as (t_blk, ratios) per block of
+    _ODE_BLOCK samples: a (rows, 1) column and a (rows, draws) array.
 
     Draws above the equilibrium (b/a)^(1/beta) are integrated in z = y^(1-beta),
     whose dynamics z' = (beta-1)*(a - b*z^(beta/(beta-1))) are non-stiff even
-    for huge y0; the others in y directly.  The barrier is evaluated once per
-    block of steps; a NaN ratio (a diverged draw) is returned at once.
+    for huge y0; the others in y directly.  All draws share one graded RK4
+    step sequence (_rk4_dense), vectorized over draws.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -236,29 +291,31 @@ def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
     c1, c2 = np.where(zmode, a, b), np.where(zmode, b, a)
 
     dt = (t_end - t0) / n_steps
-    h2, h6, exp_back, bm1a = 0.5 * dt, dt / 6.0, -1.0 / bm1, bm1 * a
-    worst, worst_draw, worst_t, t = 0.0, 0, t0, t0
+    exp_back, bm1a, t = -1.0 / bm1, bm1 * a, t0
+    slabs = _rk4_dense(s, lambda x: c0 * (c1 - c2 * x**e), dt, n_steps)
+    for s_blk in _in_blocks(slabs, s.size):
+        t_blk = np.full((len(s_blk), 1), dt)
+        t_blk[0] += t
+        t_blk = np.cumsum(t_blk, axis=0)  # sequential, so t += dt to the bit
+        t = float(t_blk[-1, 0])
+        y = np.where(zmode, np.where(zmode, s_blk, 1.0) ** exp_back, s_blk)
+        bound = (bm1a * (t_blk - t0)) ** exp_back + y_eq
+        yield t_blk, y / bound
+
+
+def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
+    """The worst y(t)/bound(t) of _ode_ratio_blocks over every draw and
+    sample time, with the index of the draw and the time where it first
+    occurs.  A NaN ratio (a diverged draw) is returned at once."""
+    worst, worst_draw, worst_t = 0.0, 0, t0
     # for beta near 1 the early barrier overflows to +inf, which is the
     # mathematically correct value (the check is then trivially satisfied)
     with np.errstate(over="ignore"):
-        for start in range(0, n_steps, _ODE_BLOCK):
-            s_blk = np.empty((min(_ODE_BLOCK, n_steps - start), s.size))
-            t_blk = np.empty((len(s_blk), 1))
-            for j in range(len(s_blk)):
-                k1 = c0 * (c1 - c2 * s**e)
-                k2 = c0 * (c1 - c2 * (s + h2 * k1) ** e)
-                k3 = c0 * (c1 - c2 * (s + h2 * k2) ** e)
-                k4 = c0 * (c1 - c2 * (s + dt * k3) ** e)
-                s = np.add(s, h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=s_blk[j])
-                t += dt
-                t_blk[j] = t
-            y = np.where(zmode, np.where(zmode, s_blk, 1.0) ** exp_back, s_blk)
-            bound = (bm1a * (t_blk - t0)) ** exp_back + y_eq
-            ratios = y / bound
+        for t_blk, ratios in _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
             k = int(ratios.argmax())  # argmax, like max, stops at the first NaN
             ratio = float(ratios.flat[k])
             if ratio > worst or math.isnan(ratio):
-                row, worst_draw = divmod(k, s.size)
+                row, worst_draw = divmod(k, ratios.shape[1])
                 worst, worst_t = ratio, float(t_blk[row, 0])
                 if math.isnan(ratio):
                     break
@@ -357,7 +414,9 @@ def elementary_report() -> CheckReport:
 def ode_comparison_report() -> CheckReport:
     """ode_comparison_bound's barrier check on _ODE_DRAWS random draws
     (seed 20244) of a, b in [0.1, 10], beta in [1.001, 3] and y0 in [0, 1e6],
-    each integrated over [0, _ODE_T_SPAN]; tolerance _ODE_FP_TOL."""
+    each integrated over [0, _ODE_T_SPAN] by the graded RK4 steps of
+    _rk4_dense and compared at all _ODE_GRID_STEPS sample times; tolerance
+    _ODE_FP_TOL."""
     rng = np.random.default_rng(20244)
     # drawn column by column, in this order
     a, b, beta, y0 = (rng.uniform(lo, hi, _ODE_DRAWS)

@@ -176,6 +176,9 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     ("grid.n", "4"),
     ("domain.right", "-1"),
     ("time.t_end", "-1"),
+    # dt_min above the sample interval that BASE sets
+    pytest.param("stepper.dt_min", "2\nstepper.dt_init = 2\nstepper.dt_max = 2",
+                 id="stepper.dt_min-dt_init-dt_max-2"),
 ])
 def test_config_rejection_names_its_key(tmp_path, capsys, key, value):
     text = BASE + f"{key} = {value}\n"

@@ -243,6 +243,56 @@ _ODE_DRAWS = [
 ]
 
 
+def _fine_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
+    """The kernel the graded one replaced, its loop unchanged: one RK4 step of
+    dt per sample, and (t_blk, ratios) yielded per block of _ODE_BLOCK steps."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y_eq = (b / a) ** (1.0 / beta)
+    zmode = y0 > y_eq
+    bm1 = beta - 1.0
+    s = np.where(zmode, np.where(zmode, y0, 1.0) ** (1.0 - beta), y0)
+    # both modes share the rate c0*(c1 - c2*s^e); the y-mode factor 1 is exact
+    c0, e = np.where(zmode, bm1, 1.0), np.where(zmode, beta / bm1, beta)
+    c1, c2 = np.where(zmode, a, b), np.where(zmode, b, a)
+
+    dt = (t_end - t0) / n_steps
+    h2, h6, exp_back, bm1a = 0.5 * dt, dt / 6.0, -1.0 / bm1, bm1 * a
+    t = t0
+    for start in range(0, n_steps, inequalities._ODE_BLOCK):
+        s_blk = np.empty((min(inequalities._ODE_BLOCK, n_steps - start), s.size))
+        t_blk = np.empty((len(s_blk), 1))
+        for j in range(len(s_blk)):
+            k1 = c0 * (c1 - c2 * s**e)
+            k2 = c0 * (c1 - c2 * (s + h2 * k1) ** e)
+            k3 = c0 * (c1 - c2 * (s + h2 * k2) ** e)
+            k4 = c0 * (c1 - c2 * (s + dt * k3) ** e)
+            s = np.add(s, h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=s_blk[j])
+            t += dt
+            t_blk[j] = t
+        y = np.where(zmode, np.where(zmode, s_blk, 1.0) ** exp_back, s_blk)
+        bound = (bm1a * (t_blk - t0)) ** exp_back + y_eq
+        yield t_blk, y / bound
+
+
+def _fine_reference(t0, a, b, beta, y0, t_end, n_steps=inequalities._ODE_GRID_STEPS):
+    """(worst ratio, draw, t) of _fine_ratio_blocks, reduced as the replaced
+    kernel did."""
+    worst, worst_draw, worst_t = 0.0, 0, t0
+    with np.errstate(over="ignore"):
+        for t_blk, ratios in _fine_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
+            k = int(ratios.argmax())  # argmax, like max, stops at the first NaN
+            ratio = float(ratios.flat[k])
+            if ratio > worst or math.isnan(ratio):
+                row, worst_draw = divmod(k, ratios.shape[1])
+                worst, worst_t = ratio, float(t_blk[row, 0])
+                if math.isnan(ratio):
+                    break
+    return worst, worst_draw, worst_t
+
+
 @pytest.mark.parametrize(
     "n_steps", [1, inequalities._ODE_BLOCK, inequalities._ODE_BLOCK + 1, 2000])
 def test_rk4_barrier_kernel_matches_two_branch_loop(n_steps, monkeypatch):
@@ -253,8 +303,22 @@ def test_rk4_barrier_kernel_matches_two_branch_loop(n_steps, monkeypatch):
     beta = np.concatenate([beta, rng.uniform(1.001, 3.0, 8)])
     y0 = np.concatenate([y0, rng.uniform(0.0, 1e6, 8)])
     t_end = 10.0 * n_steps / 2000
-    ref = _two_branch_reference(0.0, a, b, beta, y0, t_end, n_steps)
-    assert inequalities._rk4_barrier_worst(0.0, a, b, beta, y0, t_end, n_steps)[0] == ref
+    # up to 1/_ODE_GRADE samples every graded step spans one sample, so the
+    # kernel is the two-branch loop to the bit; beyond that it interpolates,
+    # and the fine reference stands in for the loop
+    one_sample_steps = n_steps < 1.0 / inequalities._ODE_GRADE
+
+    def check(got, *draws):
+        ref = _two_branch_reference(0.0, *draws, t_end, n_steps)
+        if one_sample_steps:
+            assert got[0] == ref
+        else:
+            fine = _fine_reference(0.0, *draws, t_end, n_steps)
+            assert fine[0] == ref
+            assert abs(got[0] - fine[0]) <= 1e-9 and got[1:] == fine[1:]
+        return ref
+
+    check(inequalities._rk4_barrier_worst(0.0, a, b, beta, y0, t_end, n_steps), a, b, beta, y0)
 
     # the scalar path, one draw at a time through ode_comparison_bound
     seen = []
@@ -266,9 +330,31 @@ def test_rk4_barrier_kernel_matches_two_branch_loop(n_steps, monkeypatch):
 
     monkeypatch.setattr(inequalities, "_rk4_barrier_worst", spy)
     for draw in _ODE_DRAWS:
-        ref = _two_branch_reference(0.0, *draw, t_end, n_steps)
-        assert ode_comparison_bound(0.0, *draw, t_end) == (ref <= 1.0 + inequalities._ODE_FP_TOL)
-        assert seen[-1][0] == ref
+        passed = ode_comparison_bound(0.0, *draw, t_end)
+        assert passed == (check(seen[-1], *draw) <= 1.0 + inequalities._ODE_FP_TOL)
+
+
+def _shipped_ode_draws():
+    """The shipped report's draws: seed 20244, drawn column by column."""
+    rng = np.random.default_rng(20244)
+    return [rng.uniform(lo, hi, inequalities._ODE_DRAWS)
+            for lo, hi in ((0.1, 10.0), (0.1, 10.0), (1.001, 3.0), (0.0, 1e6))]
+
+
+def test_graded_kernel_matches_fine_reference_on_shipped_draws(shipped_reports):
+    # every sample of every shipped draw, one block of samples at a time
+    args = (0.0, *_shipped_ode_draws(), inequalities._ODE_T_SPAN, inequalities._ODE_GRID_STEPS)
+    graded_max = fine_max = np.zeros(inequalities._ODE_DRAWS)
+    with np.errstate(over="ignore"):
+        for (t_g, r_g), (t_f, r_f) in zip(inequalities._ode_ratio_blocks(*args),
+                                          _fine_ratio_blocks(*args), strict=True):
+            assert np.array_equal(t_g, t_f)
+            assert np.abs(r_g - r_f).max() <= 1e-9
+            graded_max = np.maximum(graded_max, r_g.max(axis=0))
+            fine_max = np.maximum(fine_max, r_f.max(axis=0))
+    rep = next(r for r in shipped_reports[0] if r.name == "ode_comparison")
+    assert graded_max.argmax() == fine_max.argmax() == rep.worst_case_payload["draw"]
+    assert rep.worst_ratio == graded_max.max()
 
 
 @np.errstate(invalid="ignore")
@@ -288,25 +374,30 @@ def test_ode_comparison_diverged_integration_fails(monkeypatch):
     assert math.isnan(rep.worst_ratio) and not rep.passed
 
 
-@pytest.mark.parametrize("n_steps", [inequalities._ODE_BLOCK, 2 * inequalities._ODE_BLOCK + 2])
+@pytest.mark.parametrize("n_steps", [inequalities._ODE_BLOCK, 2 * inequalities._ODE_BLOCK + 2,
+                                     inequalities._ODE_GRID_STEPS])
 @pytest.mark.parametrize("planted", [0, 2, 4])
 def test_rk4_barrier_worst_names_planted_draw(planted, n_steps):
     # draws rising slowly from y0 = 0 stay far below their barriers.  A draw
     # resting at its equilibrium y = 1 has the ratio t/(1 + t), largest at the
-    # last step; a draw falling from y0 = 1e6 comes closest to its barrier
-    # right after the first step.
+    # last step, also on the finest grid, where the graded kernel interpolates
+    # the samples between its steps.  A draw falling from y0 = 1e6 follows y = coth(t + c),
+    # c = arcoth(1e6) ~ 1e-6, and comes closest to its barrier near
+    # t = sqrt(c) = 1e-3: right after the first step on the coarse grids, at
+    # sample 100 on the finest.
     kernel = inequalities._rk4_barrier_worst
     draws = np.array([[0.1 + 0.01 * k, 0.1, 3.0, 0.0] for k in range(5)])
-    t_last = 0.0
+    times = [0.0]  # the sample times, summed one step at a time
     for _ in range(n_steps):
-        t_last += 1.0 / n_steps
+        times.append(times[-1] + 1.0 / n_steps)
+    t_last = times[-1]
     draws[planted] = [1.0, 1.0, 2.0, 1.0]
     worst, draw, t = kernel(0.0, *draws.T, 1.0, n_steps)
     assert draw == planted and t == t_last
     assert worst == pytest.approx(t_last / (1.0 + t_last), rel=1e-14)
     draws[planted] = [1.0, 1.0, 2.0, 1e6]
     worst, draw, t = kernel(0.0, *draws.T, 1.0, n_steps)
-    assert draw == planted and t == 1.0 / n_steps
+    assert draw == planted and t == times[max(1, round(1e-3 * n_steps))]
     assert worst > 0.9
 
 
