@@ -70,24 +70,31 @@ class InitialCondition:
             raise ValueError(f"kind must be constant, perturbed or random-trig, got {self.kind!r}")
         if self.kind == "random-trig" and self.mode < 1:
             raise ValueError(f"mode must be at least 1 for random-trig, got {self.mode}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def build(self, grid: Grid1D) -> State:
-        """The initial state on grid; a ValueError if it is not strictly positive."""
-        if self.kind == "constant":
-            u = np.full(grid.n_cells, self.base_u)
-            v = np.full(grid.n_cells, self.base_v)
-        elif self.kind == "perturbed":
-            s = (grid.centers - grid.x_left) / grid.length
-            u = self.base_u + self.amp_u * np.cos(self.mode * math.pi * s)
-            v = self.base_v + self.amp_v * np.cos(self.mode * math.pi * s)
-        else:
-            rng = np.random.default_rng(self.seed)
-            u = random_cosine_series(grid, rng, self.base_u, self.amp_u, self.mode)
-            v = random_cosine_series(grid, rng, self.base_v, self.amp_v, self.mode)
+        """The initial state on grid; a ValueError if it is not finite and
+        strictly positive."""
+        # huge base or amp values overflow here; the check below rejects them
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "constant":
+                u = np.full(grid.n_cells, self.base_u)
+                v = np.full(grid.n_cells, self.base_v)
+            elif self.kind == "perturbed":
+                s = (grid.centers - grid.x_left) / grid.length
+                u = self.base_u + self.amp_u * np.cos(self.mode * math.pi * s)
+                v = self.base_v + self.amp_v * np.cos(self.mode * math.pi * s)
+            else:
+                rng = np.random.default_rng(self.seed)
+                u = random_cosine_series(grid, rng, self.base_u, self.amp_u, self.mode)
+                v = random_cosine_series(grid, rng, self.base_v, self.amp_v, self.mode)
         for name, w in (("u", u), ("v", v)):
-            if not w.min() > 0.0:
-                raise ValueError(f"base_{name} and amp_{name} give an initial {name} with "
-                                 f"minimum {w.min():.6g} on this grid; it must be positive")
+            # min and max propagate NaN, so this also rejects NaN values
+            if not 0.0 < w.min() <= w.max() < math.inf:
+                raise ValueError(f"base_{name} and amp_{name} give an initial {name} in "
+                                 f"[{w.min():.6g}, {w.max():.6g}] on this grid; it must be "
+                                 "positive and finite")
         return State(0.0, Field(grid, u), Field(grid, v))
 
 

@@ -3,11 +3,13 @@
 The mirror (even-reflection) extension makes every odd derivative of the
 extended data vanish at the domain endpoints, which realizes the no-flux
 boundary conditions u_x = u_xxx = 0 used throughout the model.  All
-operators are pure: they never mutate their inputs.
+operators are pure: they never mutate their inputs.  The array kernels work
+along the last axis, so they take one field or a stack of fields alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,8 @@ class Grid1D:
     def __post_init__(self):
         if not self.x_right > self.x_left:
             raise ValueError("x_right must exceed x_left")
+        if not math.isfinite(self.length):
+            raise ValueError("x_right - x_left overflows to a non-finite length")
         if self.n_cells < 8:
             raise ValueError("n_cells must be at least 8")
 
@@ -105,19 +109,19 @@ class Field:
 
 def mirror_extend(values: np.ndarray) -> np.ndarray:
     """Even reflection about both boundary faces, one ghost layer: g[-1] = f[0], g[n] = f[n-1]."""
-    return np.concatenate([values[:1], values, values[-1:]])
+    return np.concatenate([values[..., :1], values, values[..., -1:]], axis=-1)
 
 
 def diff1_values(values: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central first derivative, one mirror ghost layer."""
     e = mirror_extend(values)
-    return (e[2:] - e[:-2]) / (2.0 * dx)
+    return (e[..., 2:] - e[..., :-2]) / (2.0 * dx)
 
 
 def diff2_values(values: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central second derivative, one mirror ghost layer."""
     e = mirror_extend(values)
-    return (e[2:] - 2.0 * e[1:-1] + e[:-2]) / (dx * dx)
+    return (e[..., 2:] - 2.0 * e[..., 1:-1] + e[..., :-2]) / (dx * dx)
 
 
 def integrate_values(values: np.ndarray, grid: Grid1D) -> float:

@@ -15,12 +15,23 @@ Two systems share one flux-form discretization:
 Every flux is assembled at cell faces (coefficients: arithmetic means of the
 adjacent cell-centered values; derivatives: central differences), so the flux
 part of the right-hand side telescopes to zero mass exactly.
+
+The two equations differ only in their parameters, so the kernels evaluate
+both at once on the pair stacked as one (2, n) array w = (u, v), with the
+per-field parameters as (2, 1) columns (_columns) and the other field read as
+the flipped rows w[::-1].  The face and coefficient helpers work along the
+last axis, so they take one field with scalar parameters as well.  The
+exponents n_i stay scalars, one per row when n1 != n2 (_pow): numpy's power
+has a fast path for the scalar exponent 2.0 that an array exponent skips, and
+the two differ in the last bit.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,12 +141,20 @@ def _g_mollifier(s, eps):
     return 3.0 * s**3 / (3.0 * s**2 + eps)
 
 
+def _pow(s, p):
+    """s ** p; a (2, 1) column p is applied to the rows of a stacked s one
+    scalar exponent at a time, which keeps numpy's scalar fast paths."""
+    if getattr(p, "ndim", 0) < 2:
+        return s**p
+    return np.array([w**e for w, e in zip(s, p.ravel().tolist())])
+
+
 def _h_flux(s, n, eps):
-    return s ** (5.0 - n) / (s ** (4.0 - n) + eps)
+    return _pow(s, 5.0 - n) / (_pow(s, 4.0 - n) + eps)
 
 
 def _m4_mobility(s, n, eps):
-    return s**4 / (s ** (4.0 - n) + eps)
+    return s**4 / (_pow(s, 4.0 - n) + eps)
 
 
 def _g_mollifier_deriv(s, eps):
@@ -228,44 +247,67 @@ def log_entropy_weight(s, n, eps):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
+_Columns = namedtuple("_Columns", "d chi lam a n")
+
+
+@lru_cache(maxsize=32)
+def _columns(kp: KineticParams, rp: RegParams) -> _Columns:
+    """Per-field parameters of the stacked pair as read-only (2, 1) columns:
+    d, the signed taxis coefficients chi = (-chi1, chi2), lam, the signed
+    cross reaction rates a = (a1, -a2), and n (a scalar when n1 == n2)."""
+    cols = np.array([[kp.d1, -kp.chi1, kp.lambda1, kp.a1, rp.n1],
+                     [kp.d2, kp.chi2, kp.lambda2, -kp.a2, rp.n2]])
+    cols.flags.writeable = False  # shared by every call with these parameters
+    d, chi, lam, a, n = np.hsplit(cols, 5)
+    return _Columns(d, chi, lam, a, rp.n1 if rp.n1 == rp.n2 else n)
+
+
+def _faces(w: np.ndarray) -> np.ndarray:
+    """Zeros with one more entry than w along the last axis: a face array."""
+    return np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+
+
 def _face_mean(a: np.ndarray) -> np.ndarray:
     """Means of adjacent cell values at the interior faces; zero at both ends."""
-    c = np.zeros(a.shape[0] + 1)
-    np.add(a[:-1], a[1:], out=c[1:-1])
+    c = _faces(a)
+    np.add(a[..., :-1], a[..., 1:], out=c[..., 1:-1])
     c *= 0.5
     return c
 
 
+def _reactions(w, c: _Columns, eps, kind):
+    """Pointwise reactions of the stacked pair w."""
+    g = w if kind is ModelKind.LIMIT else _g_mollifier(w, eps)
+    return g * (c.lam - w + c.a * w[::-1])
+
+
 def reaction_terms(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
-    """Pointwise reaction pair for either system."""
-    bu = kp.lambda1 - u + kp.a1 * v
-    bv = kp.lambda2 - v - kp.a2 * u
-    if kind is ModelKind.LIMIT:
-        return u * bu, v * bv
-    return _g_mollifier(u, rp.eps) * bu, _g_mollifier(v, rp.eps) * bv
+    """Pointwise reactions (ru, rv) of either system, stacked (2, n)."""
+    return _reactions(np.array((u, v)), _columns(kp, rp), rp.eps, kind)
 
 
 def reaction_jacobian(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
-    """Diagonal blocks (d ru/du, d ru/dv, d rv/du, d rv/dv) of the reactions."""
-    bu = kp.lambda1 - u + kp.a1 * v
-    bv = kp.lambda2 - v - kp.a2 * u
+    """Diagonal blocks d ru/du, d ru/dv, d rv/du, d rv/dv of the reactions, as
+    the rows of one (4, n) array: rows 0 and 3 are d r_i / d w_i, rows 1 and 2
+    d r_i / d w_j of the other field j."""
+    w = np.array((u, v))
+    c = _columns(kp, rp)
+    b = c.lam - w + c.a * w[::-1]
     if kind is ModelKind.LIMIT:
-        return bu - u, kp.a1 * u, -kp.a2 * v, bv - v
-    gu = _g_mollifier(u, rp.eps)
-    gv = _g_mollifier(v, rp.eps)
-    gpu = _g_mollifier_deriv(u, rp.eps)
-    gpv = _g_mollifier_deriv(v, rp.eps)
-    return gpu * bu - gu, kp.a1 * gu, -kp.a2 * gv, gpv * bv - gv
+        g, own = w, b - w
+    else:
+        g = _g_mollifier(w, rp.eps)
+        own = _g_mollifier_deriv(w, rp.eps) * b - g
+    return np.concatenate((own[:1], c.a * g, own[1:]))
 
 
 def diffusion_face_coeff(w, d, rp: RegParams, kind: ModelKind) -> np.ndarray:
     """Second-order face coefficient D (+ fast-diffusion correction); zero ends."""
     if kind is ModelKind.LIMIT:
-        c = np.zeros(w.shape[0] + 1)
-        c[1:-1] = d
+        c = _faces(w)
     else:
         c = _face_mean(_fast_diffusion_coeff(w, rp.alpha, rp.eps))
-        c[1:-1] += d
+    c[..., 1:-1] += d
     return c
 
 
@@ -278,41 +320,30 @@ def thinfilm_face_coeff(w, n_exp, rp: RegParams) -> np.ndarray:
 
 def taxis_face_coeff(w, n_exp, rp: RegParams, kind: ModelKind) -> np.ndarray:
     """Face coefficient of the taxis flux: raw density (limit) or h_eps; zero ends."""
-    if kind is ModelKind.LIMIT:
-        return _face_mean(w)
-    return _face_mean(_h_flux(w, n_exp, rp.eps))
+    return _face_mean(w if kind is ModelKind.LIMIT else _h_flux(w, n_exp, rp.eps))
 
 
 def face_gradient(w, dx) -> np.ndarray:
     """First derivative at faces (zero at boundary faces)."""
-    g = np.zeros(w.shape[0] + 1)
-    np.subtract(w[1:], w[:-1], out=g[1:-1])
+    g = _faces(w)
+    np.subtract(w[..., 1:], w[..., :-1], out=g[..., 1:-1])
     g /= dx
     return g
 
 
 def face_third_derivative(w, dx) -> np.ndarray:
     """Third derivative at faces: face difference of the mirrored cell u_xx."""
-    z = diff2_values(w, dx)
-    g = np.zeros(w.shape[0] + 1)
-    g[1:-1] = (z[1:] - z[:-1]) / dx
-    return g
+    return face_gradient(diff2_values(w, dx), dx)
 
 
 def compute_rhs(u, v, dx, kp: KineticParams, rp: RegParams, kind: ModelKind):
-    """Right-hand side pair (du, dv) on raw arrays; callers guarantee positivity."""
-    ux = face_gradient(u, dx)
-    vx = face_gradient(v, dx)
-
-    flux_u = diffusion_face_coeff(u, kp.d1, rp, kind) * ux
-    flux_v = diffusion_face_coeff(v, kp.d2, rp, kind) * vx
-    flux_u -= kp.chi1 * taxis_face_coeff(u, rp.n1, rp, kind) * vx
-    flux_v += kp.chi2 * taxis_face_coeff(v, rp.n2, rp, kind) * ux
+    """Right-hand sides (du, dv), stacked (2, n), on raw arrays; callers
+    guarantee positivity."""
+    w = np.array((u, v))
+    c = _columns(kp, rp)
+    wx = face_gradient(w, dx)
+    flux = diffusion_face_coeff(w, c.d, rp, kind) * wx
+    flux += c.chi * taxis_face_coeff(w, c.n, rp, kind) * wx[::-1]
     if kind is ModelKind.REGULARIZED:
-        flux_u -= thinfilm_face_coeff(u, rp.n1, rp) * face_third_derivative(u, dx)
-        flux_v -= thinfilm_face_coeff(v, rp.n2, rp) * face_third_derivative(v, dx)
-
-    ru, rv = reaction_terms(u, v, kp, rp, kind)
-    du = (flux_u[1:] - flux_u[:-1]) / dx + ru
-    dv = (flux_v[1:] - flux_v[:-1]) / dx + rv
-    return du, dv
+        flux -= thinfilm_face_coeff(w, c.n, rp) * face_third_derivative(w, dx)
+    return (flux[:, 1:] - flux[:, :-1]) / dx + _reactions(w, c, rp.eps, kind)

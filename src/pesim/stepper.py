@@ -4,18 +4,20 @@ damped Newton iteration, both backed by banded LU solves.
 IMEX treats the stiff parts implicitly with coefficients frozen at the old
 state (plain diffusion, the fourth-order thin-film term, and the singular
 fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
-That gives one banded solve per step, of the two fields' decoupled systems
-stacked block-diagonally.
+Both fields are held as one (2, n) array (see the model module), and the step
+is one banded solve of a block-diagonal system with u in rows [0, n) and v in
+[n, 2n): the stacked array's own memory order.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
-(u0, v0, u1, v1, ...) by damped simplified Newton.  The Jacobian freezes the
-nonlinear flux coefficients and differentiates through the derivative
-factors and the reactions, which keeps the matrix banded with half-bandwidth
-4.  It is built once per step, at w_old, and factored once by banded LU with
-partial pivoting (LAPACK gbtrf; the matrices are not symmetric); every Newton
-iteration then solves with that factorization (gbtrs).  Only when the line
-search finds no decrease is it rebuilt, at the current iterate.
+(u0, v0, u1, v1, ...), the transpose of the stacked pair, by damped
+simplified Newton.  The Jacobian freezes the nonlinear flux coefficients and
+differentiates through the derivative factors and the reactions, which keeps
+the matrix banded with half-bandwidth 4.  It is built once per step, at
+w_old, and factored once by banded LU with partial pivoting (LAPACK gbtrf;
+the matrices are not symmetric); every Newton iteration then solves with that
+factorization (gbtrs).  Only when the line search finds no decrease is it
+rebuilt, at the current iterate.
 
 Positivity is enforced by step rejection, never by clamping: clamped values
 would silently break the entropy identities the diagnostics monitor.
@@ -38,16 +40,17 @@ from .model import (
     ModelKind,
     RegParams,
     State,
+    _columns,
+    _reactions,
     compute_rhs,
     diffusion_face_coeff,
     face_gradient,
     reaction_jacobian,
-    reaction_terms,
     taxis_face_coeff,
     thinfilm_face_coeff,
 )
 
-# dgtsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
+# dgtsv, dgbsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
 # loaded from its file: importing it as scipy.linalg.lapack would run
 # scipy.linalg's __init__, which loads about 300 more modules and costs about
 # 0.3 s per process.
@@ -58,7 +61,7 @@ if not os.path.isfile(_FLAPACK):
 _loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", _FLAPACK)
 _flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_loader.name, _loader))
 _loader.exec_module(_flapack)
-dgbtrf, dgbtrs, dgtsv = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
+dgbsv, dgbtrf, dgbtrs, dgtsv = _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
 
 __all__ = [
     "Scheme",
@@ -136,25 +139,34 @@ def _band_storage(kl, m):
     return np.zeros((3 * kl + 1, m + 2 * kl), order="F")
 
 
-def _band_slots(ab, kl, n, r, stride=1, row_off=0, col_off=0):
+def _band_slots(ab, kl, n, r, stride=1, row_off=0, col_off=0, pair=None):
     """(2r + 1, n) view of ab whose [r + k, i] is the slot of the matrix entry
-    A[stride*i + row_off, stride*(i + k) + col_off]."""
+    A[stride*i + row_off, stride*(i + k) + col_off].  With pair = (dr, dc), a
+    (2r + 1, 2, n) view of two such blocks, the second shifted by dr rows and
+    dc columns: the bands of the stacked pair."""
     s_row, s_col = ab.strides
     row = 2 * kl + row_off - col_off + stride * r  # slot of k = -r, i = 0
     col = kl + col_off - stride * r
-    return np.ndarray((2 * r + 1, n), ab.dtype, ab, row * s_row + col * s_col,
-                      (stride * (s_col - s_row), stride * s_col))
+    shape, strides = (2 * r + 1, n), (stride * (s_col - s_row), stride * s_col)
+    if pair is not None:
+        dr, dc = pair
+        shape = (2 * r + 1, 2, n)
+        strides = (strides[0], (dr - dc) * s_row + dc * s_col, strides[1])
+    return np.ndarray(shape, ab.dtype, ab, row * s_row + col * s_col, strides)
 
 
-def _solve_shifted(ab, b):
-    """Solve (I + B) x = b for a tridiagonal B in band storage (kl = 1);
-    overwrites ab and b.
+def _solve_shifted(ab, kl, b):
+    """Solve (I + B) x = b for B in band storage, overwriting ab and b: gtsv
+    for a tridiagonal B (kl = 1), else gbsv (gbtrf and gbtrs in one call).
 
     Returns None when LAPACK reports an exactly singular pivot (info > 0).
     """
-    a = ab[:, 1:-1]
-    a[2] += 1.0
-    x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
+    a = ab[:, kl:-kl]
+    a[2 * kl] += 1.0
+    if kl == 1:
+        x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
+    else:
+        x, info = dgbsv(kl, kl, a, b, overwrite_ab=1, overwrite_b=1)[2:]
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
     return x if info == 0 else None
@@ -175,74 +187,64 @@ def _factor_shifted(ab, kl):
 def _put_div_bands(out, sigma, c_face, dx):
     """out[0:3] = bands of w -> sigma * div(c_face * w_x), c_face zero at the ends."""
     s = sigma / (dx * dx)
-    np.multiply(s, c_face[:-1], out=out[0])
-    np.add(c_face[:-1], c_face[1:], out=out[1])
+    np.multiply(s, c_face[..., :-1], out=out[0])
+    np.add(c_face[..., :-1], c_face[..., 1:], out=out[1])
     out[1] *= -s
-    np.multiply(s, c_face[1:], out=out[2])
+    np.multiply(s, c_face[..., 1:], out=out[2])
 
 
 def _stiff_bands(out, w, dx, d_coeff, n_exp, rp, kind):
     """Write into the zeroed out the bands of the stiff operator L(w) of one
-    field: second-order diffusion (3 rows), minus div(eps m4(w) w_xxx) for the
-    regularized model (5 rows)."""
-    c = diffusion_face_coeff(w, d_coeff, rp, kind)
+    field, or of each row of a stacked pair: second-order diffusion (3 rows),
+    minus div(eps m4(w) w_xxx) for the regularized model (5 rows)."""
+    mid = out.shape[0] // 2
+    _put_div_bands(out[mid - 1:mid + 2], 1.0, diffusion_face_coeff(w, d_coeff, rp, kind), dx)
     if kind is ModelKind.LIMIT:
-        _put_div_bands(out, 1.0, c, dx)
         return
-    _put_div_bands(out[1:4], 1.0, c, dx)
     # subtract the band product T @ Z of the face combiner T (diagonals tl,
     # td, tu) and the mirrored cell second difference Z (diagonal zd).  Z's
     # off-diagonals are inv2 inside the matrix, so their products with T are
     # entries of q = m * inv2 and t2 = td * inv2.
     inv2 = 1.0 / (dx * dx)
-    zd = np.full(w.shape[0], -2.0 * inv2)
+    zd = np.full(w.shape[-1], -2.0 * inv2)
     zd[0] = zd[-1] = -inv2
     m = thinfilm_face_coeff(w, n_exp, rp) * inv2
-    tl, tu = m[:-1], m[1:]
+    tl, tu = m[..., :-1], m[..., 1:]
     td = -(tl + tu)
     q = m * inv2
     t2 = td * inv2
     p_0 = td * zd
-    p_0[1:] += q[1:-1]
-    p_0[:-1] += q[1:-1]
-    out[0, 2:] -= q[2:-1]
-    out[1, 1:] -= tl[1:] * zd[:-1] + t2[1:]
+    p_0[..., 1:] += q[..., 1:-1]
+    p_0[..., :-1] += q[..., 1:-1]
+    out[0, ..., 2:] -= q[..., 2:-1]
+    out[1, ..., 1:] -= tl[..., 1:] * zd[:-1] + t2[..., 1:]
     out[2] -= p_0
-    out[3, :-1] -= t2[:-1] + tu[:-1] * zd[1:]
-    out[4, :-2] -= q[1:-2]
+    out[3, ..., :-1] -= t2[..., :-1] + tu[..., :-1] * zd[1:]
+    out[4, ..., :-2] -= q[..., 1:-2]
 
 
 # ---------------------------------------------------------------------------
 # IMEX scheme
 # ---------------------------------------------------------------------------
 
-def _imex_advance(u, v, dx, dt, kp, rp, kind):
-    """One IMEX step; returns (u_new, v_new), or None if a solve is singular."""
-    ux = face_gradient(u, dx)
-    vx = face_gradient(v, dx)
-    ru, rv = reaction_terms(u, v, kp, rp, kind)
-
-    flux_xu = -kp.chi1 * taxis_face_coeff(u, rp.n1, rp, kind) * vx
-    flux_xv = kp.chi2 * taxis_face_coeff(v, rp.n2, rp, kind) * ux
-    rhs_u = u + dt * ((flux_xu[1:] - flux_xu[:-1]) / dx + ru)
-    rhs_v = v + dt * ((flux_xv[1:] - flux_xv[:-1]) / dx + rv)
-
-    # both fields in one block-diagonal system, u in rows [0, n) and v in
-    # [n, 2n); the bands vanish outside each block, so it solves exactly as
-    # two separate systems would
-    n = u.shape[0]
+def _imex_advance(w, dx, dt, kp, rp, kind, cfg):
+    """One IMEX step of the stacked pair w: (w_new, 0), with w_new None if
+    the solve is singular; the signature and result are _newton_advance's."""
+    c = _columns(kp, rp)
+    # the bands vanish outside each field's block, so the block-diagonal
+    # system solves exactly as two separate systems would
+    n = w.shape[1]
     kl = 2 if kind is ModelKind.REGULARIZED else 1
     ab = _band_storage(kl, 2 * n)
-    for off, w, d_coeff, n_exp in ((0, u, kp.d1, rp.n1), (n, v, kp.d2, rp.n2)):
-        _stiff_bands(_band_slots(ab, kl, n, kl, 1, off, off), w, dx, d_coeff, n_exp, rp, kind)
+    _stiff_bands(_band_slots(ab, kl, n, kl, pair=(n, n)), w, dx, c.d, c.n, rp, kind)
     ab *= -dt
-    rhs = np.concatenate((rhs_u, rhs_v))
-    if kl == 1:
-        x = _solve_shifted(ab, rhs)
-    else:
-        lu = _factor_shifted(ab, kl)
-        x = None if lu is None else dgbtrs(lu[0], kl, kl, rhs, lu[1], overwrite_b=1)[0]
-    return None if x is None else (x[:n], x[n:])
+    # the explicit part only after the bands: held through the band assembly,
+    # it raised the step's peak memory enough that at n = 4096 the C heap was
+    # trimmed and faulted back in on every step of the eps study
+    flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
+    rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + _reactions(w, c, rp.eps, kind))
+    x = _solve_shifted(ab, kl, rhs.reshape(2 * n))
+    return None if x is None else x.reshape(2, n), 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +256,27 @@ _HALFWIDTH = 4  # interleaved stencil: radius 2 per field, two fields
 
 def _jacobian_ab(u, v, dx, dt, kp, rp, kind):
     """-dt * J in band storage for the interleaved unknowns (u0, v0, u1, ...)."""
+    w = np.array((u, v))
+    c = _columns(kp, rp)
     n = u.shape[0]
     r = 2 if kind is ModelKind.REGULARIZED else 1
     ab = _band_storage(_HALFWIDTH, 2 * n)
-    # blocks d(u eq)/du, d(u eq)/dv, d(v eq)/du, d(v eq)/dv, as reaction_jacobian
-    blocks = [_band_slots(ab, _HALFWIDTH, n, width, 2, row_off, col_off)
-              for width, row_off, col_off in ((r, 0, 0), (1, 0, 1), (1, 1, 0), (r, 1, 1))]
-    _stiff_bands(blocks[0], u, dx, kp.d1, rp.n1, rp, kind)
-    _put_div_bands(blocks[1], -kp.chi1, taxis_face_coeff(u, rp.n1, rp, kind), dx)
-    _put_div_bands(blocks[2], kp.chi2, taxis_face_coeff(v, rp.n2, rp, kind), dx)
-    _stiff_bands(blocks[3], v, dx, kp.d2, rp.n2, rp, kind)
-    for bands, dr in zip(blocks, reaction_jacobian(u, v, kp, rp, kind)):
-        bands[bands.shape[0] // 2] += dr
-        bands *= -dt
+    # blocks d(u eq)/du and d(v eq)/dv, then d(u eq)/dv and d(v eq)/du
+    own = _band_slots(ab, _HALFWIDTH, n, r, 2, 0, 0, pair=(1, 1))
+    cross = _band_slots(ab, _HALFWIDTH, n, 1, 2, 0, 1, pair=(1, -1))
+    _stiff_bands(own, w, dx, c.d, c.n, rp, kind)
+    _put_div_bands(cross, c.chi, taxis_face_coeff(w, c.n, rp, kind), dx)
+    jac = reaction_jacobian(u, v, kp, rp, kind)
+    own[r] += jac[::3]
+    cross[1] += jac[1:3]
+    ab *= -dt
     return ab
 
 
-def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
-    """Backward-Euler solve by damped simplified Newton; returns
-    (u_new, v_new, iters), or (None, None, iters) on failure, where iters
-    counts the iterations taken.
+def _newton_advance(w, dx, dt, kp, rp, kind, cfg):
+    """Backward-Euler solve of the stacked pair w by damped simplified Newton;
+    returns (w_new, iters), or (None, iters) on failure, where iters counts
+    the iterations taken.
 
     The Jacobian is built and factored once, at the start state, and each
     iteration solves with that factorization.  When the line search finds no
@@ -286,18 +289,15 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
     while the increment keeps falling.
     """
 
-    def residual(uc, vc):  # interleaved (u0, v0, u1, ...) like the unknowns
-        du, dv = compute_rhs(uc, vc, dx, kp, rp, kind)
-        res = np.empty(2 * u.shape[0])
-        res[0::2], res[1::2] = uc - u - dt * du, vc - v - dt * dv
-        return res
+    def residual(wc):  # interleaved (u0, v0, u1, ...) like the unknowns
+        return (wc - w - dt * compute_rhs(wc[0], wc[1], dx, kp, rp, kind)).T.ravel()
 
-    def factor(uc, vc):
-        return _factor_shifted(_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), _HALFWIDTH)
+    def factor(wc):
+        return _factor_shifted(_jacobian_ab(wc[0], wc[1], dx, dt, kp, rp, kind), _HALFWIDTH)
 
     def correct(lu):
-        """One damped correction of (uc, vc) with the factorization lu:
-        (u, v, residual, norm), with norm 0 when the increment test has
+        """One damped correction of wc with the factorization lu:
+        (w, residual, norm), with norm 0 when the increment test has
         converged; None when lu is singular, the increment is not finite or
         no damping lowers the residual."""
         if lu is None:
@@ -305,37 +305,37 @@ def _newton_advance(u, v, dx, dt, kp, rp, kind, cfg):
         delta = dgbtrs(lu[0], _HALFWIDTH, _HALFWIDTH, res, lu[1])[0]
         if not np.all(np.isfinite(delta)):
             return None
-        du_step, dv_step = delta[0::2], delta[1::2]
+        w_step = delta.reshape(-1, 2).T
         if float(np.abs(delta).max()) <= cfg.newton_tol:
-            ut, vt = uc - du_step, vc - dv_step
-            if ut.min() > 0.0 and vt.min() > 0.0:
-                return ut, vt, None, 0.0
+            wt = wc - w_step
+            if wt.min() > 0.0:
+                return wt, None, 0.0
         lam = 1.0
         for _ in range(10):
-            ut, vt = uc - lam * du_step, vc - lam * dv_step
-            if ut.min() > 0.0 and vt.min() > 0.0:
-                res_t = residual(ut, vt)
+            wt = wc - lam * w_step
+            if wt.min() > 0.0:
+                res_t = residual(wt)
                 norm_t = float(np.abs(res_t).max())
                 if np.isfinite(norm_t) and norm_t < norm:
-                    return ut, vt, res_t, norm_t
+                    return wt, res_t, norm_t
             lam *= 0.5
         return None
 
-    uc, vc = u, v
-    res = residual(uc, vc)
+    wc = w
+    res = residual(wc)
     norm = float(np.abs(res).max())
-    lu, built = factor(uc, vc), 1  # built: the iteration whose start iterate lu is at
+    lu, built = factor(wc), 1  # built: the iteration whose start iterate lu is at
     for it in range(1, _NEWTON_MAX_ITER + 1):
         new = correct(lu)
         if new is None and built < it:
-            lu, built = factor(uc, vc), it
+            lu, built = factor(wc), it
             new = correct(lu)
         if new is None:
-            return None, None, it
-        uc, vc, res, norm = new
+            return None, it
+        wc, res, norm = new
         if norm <= cfg.newton_tol:
-            return uc, vc, it
-    return None, None, _NEWTON_MAX_ITER
+            return wc, it
+    return None, _NEWTON_MAX_ITER
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +347,21 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     """Attempt one step of size dt; rejection is reported, retrying is the caller's job."""
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")
-    u, v = state.u.values, state.v.values
-    dx = state.grid.dx
-    iters = 0
-    if cfg.scheme is Scheme.IMEX:
-        result = _imex_advance(u, v, dx, dt, kp, rp, kind)
-        if result is None:
-            return StepOutcome(state, dt, False, 0, np.nan, np.nan)
-        un, vn = result
-    else:
-        un, vn, iters = _newton_advance(u, v, dx, dt, kp, rp, kind, cfg)
-        if un is None:
-            return StepOutcome(state, dt, False, iters, np.nan, np.nan)
-
-    min_u, min_v = float(un.min()), float(vn.min())
-    # min propagates NaN, so the extremes are finite exactly when the arrays are
-    if not (isfinite(min_u) and isfinite(min_v) and isfinite(un.max()) and isfinite(vn.max())):
+    advance = _imex_advance if cfg.scheme is Scheme.IMEX else _newton_advance
+    w = np.array((state.u.values, state.v.values))
+    wn, iters = advance(w, state.grid.dx, dt, kp, rp, kind, cfg)
+    if wn is None:
         return StepOutcome(state, dt, False, iters, np.nan, np.nan)
-    if min_u <= cfg.positivity_floor or min_v <= cfg.positivity_floor:
+
+    min_u, min_v = wn.min(axis=1).tolist()
+    # min propagates NaN, so the extremes are finite exactly when the arrays are
+    if not (isfinite(min_u) and isfinite(min_v) and isfinite(wn.max())):
+        return StepOutcome(state, dt, False, iters, np.nan, np.nan)
+    if min(min_u, min_v) <= cfg.positivity_floor:
         return StepOutcome(state, dt, False, iters, min_u, min_v)
-    # un and vn are fresh arrays, proven finite and positive just above
+    # wn is a fresh array, proven finite and positive just above
     grid = state.grid
-    new_state = State.trusted(state.t + dt, Field.trusted(grid, un), Field.trusted(grid, vn))
+    new_state = State.trusted(state.t + dt, Field.trusted(grid, wn[0]), Field.trusted(grid, wn[1]))
     return StepOutcome(new_state, dt, True, iters, min_u, min_v)
 
 
@@ -382,14 +375,13 @@ def _bdf1_error(old: State, new: State, dt: float, history):
     (dt^2 / 2) w'', measured against _TOL * (1 + |w_new|); above 1 the step
     fails the tolerance.
     """
-    pairs = ((old.u.values, new.u.values), (old.v.values, new.v.values))
-    slopes = [(w1 - w0) / dt for w0, w1 in pairs]
+    w0, w1 = (np.array((s.u.values, s.v.values)) for s in (old, new))
+    slopes = (w1 - w0) / dt
     if history is None:
         return None, slopes
     dt_prev, slopes_prev = history
     c = dt * dt / (dt + dt_prev)
-    err = max(float((np.abs(c * (s1 - s0)) / (_TOL * (1.0 + np.abs(w1)))).max())
-              for s1, s0, (_, w1) in zip(slopes, slopes_prev, pairs))
+    err = float((np.abs(c * (slopes - slopes_prev)) / (_TOL * (1.0 + np.abs(w1)))).max())
     return err, slopes
 
 

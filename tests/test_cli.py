@@ -179,6 +179,11 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     # dt_min above the sample interval that BASE sets
     pytest.param("stepper.dt_min", "2\nstepper.dt_init = 2\nstepper.dt_max = 2",
                  id="stepper.dt_min-dt_init-dt_max-2"),
+    pytest.param("ic.seed", "-1\nic.kind = random-trig", id="ic.seed--1-random-trig"),
+    # base_u + amp_u overflows to inf
+    pytest.param("ic.base_u", "1e308\nic.amp_u = 1e308", id="ic.base_u-amp_u-1e308"),
+    # x_right - x_left overflows to inf
+    pytest.param("domain.right", "1e308\ndomain.left = -1e308", id="domain.right-left-1e308"),
 ])
 def test_config_rejection_names_its_key(tmp_path, capsys, key, value):
     text = BASE + f"{key} = {value}\n"

@@ -280,7 +280,7 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
 
 @pytest.mark.parametrize("scheme, kind", [
     (Scheme.IMEX, ModelKind.LIMIT),             # gtsv
-    (Scheme.IMEX, ModelKind.REGULARIZED),       # gbtrf, half-bandwidth 2
+    (Scheme.IMEX, ModelKind.REGULARIZED),       # gbsv, half-bandwidth 2
     (Scheme.FULLY_IMPLICIT, ModelKind.REGULARIZED),  # gbtrf, half-bandwidth 4
 ])
 def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
@@ -612,13 +612,15 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
     return None
 
 
-@pytest.mark.parametrize("n", [128, 1024])
+# n2 = 1 takes the exponents row by row, n1 = n2 = 2 (shipped) as one scalar
+@pytest.mark.parametrize("n, n2", [(128, 1.0), (1024, 1.0), (128, 2.0), (1024, 2.0)],
+                         ids=["128", "1024", "128-n2=2", "1024-n2=2"])
 @pytest.mark.parametrize("kind", list(ModelKind))
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_step_matches_dict_band_reference(scheme, kind, n, coex_params):
+def test_step_matches_dict_band_reference(scheme, kind, n, n2, coex_params):
     rng = np.random.default_rng(n)
     grid = Grid1D(0.0, 3.0, n)  # dx is no power of two, so every product rounds
-    rp = RegParams(1e-3, 0.5, 2.0, 1.0)
+    rp = RegParams(1e-3, 0.5, 2.0, n2)
     st = positive_trig_state(grid, rng)
     u, v = st.u.values, st.v.values
     reference = _ref_imex if scheme is Scheme.IMEX else _ref_newton
