@@ -98,8 +98,12 @@ def _make_dir(path, key) -> str | None:
 
 def _load_config(config_path, out_override) -> tuple[RunConfig, str | None]:
     """The parsed config and _make_dir's result for its out.dir; raises
-    ConfigError or OSError (the config file unreadable)."""
-    cfg = parse_config(config_path, {"out.dir": out_override} if out_override else None)
+    ConfigError or OSError (the config file unreadable or not UTF-8)."""
+    try:
+        cfg = parse_config(config_path, {"out.dir": out_override} if out_override else None)
+    except UnicodeDecodeError as exc:
+        raise OSError(f"cannot read {config_path!r}: not UTF-8 text "
+                      f"({exc.reason} at byte {exc.start})") from None
     return cfg, _make_dir(cfg.out_dir, "out.dir")
 
 
@@ -210,6 +214,20 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
     return 0 if ok else 3
 
 
+def _summary_u_star(path):
+    """run.u_star of the summary.json at path, None when absent; a ValueError
+    when the file is not such a summary."""
+    with open(path, "r", encoding="utf-8") as fh:
+        summary = json.load(fh)  # a ValueError if not valid JSON
+    run = summary.get("run", {}) if isinstance(summary, dict) else None
+    if not isinstance(run, dict):
+        raise ValueError("expected an object whose 'run' is an object")
+    u_star = run.get("u_star")
+    if u_star is not None and (isinstance(u_star, bool) or not isinstance(u_star, (int, float))):
+        raise ValueError(f"run.u_star must be a number or null, got {u_star!r}")
+    return u_star
+
+
 def cmd_plot(out_dir) -> int:
     ts = os.path.join(out_dir, "timeseries.csv")
     if not os.path.isdir(out_dir):
@@ -238,8 +256,10 @@ def cmd_plot(out_dir) -> int:
         u_star = None
         summary = os.path.join(out_dir, "summary.json")
         if os.path.isfile(summary):
-            with open(summary, "r", encoding="utf-8") as fh:
-                u_star = json.load(fh).get("run", {}).get("u_star")
+            try:
+                u_star = _summary_u_star(summary)
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+                return _fail(f"{summary}: {exc}", 1)
         if u_star is not None:
             sections.append("\n".join([
                 png("deviation"),

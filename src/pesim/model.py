@@ -19,11 +19,12 @@ part of the right-hand side telescopes to zero mass exactly.
 The two equations differ only in their parameters, so the kernels evaluate
 both at once on the pair stacked as one (2, n) array w = (u, v), with the
 per-field parameters as (2, 1) columns (_columns) and the other field read as
-the flipped rows w[::-1].  The face and coefficient helpers work along the
-last axis, so they take one field with scalar parameters as well.  The
-exponents n_i stay scalars, one per row when n1 != n2 (_pow): numpy's power
-has a fast path for the scalar exponent 2.0 that an array exponent skips, and
-the two differ in the last bit.
+the flipped rows w[::-1].  The entry points take w as it is; only the
+stepper's step() and _bdf1_error stack a State's Fields, once per step.  The
+face and coefficient helpers work along the last axis, so they take one field
+with scalar parameters as well.  The exponents n_i stay scalars, one per row
+when n1 != n2 (_pow): numpy's power has a fast path for the scalar exponent
+2.0 that an array exponent skips, and the two differ in the last bit.
 """
 
 from __future__ import annotations
@@ -275,22 +276,17 @@ def _face_mean(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def _reactions(w, c: _Columns, eps, kind):
-    """Pointwise reactions of the stacked pair w."""
-    g = w if kind is ModelKind.LIMIT else _g_mollifier(w, eps)
+def reaction_terms(w, kp: KineticParams, rp: RegParams, kind: ModelKind):
+    """Pointwise reactions (ru, rv) of either system at w = (u, v), stacked (2, n)."""
+    c = _columns(kp, rp)
+    g = w if kind is ModelKind.LIMIT else _g_mollifier(w, rp.eps)
     return g * (c.lam - w + c.a * w[::-1])
 
 
-def reaction_terms(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
-    """Pointwise reactions (ru, rv) of either system, stacked (2, n)."""
-    return _reactions(np.array((u, v)), _columns(kp, rp), rp.eps, kind)
-
-
-def reaction_jacobian(u, v, kp: KineticParams, rp: RegParams, kind: ModelKind):
-    """Diagonal blocks d ru/du, d ru/dv, d rv/du, d rv/dv of the reactions, as
-    the rows of one (4, n) array: rows 0 and 3 are d r_i / d w_i, rows 1 and 2
-    d r_i / d w_j of the other field j."""
-    w = np.array((u, v))
+def reaction_jacobian(w, kp: KineticParams, rp: RegParams, kind: ModelKind):
+    """Diagonal blocks d ru/du, d ru/dv, d rv/du, d rv/dv of the reactions at
+    the stacked pair w, as the rows of one (4, n) array: rows 0 and 3 are
+    d r_i / d w_i, rows 1 and 2 d r_i / d w_j of the other field j."""
     c = _columns(kp, rp)
     b = c.lam - w + c.a * w[::-1]
     if kind is ModelKind.LIMIT:
@@ -336,14 +332,13 @@ def face_third_derivative(w, dx) -> np.ndarray:
     return face_gradient(diff2_values(w, dx), dx)
 
 
-def compute_rhs(u, v, dx, kp: KineticParams, rp: RegParams, kind: ModelKind):
-    """Right-hand sides (du, dv), stacked (2, n), on raw arrays; callers
-    guarantee positivity."""
-    w = np.array((u, v))
+def compute_rhs(w, dx, kp: KineticParams, rp: RegParams, kind: ModelKind):
+    """Right-hand sides (du, dv), stacked (2, n), at the stacked pair
+    w = (u, v) of raw arrays; callers guarantee positivity."""
     c = _columns(kp, rp)
     wx = face_gradient(w, dx)
     flux = diffusion_face_coeff(w, c.d, rp, kind) * wx
     flux += c.chi * taxis_face_coeff(w, c.n, rp, kind) * wx[::-1]
     if kind is ModelKind.REGULARIZED:
         flux -= thinfilm_face_coeff(w, c.n, rp) * face_third_derivative(w, dx)
-    return (flux[:, 1:] - flux[:, :-1]) / dx + _reactions(w, c, rp.eps, kind)
+    return (flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind)

@@ -4,8 +4,9 @@ damped Newton iteration, both backed by banded LU solves.
 IMEX treats the stiff parts implicitly with coefficients frozen at the old
 state (plain diffusion, the fourth-order thin-film term, and the singular
 fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
-Both fields are held as one (2, n) array (see the model module), and the step
-is one banded solve of a block-diagonal system with u in rows [0, n) and v in
+Both fields are held as one (2, n) array (see the model module), which only
+step() and _bdf1_error stack from a State's Fields.  The IMEX step is one
+banded solve of a block-diagonal system with u in rows [0, n) and v in
 [n, 2n): the stacked array's own memory order.
 
 The fully implicit scheme solves the backward-Euler residual
@@ -41,11 +42,11 @@ from .model import (
     RegParams,
     State,
     _columns,
-    _reactions,
     compute_rhs,
     diffusion_face_coeff,
     face_gradient,
     reaction_jacobian,
+    reaction_terms,
     taxis_face_coeff,
     thinfilm_face_coeff,
 )
@@ -242,7 +243,7 @@ def _imex_advance(w, dx, dt, kp, rp, kind, cfg):
     # it raised the step's peak memory enough that at n = 4096 the C heap was
     # trimmed and faulted back in on every step of the eps study
     flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
-    rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + _reactions(w, c, rp.eps, kind))
+    rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind))
     x = _solve_shifted(ab, kl, rhs.reshape(2 * n))
     return None if x is None else x.reshape(2, n), 0
 
@@ -254,11 +255,10 @@ def _imex_advance(w, dx, dt, kp, rp, kind, cfg):
 _HALFWIDTH = 4  # interleaved stencil: radius 2 per field, two fields
 
 
-def _jacobian_ab(u, v, dx, dt, kp, rp, kind):
-    """-dt * J in band storage for the interleaved unknowns (u0, v0, u1, ...)."""
-    w = np.array((u, v))
+def _jacobian_ab(w, dx, dt, kp, rp, kind):
+    """-dt * J at the stacked pair w, in band storage for the unknowns (u0, v0, u1, ...)."""
     c = _columns(kp, rp)
-    n = u.shape[0]
+    n = w.shape[1]
     r = 2 if kind is ModelKind.REGULARIZED else 1
     ab = _band_storage(_HALFWIDTH, 2 * n)
     # blocks d(u eq)/du and d(v eq)/dv, then d(u eq)/dv and d(v eq)/du
@@ -266,7 +266,7 @@ def _jacobian_ab(u, v, dx, dt, kp, rp, kind):
     cross = _band_slots(ab, _HALFWIDTH, n, 1, 2, 0, 1, pair=(1, -1))
     _stiff_bands(own, w, dx, c.d, c.n, rp, kind)
     _put_div_bands(cross, c.chi, taxis_face_coeff(w, c.n, rp, kind), dx)
-    jac = reaction_jacobian(u, v, kp, rp, kind)
+    jac = reaction_jacobian(w, kp, rp, kind)
     own[r] += jac[::3]
     cross[1] += jac[1:3]
     ab *= -dt
@@ -290,10 +290,10 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg):
     """
 
     def residual(wc):  # interleaved (u0, v0, u1, ...) like the unknowns
-        return (wc - w - dt * compute_rhs(wc[0], wc[1], dx, kp, rp, kind)).T.ravel()
+        return (wc - w - dt * compute_rhs(wc, dx, kp, rp, kind)).T.ravel()
 
     def factor(wc):
-        return _factor_shifted(_jacobian_ab(wc[0], wc[1], dx, dt, kp, rp, kind), _HALFWIDTH)
+        return _factor_shifted(_jacobian_ab(wc, dx, dt, kp, rp, kind), _HALFWIDTH)
 
     def correct(lu):
         """One damped correction of wc with the factorization lu:

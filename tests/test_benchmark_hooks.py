@@ -39,12 +39,20 @@ def test_benchmark_child_setup_and_trace(tmp_path):
     assert res.returncode == 0, res.stderr
     float(res.stdout.strip())  # the moment the workload was reached
 
+    implicit = tmp_path / "implicit.cfg"
+    implicit.write_text(CONFIG + "stepper.scheme = fully_implicit\n")
     spans_path = tmp_path / "spans.json"
-    res = _child("trace", str(spans_path), "--", "experiment", str(cfg),
-                 "--which", "eps", "--out", str(tmp_path / "eps"))
-    assert res.returncode == 0, res.stderr
-    names = {sp[3] for sp in json.loads(spans_path.read_text())}  # Span.to_list rows
-    assert {"run_eps_convergence", "run_until", "step", "diagnostics_record"} <= names
+    for args, expected in (
+        (["experiment", str(cfg), "--which", "eps", "--out", str(tmp_path / "eps")],
+         {"run_eps_convergence", "run_until", "step", "diagnostics_record"}),
+        # IMEX never calls compute_rhs: only the Newton residual reaches the model layer
+        (["simulate", str(implicit), "--out", str(tmp_path / "implicit")],
+         {"compute_rhs", "step"}),
+    ):
+        res = _child("trace", str(spans_path), "--", *args)
+        assert res.returncode == 0, res.stderr
+        names = {sp[3] for sp in json.loads(spans_path.read_text())}  # Span.to_list rows
+        assert expected <= names
 
 
 def test_traced_verify_sees_report_builders(tmp_path):

@@ -124,6 +124,17 @@ def test_simulate_unknown_key_exit_1(tmp_path):
     assert main(["simulate", cfg]) == 1
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "--which", "coexistence"]],
+                         ids=["simulate", "experiment"])
+def test_non_utf8_config_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes((BASE + f"out.dir = {out}\n").encode() + b"# \xff\n")
+    assert main(command[:1] + [str(cfg)] + command[1:]) == 1
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # lambda2 = a2*lambda1 (the extinction regime) and a far too stiff start: the
 # first step is rejected and dt halves below dt_min
 STIFF = (
@@ -420,6 +431,23 @@ def test_plot_empty_dir_exit_1(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["plot", str(empty)]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"run": ',  # truncated
+    "[1]",
+    '{"run": [1]}',
+    '{"run": {"u_star": "1.5"}}',
+    '{"run": {"u_star": true}}',
+], ids=["truncated", "top-level-list", "run-list", "u_star-string", "u_star-bool"])
+def test_plot_bad_summary_exit_1(tmp_path, capsys, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "timeseries.csv").write_text(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
+    (out / "summary.json").write_text(text)
+    assert main(["plot", str(out)]) == 1
+    assert "summary.json" in capsys.readouterr().err
+    assert not (out / "plot.gp").exists()
 
 
 def test_plot_eps_table(tmp_path):

@@ -152,7 +152,7 @@ def test_g_mollifier_deriv_matches_fd():
 def test_rhs_steady_state_identically_zero(unit_grid, coex_params, reg_params):
     st = State(0.0, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
     for kind in ModelKind:
-        du, dv = compute_rhs(st.u.values, st.v.values, unit_grid.dx,
+        du, dv = compute_rhs(np.array((st.u.values, st.v.values)), unit_grid.dx,
                              coex_params, reg_params, kind)
         assert np.all(du == 0.0)
         assert np.all(dv == 0.0)
@@ -161,7 +161,7 @@ def test_rhs_steady_state_identically_zero(unit_grid, coex_params, reg_params):
 def test_rhs_homogeneous_reduces_to_ode(unit_grid, coex_params, reg_params):
     c1, c2 = 1.3, 0.7
     st = State(0.0, Field.constant(unit_grid, c1), Field.constant(unit_grid, c2))
-    du, dv = compute_rhs(st.u.values, st.v.values, unit_grid.dx,
+    du, dv = compute_rhs(np.array((st.u.values, st.v.values)), unit_grid.dx,
                          coex_params, reg_params, ModelKind.LIMIT)
     kp = coex_params
     assert du == pytest.approx(c1 * (kp.lambda1 - c1 + kp.a1 * c2), rel=1e-14)
@@ -175,8 +175,8 @@ def test_rhs_mass_identity(unit_grid, coex_params, reg_params):
         for _ in range(10):
             st = positive_trig_state(unit_grid, rng)
             u, v = st.u.values, st.v.values
-            du, dv = compute_rhs(u, v, unit_grid.dx, coex_params, reg_params, kind)
-            ru, rv = reaction_terms(u, v, coex_params, reg_params, kind)
+            du, dv = compute_rhs(np.array((u, v)), unit_grid.dx, coex_params, reg_params, kind)
+            ru, rv = reaction_terms(np.array((u, v)), coex_params, reg_params, kind)
             for d, r in ((du, ru), (dv, rv)):
                 scale = max(1.0, np.abs(d).max())
                 gap = integrate_values(d, unit_grid) - integrate_values(r, unit_grid)
@@ -202,12 +202,13 @@ def test_rhs_eps_consistency(unit_grid, coex_params):
         Field(unit_grid, 1.0 + 0.3 * np.cos(2 * np.pi * s)),
     )
     u, v, dx = st.u.values, st.v.values, unit_grid.dx
-    du_lim, dv_lim = compute_rhs(u, v, dx, coex_params, RegParams(1e-8), ModelKind.LIMIT)
+    du_lim, dv_lim = compute_rhs(np.array((u, v)), dx, coex_params, RegParams(1e-8),
+                                 ModelKind.LIMIT)
     errs = []
     eps_values = (1e-2, 1e-4, 1e-6, 1e-8)
     for eps in eps_values:
         rp = RegParams(eps, alpha=0.5, n1=2.0, n2=2.0)
-        du, dv = compute_rhs(u, v, dx, coex_params, rp, ModelKind.REGULARIZED)
+        du, dv = compute_rhs(np.array((u, v)), dx, coex_params, rp, ModelKind.REGULARIZED)
         interior = slice(2, -2)
         err = max(
             np.abs(du[interior] - du_lim[interior]).max(),

@@ -292,8 +292,8 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
     def zero_operator(out, *args):
         out[out.shape[0] // 2] = 1.0 / dt
 
-    def zero_jacobian(u, *args):
-        ab = stp._band_storage(stp._HALFWIDTH, 2 * u.shape[0])
+    def zero_jacobian(w, *args):
+        ab = stp._band_storage(stp._HALFWIDTH, w.size)
         ab[2 * stp._HALFWIDTH] = -1.0
         return ab
 
@@ -308,27 +308,27 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
     assert out.newton_iters <= 1  # the first factorization failed
 
 
-def test_jacobian_matches_finite_differences(coex_params):
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_jacobian_matches_finite_differences(kind, coex_params):
     # -dt * J from _jacobian_ab against central differences of the interleaved
     # right-hand side, block by block.  The cross blocks are exact; the
     # diagonal blocks freeze the diffusion, thin-film and taxis coefficients
     # at the iterate, which drops lower-order terms of relative size about dx
     grid = Grid1D(0.0, 1.0, 32)
     rp = RegParams(1e-3, 0.5, 2.0, 1.0)
-    kind = ModelKind.REGULARIZED
     st = _smooth_state(grid)
     n, dx = grid.n_cells, grid.dx
     w = np.empty(2 * n)
     w[0::2], w[1::2] = st.u.values, st.v.values
 
     def rhs(w):
-        du, dv = compute_rhs(w[0::2], w[1::2], dx, coex_params, rp, kind)
+        du, dv = compute_rhs(np.array((w[0::2], w[1::2])), dx, coex_params, rp, kind)
         out = np.empty(2 * n)
         out[0::2], out[1::2] = du, dv
         return out
 
-    jac = -_dense(stp._jacobian_ab(st.u.values, st.v.values, dx, 1.0, coex_params, rp, kind),
-                  stp._HALFWIDTH)
+    jac = -_dense(stp._jacobian_ab(np.array((st.u.values, st.v.values)), dx, 1.0, coex_params,
+                                   rp, kind), stp._HALFWIDTH)
     jac_fd = np.empty_like(jac)
     for j in range(2 * n):
         e = np.zeros(2 * n)
@@ -540,7 +540,7 @@ def _ref_operator_bands(w, dx, d_coeff, n_exp, rp, kind):
 
 def _ref_imex(u, v, dx, dt, kp, rp, kind):
     ux, vx = face_gradient(u, dx), face_gradient(v, dx)
-    ru, rv = reaction_terms(u, v, kp, rp, kind)
+    ru, rv = reaction_terms(np.array((u, v)), kp, rp, kind)
     flux_xu = -kp.chi1 * taxis_face_coeff(u, rp.n1, rp, kind) * vx
     flux_xv = kp.chi2 * taxis_face_coeff(v, rp.n2, rp, kind) * ux
     rhs_u = u + dt * ((flux_xu[1:] - flux_xu[:-1]) / dx + ru)
@@ -562,7 +562,7 @@ def _ref_jacobian_ab(u, v, dx, dt, kp, rp, kind):
     jvv = _ref_operator_bands(v, dx, kp.d2, rp.n2, rp, kind)
     juv = _ref_tri_bands(-kp.chi1, taxis_face_coeff(u, rp.n1, rp, kind), dx)
     jvu = _ref_tri_bands(kp.chi2, taxis_face_coeff(v, rp.n2, rp, kind), dx)
-    druu, druv, drvu, drvv = reaction_jacobian(u, v, kp, rp, kind)
+    druu, druv, drvu, drvv = reaction_jacobian(np.array((u, v)), kp, rp, kind)
     juu[0], jvv[0], juv[0], jvu[0] = juu[0] + druu, jvv[0] + drvv, juv[0] + druv, jvu[0] + drvu
     diags = {g: np.zeros(2 * n) for g in range(-10, 11)}
     for bands, parity, shift in ((juu, 0, 0), (jvv, 1, 0), (juv, 0, 1), (jvu, 1, -1)):
@@ -575,7 +575,7 @@ def _ref_jacobian_ab(u, v, dx, dt, kp, rp, kind):
 
 def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
     def residual(uc, vc):
-        du, dv = compute_rhs(uc, vc, dx, kp, rp, kind)
+        du, dv = compute_rhs(np.array((uc, vc)), dx, kp, rp, kind)
         res = np.empty(2 * u.shape[0])
         res[0::2], res[1::2] = uc - u - dt * du, vc - v - dt * dv
         return res
