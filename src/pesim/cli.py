@@ -196,13 +196,17 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
             return _fail(f"--beta: suite {suite!r} has no bernis exponent sweep", 1)
         if not math.isfinite(bernis_beta) or bernis_beta == 1.0:
             return _fail(f"--beta: must be finite and differ from 1, got {bernis_beta!r}", 1)
+        try:  # before the out dir exists: a beta it cannot evaluate leaves none
+            swept = [bernis_report(betas=(bernis_beta,))]
+        except ValueError as exc:
+            return _fail(f"--beta: {exc}", 1)
     try:
         _make_dir(out_dir, "--out")
         reports = all_reports(suite, skip=() if bernis_beta is None else ("bernis",))
     except ValueError as exc:  # ConfigError included
         return _fail(str(exc), 1)
     if bernis_beta is not None:
-        reports.append(bernis_report(betas=(bernis_beta,)))
+        reports += swept
     ok = True
     for rep in reports:
         with open(os.path.join(out_dir, f"{rep.name}.json"), "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from .experiments import ExperimentSpec, InitialCondition
 from .grid import Grid1D
 from .model import KineticParams, ModelKind, RegParams
-from .stepper import Scheme, StepperConfig
+from .stepper import Scheme, StepperConfig, _time_tol
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "DEFAULTS"]
 
@@ -146,11 +146,19 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
                   ic=_build(InitialCondition, "ic.", values, chosen))
     stepper = _build(StepperConfig, "stepper.", values, chosen,
                      scheme=_enum(Scheme, "stepper.scheme", values))
+    time_keys = {"dt_min": "stepper.dt_min", "sample_every": "time.sample_every",
+                 "t_end": "time.t_end"}
     # a sample interval below dt_min would cut every step to a sliver
     if not spec.sample_every >= stepper.dt_min:
         exc = ValueError(f"dt_min must not exceed sample_every = {spec.sample_every:g}")
-        raise _fault(exc, {"dt_min": "stepper.dt_min", "sample_every": "time.sample_every"},
-                     chosen)
+        raise _fault(exc, time_keys, chosen)
+    # with a time tolerance of sample_every or more, run_until's cut that lands
+    # a step on the next sample time lengthens the step, past dt_max
+    tol = _time_tol(spec.t_end)
+    if not tol < spec.sample_every:
+        exc = ValueError(f"t_end = {spec.t_end:g} puts the time tolerance {tol:g} at or "
+                         f"above sample_every = {spec.sample_every:g}")
+        raise _fault(exc, time_keys, chosen)
     try:
         spec.ic.build(spec.grid)
     except ValueError as exc:

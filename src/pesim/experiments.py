@@ -25,7 +25,7 @@ from .functionals import (
 )
 from .grid import Field, Grid1D, integrate_values, random_cosine_series
 from .model import KineticParams, ModelKind, RegParams, State
-from .stepper import StepperConfig, StepperFailure, run_until
+from .stepper import StepperConfig, StepperFailure, _time_tol, run_until
 
 __all__ = [
     "InitialCondition",
@@ -110,8 +110,11 @@ class ExperimentSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        # run_until takes no step when t_end lies within its time tolerance
+        # of the start, t = 0
+        tol = _time_tol(self.t_end)
+        if not self.t_end > tol:
+            raise ValueError(f"t_end must exceed the time tolerance {tol:g}")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 

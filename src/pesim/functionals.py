@@ -5,6 +5,15 @@ asymptotic mass bound, the homogeneous steady states, the logarithmic
 quasi-entropy F with its dissipation rate D, the coexistence pair (E1, D1),
 the extinction pair (E2, D2), the gradient functional y used as a conditional
 quasi-entropy, and the weak-form residual of a sampled trajectory.
+
+Where u and v enter alike, a functional evaluates both at once in the model's
+stacked form: w = (u, v) is one (2, n) array, the per-field constants are
+(2, 1) columns (model._columns, the steady state), exponents go through
+model._pow, one diff1_values call gives both gradients, and _quad integrates
+each row.  The row integrals are then added in the order of the per-field
+formulas (E1 field by field, D1 term by term with u before v), because any
+other order changes the last bit.  E2 and D2 are not symmetric in u and v and
+keep one term per field.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import diff1_values, diff2_values, integrate_values
-from .model import KineticParams, RegParams, State
+from .grid import diff1_values, diff2_values
+from .model import KineticParams, ModelKind, RegParams, State, _columns, _pow, reaction_terms
 
 __all__ = [
     "Regime",
@@ -39,6 +48,10 @@ __all__ = [
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+# The limit system reads no regularization constant, but the model's
+# parameter columns are built from a RegParams; any valid one will do.
+_LIMIT_REG = RegParams(eps=0.5)
 
 
 class Regime(Enum):
@@ -78,9 +91,13 @@ def m_infinity(kp: KineticParams, omega_len: float) -> float:
     )
 
 
-def phi(xi_star: float, xi):
-    """Bregman distance xi - xi_star - xi_star*ln(xi/xi_star) to xi_star; >= 0."""
-    if not xi_star > 0.0:
+def phi(xi_star, xi):
+    """Bregman distance xi - xi_star - xi_star*ln(xi/xi_star) to xi_star; >= 0.
+
+    xi_star is a number, or a (2, 1) column with one value per row of a
+    stacked xi.
+    """
+    if not np.all(np.asarray(xi_star) > 0.0):
         raise ValueError("xi_star must be positive")
     if np.any(np.asarray(xi) <= 0.0):
         raise ValueError("xi must be positive")
@@ -91,38 +108,39 @@ def phi(xi_star: float, xi):
 # entropy / dissipation functionals
 # ---------------------------------------------------------------------------
 
-def _quad(values, grid) -> float:
-    return integrate_values(np.asarray(values), grid)
+def _pair(state: State) -> np.ndarray:
+    """The state's fields stacked as one (2, n) array w = (u, v)."""
+    return np.array((state.u.values, state.v.values))
+
+
+def _quad(values, grid):
+    """Midpoint integral of each row (a row mean is bitwise the 1-D mean)."""
+    return grid.length * values.mean(axis=-1)
 
 
 def quasi_entropy_F(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Logarithmic quasi-entropy with the regularization's inverse-power tail."""
-    g = state.grid
-    u, v = state.u.values, state.v.values
-    rho = kp.chi1 / kp.chi2
-
-    def one(w, n):
-        tail = rp.eps / ((3.0 - n) * (4.0 - n)) * _quad(w ** -(3.0 - n), g)
-        return _quad(w * np.log(w), g) - _quad(w, g) + tail
-
-    return one(u, rp.n1) + rho * one(v, rp.n2)
+    g, w = state.grid, _pair(state)
+    n = _columns(kp, rp).n
+    # raveled: a (2, 1) column would broadcast against the (2,) row integrals
+    coef = np.ravel(rp.eps / ((3.0 - n) * (4.0 - n)))
+    f = _quad(w * np.log(w), g) - _quad(w, g) + coef * _quad(_pow(w, -(3.0 - n)), g)
+    return float(f[0] + kp.chi1 / kp.chi2 * f[1])
 
 
 def dissipation_D(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the quasi-entropy; nonnegative."""
-    g = state.grid
-    rho = kp.chi1 / kp.chi2
-
-    def one(w, d, n):
-        wx = diff1_values(w, g.dx)
-        wxx = diff2_values(w, g.dx)
-        return (
-            d / 2.0 * _quad(wx**2 / w, g)
-            + rp.eps * _quad(w ** (n - 1.0) * wxx**2, g)
-            + d * rp.eps * _quad(wx**2 / w ** (5.0 - n), g)
-        )
-
-    return one(state.u.values, kp.d1, rp.n1) + rho * one(state.v.values, kp.d2, rp.n2)
+    g, w = state.grid, _pair(state)
+    c = _columns(kp, rp)
+    d = c.d.ravel()
+    wx = diff1_values(w, g.dx)
+    wxx = diff2_values(w, g.dx)
+    f = (
+        d / 2.0 * _quad(wx**2 / w, g)
+        + rp.eps * _quad(_pow(w, c.n - 1.0) * wxx**2, g)
+        + d * rp.eps * _quad(wx**2 / _pow(w, 5.0 - c.n), g)
+    )
+    return float(f[0] + kp.chi1 / kp.chi2 * f[1])
 
 
 def entropy_E1(state: State, kp: KineticParams, rp: RegParams) -> float:
@@ -130,33 +148,25 @@ def entropy_E1(state: State, kp: KineticParams, rp: RegParams) -> float:
     ss = steady_states(kp)
     if ss.regime is not Regime.COEXISTENCE:
         raise ValueError("coexistence entropy undefined in the extinction regime")
-    g = state.grid
-    u, v = state.u.values, state.v.values
-    a = kp.a1 / kp.a2
-    return (
-        _quad(phi(ss.u_star, u), g)
-        + ss.u_star * rp.eps / 6.0 * _quad(u**-2, g)
-        + a * _quad(phi(ss.v_star, v), g)
-        + a * ss.v_star * rp.eps / 6.0 * _quad(v**-2, g)
-    )
+    g, w = state.grid, _pair(state)
+    star = np.array([[ss.u_star], [ss.v_star]])
+    # the weight leads each product, as in the per-field a * v_star * eps / 6
+    weight = np.array([1.0, kp.a1 / kp.a2])
+    rel = weight * _quad(phi(star, w), g)
+    tail = weight * star.ravel() * rp.eps / 6.0 * _quad(w**-2, g)
+    return float(rel[0] + tail[0] + rel[1] + tail[1])
 
 
 def dissipation_rate_D1(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the coexistence entropy; nonnegative."""
     ss = steady_states(kp)
-    g = state.grid
-    u, v = state.u.values, state.v.values
-    ux = diff1_values(u, g.dx)
-    vx = diff1_values(v, g.dx)
+    g, w = state.grid, _pair(state)
+    wx = diff1_values(w, g.dx)
     epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
-    return (
-        _quad(ux**2 / u**2, g)
-        + _quad(vx**2 / v**2, g)
-        + _quad((u - ss.u_star) ** 2, g)
-        + _quad((v - ss.v_star) ** 2, g)
-        + epow * _quad(u ** (-rp.alpha - 4.0) * ux**2, g)
-        + epow * _quad(v ** (-rp.alpha - 4.0) * vx**2, g)
-    )
+    grad = _quad(wx**2 / w**2, g)
+    dev = _quad((w - np.array([[ss.u_star], [ss.v_star]])) ** 2, g)
+    fast = epow * _quad(w ** (-rp.alpha - 4.0) * wx**2, g)
+    return float(grad[0] + grad[1] + dev[0] + dev[1] + fast[0] + fast[1])
 
 
 def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
@@ -164,7 +174,7 @@ def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
     g = state.grid
     u, v = state.u.values, state.v.values
     a = kp.a1 / kp.a2
-    return (
+    return float(
         _quad(phi(kp.lambda1, u), g)
         + kp.lambda1 * rp.eps / 6.0 * _quad(u**-2, g)
         + a * _quad(v, g)
@@ -176,11 +186,10 @@ def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
 def dissipation_rate_D2(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the extinction entropy; nonnegative."""
     g = state.grid
-    u, v = state.u.values, state.v.values
-    ux = diff1_values(u, g.dx)
-    vx = diff1_values(v, g.dx)
+    u, v = w = _pair(state)
+    ux, vx = diff1_values(w, g.dx)
     epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
-    return (
+    return float(
         _quad(ux**2 / u**2, g)
         + _quad(vx**2, g)
         + _quad((u - kp.lambda1) ** 2, g)
@@ -194,10 +203,9 @@ def conditional_y(state: State, gamma: float = 1.0) -> float:
     """Gradient functional  int u_x^2 + gamma * int v_x^2  (gamma > 0)."""
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    g = state.grid
-    ux = diff1_values(state.u.values, g.dx)
-    vx = diff1_values(state.v.values, g.dx)
-    return _quad(ux**2, g) + gamma * _quad(vx**2, g)
+    g, w = state.grid, _pair(state)
+    h1 = _quad(diff1_values(w, g.dx) ** 2, g)
+    return float(h1[0] + gamma * h1[1])
 
 
 def cross_entropy_productions(state: State, kp: KineticParams, rp: RegParams):
@@ -211,9 +219,7 @@ def cross_entropy_productions(state: State, kp: KineticParams, rp: RegParams):
     few ulp.
     """
     g = state.grid
-    u, v = state.u.values, state.v.values
-    ux = (u[1:] - u[:-1]) / g.dx
-    vx = (v[1:] - v[:-1]) / g.dx
+    ux, vx = np.diff(_pair(state)) / g.dx
     s = g.dx * float((ux * vx).sum())
     return kp.chi1 * s, -(kp.chi1 / kp.chi2) * kp.chi2 * s
 
@@ -269,34 +275,24 @@ def weak_residual(sample_log, kp: KineticParams, test_fn) -> tuple[float, float]
     grid = samples[0].grid
     x = grid.centers
     times = np.array([s.t for s in samples])
+    c = _columns(kp, _LIMIT_REG)
 
-    iu_pt = np.empty(len(samples))
-    iv_pt = np.empty(len(samples))
-    iu_flux = np.empty(len(samples))
-    iv_flux = np.empty(len(samples))
-    iu_react = np.empty(len(samples))
-    iv_react = np.empty(len(samples))
+    i_pt, i_flux, i_react = (np.empty((2, len(samples))) for _ in range(3))
     for k, s in enumerate(samples):
-        u, v = s.u.values, s.v.values
-        ux = diff1_values(u, grid.dx)
-        vx = diff1_values(v, grid.dx)
+        w = _pair(s)
+        wx = diff1_values(w, grid.dx)
         ph = np.asarray(test_fn.value(x, s.t))
         ph_t = np.asarray(test_fn.time_deriv(x, s.t))
         ph_x = np.asarray(test_fn.space_deriv(x, s.t))
-        iu_pt[k] = _quad(u * ph_t, grid)
-        iv_pt[k] = _quad(v * ph_t, grid)
-        iu_flux[k] = _quad((-kp.d1 * ux + kp.chi1 * u * vx) * ph_x, grid)
-        iv_flux[k] = _quad((-kp.d2 * vx - kp.chi2 * v * ux) * ph_x, grid)
-        iu_react[k] = _quad(u * (kp.lambda1 - u + kp.a1 * v) * ph, grid)
-        iv_react[k] = _quad(v * (kp.lambda2 - v - kp.a2 * u) * ph, grid)
+        i_pt[:, k] = _quad(w * ph_t, grid)
+        # the limit system's flux as model.compute_rhs forms it, at the cells
+        i_flux[:, k] = _quad(-(c.d * wx + c.chi * w * wx[::-1]) * ph_x, grid)
+        i_react[:, k] = _quad(reaction_terms(w, kp, _LIMIT_REG, ModelKind.LIMIT) * ph, grid)
 
-    u0, v0 = samples[0].u.values, samples[0].v.values
     ph0 = np.asarray(test_fn.value(x, samples[0].t))
-    lhs_u = -_trapz(iu_pt, times) - _quad(u0 * ph0, grid)
-    lhs_v = -_trapz(iv_pt, times) - _quad(v0 * ph0, grid)
-    rhs_u = _trapz(iu_flux, times) + _trapz(iu_react, times)
-    rhs_v = _trapz(iv_flux, times) + _trapz(iv_react, times)
-    return abs(lhs_u - rhs_u), abs(lhs_v - rhs_v)
+    lhs = -_trapz(i_pt, times) - _quad(_pair(samples[0]) * ph0, grid)
+    rhs = _trapz(i_flux, times) + _trapz(i_react, times)
+    return tuple(np.abs(lhs - rhs).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +331,14 @@ def diagnostics_record(state: State, kp: KineticParams, rp: RegParams,
     In the extinction regime the coexistence pair (E1, D1) is undefined and
     reported as None (empty in CSV output) rather than infinity or NaN.
     """
-    g = state.grid
-    u, v = state.u.values, state.v.values
+    g, w = state.grid, _pair(state)
     coexist = steady_states(kp).regime is Regime.COEXISTENCE
-    ux = diff1_values(u, g.dx)
-    vx = diff1_values(v, g.dx)
-    h1_u = _quad(ux**2, g)
-    h1_v = _quad(vx**2, g)
+    mass_u, mass_v = _quad(w, g).tolist()
+    h1_u, h1_v = _quad(diff1_values(w, g.dx) ** 2, g).tolist()
     return DiagnosticsRecord(
         t=state.t,
-        mass_u=_quad(u, g),
-        mass_v=_quad(v, g),
+        mass_u=mass_u,
+        mass_v=mass_v,
         F=quasi_entropy_F(state, kp, rp),
         D=dissipation_D(state, kp, rp),
         E1=entropy_E1(state, kp, rp) if coexist else None,

@@ -66,11 +66,14 @@ class CheckReport:
 
 
 def _make_report(name, results, tolerance) -> CheckReport:
-    """The report of a list of (ratio, payload) pairs; the first worst ratio wins."""
+    """The report of a list of (ratio, payload) pairs; the first worst ratio
+    wins, and a NaN ratio (nothing evaluated) wins at once and fails."""
     worst, payload = -math.inf, {}
     for ratio, pl in results:
-        if ratio > worst:
+        if ratio > worst or math.isnan(ratio):
             worst, payload = ratio, pl
+            if math.isnan(ratio):
+                break
     return CheckReport(name, len(results), worst, worst <= 1.0 + tolerance, tolerance, payload)
 
 
@@ -97,7 +100,8 @@ def signed_ratio(lhs: float, rhs: float) -> float:
 def check_bernis(f: Field, beta: float) -> float:
     """Ratio of int f^(beta-2) f_x^4 against 9/(beta-1)^2 int f^beta f_xx^2.
 
-    Constants make both sides vanish; that degenerate case reports 0.
+    Constants make both sides vanish; that degenerate case reports 0.  A
+    beta at which either integral is not finite raises ValueError.
     """
     if beta == 1.0:
         raise ValueError("beta must differ from 1")
@@ -106,8 +110,12 @@ def check_bernis(f: Field, beta: float) -> float:
     w = f.values
     wx = diff1_values(w, g.dx)
     wxx = diff2_values(w, g.dx)
-    lhs = integrate_values(w ** (beta - 2.0) * wx**4, g)
-    rhs = 9.0 / (beta - 1.0) ** 2 * integrate_values(w**beta * wxx**2, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = integrate_values(w ** (beta - 2.0) * wx**4, g)
+        rhs = integrate_values(w**beta * wxx**2, g)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"beta = {beta:g} makes a bernis integral non-finite")
+    rhs = 9.0 / (beta - 1.0) ** 2 * rhs
     if rhs == 0.0 and lhs == 0.0:
         return 0.0
     return signed_ratio(lhs, rhs)

@@ -80,6 +80,11 @@ _TOL = 1e-5  # fully implicit: local error per step, relative to 1 + |w|
 _NEWTON_MAX_ITER = 25
 
 
+def _time_tol(t_end: float) -> float:
+    """Tolerance of run_until's time comparisons on a run to t_end."""
+    return 1e-9 * max(1.0, abs(t_end))
+
+
 class Scheme(Enum):
     IMEX = "imex"
     FULLY_IMPLICIT = "fully_implicit"
@@ -407,7 +412,7 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
         raise ValueError("t_end must not precede state.t")
 
     samples: list[State] = [state]
-    tol_t = 1e-9 * max(1.0, abs(t_end))
+    tol_t = _time_tol(t_end)
     if t_end <= state.t + tol_t:
         return samples
 

@@ -187,6 +187,8 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     ("grid.n", "4"),
     ("domain.right", "-1"),
     ("time.t_end", "-1"),
+    ("time.t_end", "3e9"),  # time tolerance 3 above sample_every: a step past dt_max
+    ("time.t_end", "1e-10"),  # within the time tolerance: no step at all
     # dt_min above the sample interval that BASE sets
     pytest.param("stepper.dt_min", "2\nstepper.dt_init = 2\nstepper.dt_max = 2",
                  id="stepper.dt_min-dt_init-dt_max-2"),
@@ -391,7 +393,9 @@ def test_verify_beta_runs_only_that_beta(tmp_path, monkeypatch):
     ["--suite", "all", "--beta", "inf"],
     ["--suite", "ode", "--beta", "2"],  # a suite without the bernis sweep
     ["--suite", "mollifier", "--beta", "2"],
-], ids=["nan", "inf", "ode-suite", "mollifier-suite"])
+    ["--suite", "bernis", "--beta", "1e5"],  # the integrals overflow: every ratio NaN
+    ["--suite", "all", "--beta", "1e308"],  # (beta - 1)**2 overflows a float
+], ids=["nan", "inf", "ode-suite", "mollifier-suite", "1e5", "1e308"])
 def test_verify_bad_beta_exit_1(tmp_path, capsys, args):
     out = tmp_path / "reports"
     assert main(["verify", "--out", str(out), *args]) == 1

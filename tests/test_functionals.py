@@ -5,6 +5,7 @@ import pytest
 
 from pesim.functionals import (
     CosineBumpTestFunction,
+    DiagnosticsRecord,
     Regime,
     conditional_y,
     cross_entropy_productions,
@@ -20,7 +21,7 @@ from pesim.functionals import (
     steady_states,
     weak_residual,
 )
-from pesim.grid import Field, Grid1D
+from pesim.grid import Field, Grid1D, diff1_values, diff2_values, integrate_values
 from pesim.model import KineticParams, ModelKind, RegParams, State
 from conftest import positive_trig_state
 
@@ -98,6 +99,13 @@ def test_phi():
         val = phi(xi_star, xi)
         assert val >= 0.0
         assert val <= 2.0 / xi_star * (xi - xi_star) ** 2 * (1.0 + 1e-12) + 1e-15
+    # a (2, 1) column xi_star applies one value per row of a stacked xi
+    w = rng.uniform(0.1, 5.0, (2, 9))
+    col = phi(np.array([[1.5], [0.5]]), w)
+    assert col.shape == (2, 9)
+    assert np.array_equal(col[0], phi(1.5, w[0])) and np.array_equal(col[1], phi(0.5, w[1]))
+    with pytest.raises(ValueError):
+        phi(np.array([[1.5], [0.0]]), w)
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +283,157 @@ def test_weak_residual_refinement(weak_residual_pair):
     (ru1, rv1), (ru2, rv2) = weak_residual_pair
     assert ru1 / ru2 >= 2.0
     assert rv1 / rv2 >= 2.0
+
+
+# ---------------------------------------------------------------------------
+# per-field reference: the functionals as written one field at a time
+# ---------------------------------------------------------------------------
+
+def _ref_quad(values, grid):
+    return integrate_values(np.asarray(values), grid)
+
+
+def _ref_record(state, kp, rp, gamma):
+    """Every DiagnosticsRecord field from per-field formulas, in the order
+    of addition the stacked functionals must keep bit for bit."""
+    g = state.grid
+    u, v = state.u.values, state.v.values
+    ux, vx = diff1_values(u, g.dx), diff1_values(v, g.dx)
+    rho, a = kp.chi1 / kp.chi2, kp.a1 / kp.a2
+    epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
+    ss = steady_states(kp)
+
+    def F_one(w, n):
+        tail = rp.eps / ((3.0 - n) * (4.0 - n)) * _ref_quad(w ** -(3.0 - n), g)
+        return _ref_quad(w * np.log(w), g) - _ref_quad(w, g) + tail
+
+    def D_one(w, d, n):
+        wx = diff1_values(w, g.dx)
+        wxx = diff2_values(w, g.dx)
+        return (
+            d / 2.0 * _ref_quad(wx**2 / w, g)
+            + rp.eps * _ref_quad(w ** (n - 1.0) * wxx**2, g)
+            + d * rp.eps * _ref_quad(wx**2 / w ** (5.0 - n), g)
+        )
+
+    rec = dict(
+        t=state.t,
+        mass_u=_ref_quad(u, g),
+        mass_v=_ref_quad(v, g),
+        F=F_one(u, rp.n1) + rho * F_one(v, rp.n2),
+        D=D_one(u, kp.d1, rp.n1) + rho * D_one(v, kp.d2, rp.n2),
+        E1=None,
+        D1=None,
+        E2=(
+            _ref_quad(phi(kp.lambda1, u), g)
+            + kp.lambda1 * rp.eps / 6.0 * _ref_quad(u**-2, g)
+            + a * _ref_quad(v, g)
+            + a / (2.0 * kp.lambda2) * _ref_quad(v**2, g)
+            + a * rp.eps / (2.0 * kp.lambda2) * _ref_quad(1.0 / v, g)
+        ),
+        D2=(
+            _ref_quad(ux**2 / u**2, g)
+            + _ref_quad(vx**2, g)
+            + _ref_quad((u - kp.lambda1) ** 2, g)
+            + _ref_quad(v**3, g)
+            + epow * _ref_quad(u ** (-rp.alpha - 4.0) * ux**2, g)
+            + epow * _ref_quad(v ** (-rp.alpha - 3.0) * vx**2, g)
+        ),
+        y=_ref_quad(ux**2, g) + gamma * _ref_quad(vx**2, g),
+        min_u=float(u.min()),
+        min_v=float(v.min()),
+        max_u=float(u.max()),
+        max_v=float(v.max()),
+        h1_u=_ref_quad(ux**2, g),
+        h1_v=_ref_quad(vx**2, g),
+    )
+    if ss.regime is Regime.COEXISTENCE:
+        rec["E1"] = (
+            _ref_quad(phi(ss.u_star, u), g)
+            + ss.u_star * rp.eps / 6.0 * _ref_quad(u**-2, g)
+            + a * _ref_quad(phi(ss.v_star, v), g)
+            + a * ss.v_star * rp.eps / 6.0 * _ref_quad(v**-2, g)
+        )
+        rec["D1"] = (
+            _ref_quad(ux**2 / u**2, g)
+            + _ref_quad(vx**2 / v**2, g)
+            + _ref_quad((u - ss.u_star) ** 2, g)
+            + _ref_quad((v - ss.v_star) ** 2, g)
+            + epow * _ref_quad(u ** (-rp.alpha - 4.0) * ux**2, g)
+            + epow * _ref_quad(v ** (-rp.alpha - 4.0) * vx**2, g)
+        )
+    return rec
+
+
+def _ref_weak_residual(samples, kp, test_fn):
+    grid = samples[0].grid
+    x = grid.centers
+    times = np.array([s.t for s in samples])
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    rows = []
+    for s in samples:
+        u, v = s.u.values, s.v.values
+        ux, vx = diff1_values(u, grid.dx), diff1_values(v, grid.dx)
+        ph, ph_t, ph_x = (np.asarray(f(x, s.t)) for f in
+                          (test_fn.value, test_fn.time_deriv, test_fn.space_deriv))
+        rows.append((
+            _ref_quad(u * ph_t, grid),
+            _ref_quad(v * ph_t, grid),
+            _ref_quad((-kp.d1 * ux + kp.chi1 * u * vx) * ph_x, grid),
+            _ref_quad((-kp.d2 * vx - kp.chi2 * v * ux) * ph_x, grid),
+            _ref_quad(u * (kp.lambda1 - u + kp.a1 * v) * ph, grid),
+            _ref_quad(v * (kp.lambda2 - v - kp.a2 * u) * ph, grid),
+        ))
+    iu_pt, iv_pt, iu_flux, iv_flux, iu_react, iv_react = (np.array(c) for c in zip(*rows))
+    u0, v0 = samples[0].u.values, samples[0].v.values
+    ph0 = np.asarray(test_fn.value(x, samples[0].t))
+    lhs_u = -trapz(iu_pt, times) - _ref_quad(u0 * ph0, grid)
+    lhs_v = -trapz(iv_pt, times) - _ref_quad(v0 * ph0, grid)
+    rhs_u = trapz(iu_flux, times) + trapz(iu_react, times)
+    rhs_v = trapz(iv_flux, times) + trapz(iv_react, times)
+    return abs(lhs_u - rhs_u), abs(lhs_v - rhs_v)
+
+
+# coexistence (lambda2 > a2*lambda1) and extinction, with every rate distinct
+_REF_KP = {
+    "coexistence": _kp(d1=0.7, d2=1.3, chi1=0.11, chi2=0.04, a1=0.8, a2=0.6,
+                       lambda1=1.1, lambda2=2.3),
+    "extinction": _kp(d1=1.2, d2=0.9, chi1=0.03, chi2=0.07, a1=1.4, a2=0.9,
+                      lambda1=2.0, lambda2=1.0),
+}
+
+
+@pytest.mark.parametrize("n_cells", (16, 128, 1000))
+@pytest.mark.parametrize("n_exp", ((2.0, 2.0), (2.0, 1.0), (1.3, 1.7)))
+@pytest.mark.parametrize("regime", sorted(_REF_KP))
+def test_diagnostics_match_per_field_reference(regime, n_exp, n_cells):
+    """The stacked functionals give the per-field formulas' numbers exactly,
+    with n1 = n2 and n1 != n2 (the extinction study runs n2 = 1)."""
+    kp = _REF_KP[regime]
+    rp = RegParams(eps=3e-3, alpha=0.4, n1=n_exp[0], n2=n_exp[1])
+    grid = Grid1D(-0.5, 1.25, n_cells)
+    rng = np.random.default_rng(n_cells)
+    for t in (0.0, 0.5):
+        st = positive_trig_state(grid, rng, base=(0.3, 2.5), t=t)
+        rec = diagnostics_record(st, kp, rp, gamma=1.7)
+        ref = _ref_record(st, kp, rp, 1.7)
+        assert {k: getattr(rec, k) for k in DiagnosticsRecord.CSV_COLUMNS} == ref
+        assert all(type(x) is float for x in ref.values() if x is not None)
+        assert all(type(getattr(rec, k)) is float for k in ref if ref[k] is not None)
+        assert quasi_entropy_F(st, kp, rp) == ref["F"]
+        assert conditional_y(st, 1.7) == ref["y"]
+
+
+@pytest.mark.parametrize("n_cells", (16, 200))
+@pytest.mark.parametrize("regime", sorted(_REF_KP))
+def test_weak_residual_matches_per_field_reference(regime, n_cells):
+    kp = _REF_KP[regime]
+    grid = Grid1D(0.0, 2.0, n_cells)
+    rng = np.random.default_rng(7 + n_cells)
+    times = np.linspace(0.0, 1.5, 12)
+    samples = [positive_trig_state(grid, rng, base=(0.3, 2.5), t=t) for t in times]
+    for mode in (0, 1, 3):
+        tf = CosineBumpTestFunction(mode, 1.5, 0.0, 2.0)
+        got = weak_residual(samples, kp, tf)
+        assert got == _ref_weak_residual(samples, kp, tf)
+        assert all(type(r) is float for r in got)

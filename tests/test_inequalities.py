@@ -47,6 +47,21 @@ def test_bernis_rejects_beta_one_and_nonpositive():
         check_bernis(f, 1.0)
     with pytest.raises(ValueError):
         check_bernis(Field.constant(g, -1.0), 0.0)
+    # a beta whose integrals overflow evaluates nothing
+    wavy = Field.from_function(g, lambda x: 2.0 + np.cos(np.pi * x))
+    for beta in (1e5, 1e308):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_bernis(wavy, beta)
+
+
+def test_make_report_nan_ratio_wins_and_fails():
+    # a NaN ratio evaluated nothing: it is reported, not skipped as NaN > worst is
+    results = [(0.5, {"i": 0}), (math.nan, {"i": 1}), (2.0, {"i": 2}), (math.nan, {"i": 3})]
+    rep = inequalities._make_report("nan", results, 0.05)
+    assert math.isnan(rep.worst_ratio) and rep.worst_case_payload == {"i": 1}
+    assert rep.passed is False and rep.samples == 4
+    rep = inequalities._make_report("ok", [(0.5, {"i": 0}), (0.9, {"i": 1})], 0.05)
+    assert rep.worst_ratio == 0.9 and rep.passed is True
 
 
 def test_bernis_cosine_example():

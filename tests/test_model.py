@@ -20,6 +20,7 @@ from pesim.model import (
     h_flux_deriv2,
     log_entropy_weight,
     m4_mobility,
+    reaction_jacobian,
     reaction_terms,
 )
 from conftest import positive_trig_state
@@ -181,6 +182,31 @@ def test_rhs_mass_identity(unit_grid, coex_params, reg_params):
                 scale = max(1.0, np.abs(d).max())
                 gap = integrate_values(d, unit_grid) - integrate_values(r, unit_grid)
                 assert abs(gap) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_reaction_jacobian_matches_finite_differences(unit_grid, kind):
+    # every block against central differences of the pointwise reactions; in
+    # the full Jacobian the reaction part of the diagonal blocks is hidden
+    # behind the diffusion bands
+    kp = KineticParams(d1=1.0, d2=1.0, chi1=0.05, chi2=0.05, a1=0.8, a2=0.6,
+                       lambda1=1.1, lambda2=2.3)
+    rp = RegParams(eps=0.05, alpha=0.5, n1=2.0, n2=1.0)
+    st = positive_trig_state(unit_grid, np.random.default_rng(29), base=(0.1, 2.0))
+    w = np.array((st.u.values, st.v.values))
+    h = 1e-6
+    # fd[j][i] = d r_i / d w_j: the reactions are pointwise, so perturbing a
+    # whole row gives the derivative at every cell at once
+    fd = []
+    for j in range(2):
+        e = np.zeros_like(w)
+        e[j] = h
+        fd.append((reaction_terms(w + e, kp, rp, kind)
+                   - reaction_terms(w - e, kp, rp, kind)) / (2.0 * h))
+    jac = reaction_jacobian(w, kp, rp, kind)
+    # rows: d ru/du, d ru/dv, d rv/du, d rv/dv
+    for row, ref in zip(jac, (fd[0][0], fd[1][0], fd[0][1], fd[1][1])):
+        assert np.abs(row - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 def test_rhs_rejects_bad_input(unit_grid, coex_params, reg_params):
