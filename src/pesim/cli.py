@@ -8,9 +8,11 @@ significant digits so they round-trip 64-bit floats exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import re
 import shutil
 import sys
 
@@ -96,6 +98,23 @@ def _make_dir(path, key) -> str | None:
     return created
 
 
+_SNAPSHOT = re.compile(r"state_(\d{5,})\.csv")  # write_snapshots' file names
+
+
+def _remove_stale(out_dir, n_snapshots):
+    """Remove the outputs of an earlier run in out_dir that this run does not
+    overwrite: snapshots numbered n_snapshots and up, verdicts.json and
+    eps_distances.csv (an experiment writes those after _write_run)."""
+    stale = [os.path.join(out_dir, name) for name in ("verdicts.json", "eps_distances.csv")]
+    snap_dir = os.path.join(out_dir, "snapshots")
+    if os.path.isdir(snap_dir):
+        stale += [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
+                  if (m := _SNAPSHOT.fullmatch(name)) and int(m[1]) >= n_snapshots]
+    for path in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+
 def _load_config(config_path, out_override) -> tuple[RunConfig, str | None]:
     """The parsed config and _make_dir's result for its out.dir; raises
     ConfigError or OSError (the config file unreadable or not UTF-8)."""
@@ -142,6 +161,7 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     except StepperFailure as exc:
         return _write_run(cfg, exc.samples, exc.records, exc, which)
 
+    _write_run(cfg, result.states, result.records, experiment=which)
     if "distances" in result.extras:
         with open(os.path.join(out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
             fh.write("eps_hi,eps_lo,dist_u,dist_v\n")
@@ -154,7 +174,6 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
         json.dump({"experiment": which, "verdicts": verdicts, "extras": result.extras},
                   fh, indent=2)
         fh.write("\n")
-    _write_run(cfg, result.states, result.records, experiment=which)
     if not all(v["pass"] for v in verdicts.values()):
         return _fail("one or more verdicts failed (see verdicts.json)", 3)
     return 0
@@ -163,8 +182,10 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
 def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
                failure: StepperFailure | None = None, experiment=None) -> int:
     """Write timeseries.csv, the snapshots (if any states) and summary.json of
-    one run, complete or cut short by failure; returns the exit code, 2 after
+    one run, complete or cut short by failure, after removing what an earlier
+    run left that this one does not overwrite; returns the exit code, 2 after
     a failure and 0 otherwise."""
+    _remove_stale(cfg.out_dir, len(states))
     write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
     if states:
         write_snapshots(cfg.out_dir, states)

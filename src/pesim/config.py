@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from .experiments import ExperimentSpec, InitialCondition
 from .grid import Grid1D
 from .model import KineticParams, ModelKind, RegParams
-from .stepper import Scheme, StepperConfig, _time_tol
+from .stepper import Scheme, StepperConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "parse_config_text", "DEFAULTS"]
 
@@ -138,27 +138,21 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(key, "unknown key")
         values[key] = val
         chosen.add(key)
+    stepper = _build(StepperConfig, "stepper.", values, chosen,
+                     scheme=_enum(Scheme, "stepper.scheme", values))
+    # a sample interval below dt_min would cut every step to a sliver; checked
+    # before ExperimentSpec, whose time-tolerance test a tiny interval fails too
+    sample_every = values["time.sample_every"]
+    if not sample_every >= stepper.dt_min:
+        exc = ValueError(f"dt_min must not exceed sample_every = {sample_every:g}")
+        raise _fault(exc, {"dt_min": "stepper.dt_min", "sample_every": "time.sample_every"},
+                     chosen)
     spec = _build(ExperimentSpec, "", values, chosen,
                   kp=_build(KineticParams, "model.", values, chosen),
                   rp=_build(RegParams, "reg.", values, chosen),
                   kind=_enum(ModelKind, "model.kind", values),
                   grid=_build(Grid1D, "", values, chosen),
                   ic=_build(InitialCondition, "ic.", values, chosen))
-    stepper = _build(StepperConfig, "stepper.", values, chosen,
-                     scheme=_enum(Scheme, "stepper.scheme", values))
-    time_keys = {"dt_min": "stepper.dt_min", "sample_every": "time.sample_every",
-                 "t_end": "time.t_end"}
-    # a sample interval below dt_min would cut every step to a sliver
-    if not spec.sample_every >= stepper.dt_min:
-        exc = ValueError(f"dt_min must not exceed sample_every = {spec.sample_every:g}")
-        raise _fault(exc, time_keys, chosen)
-    # with a time tolerance of sample_every or more, run_until's cut that lands
-    # a step on the next sample time lengthens the step, past dt_max
-    tol = _time_tol(spec.t_end)
-    if not tol < spec.sample_every:
-        exc = ValueError(f"t_end = {spec.t_end:g} puts the time tolerance {tol:g} at or "
-                         f"above sample_every = {spec.sample_every:g}")
-        raise _fault(exc, time_keys, chosen)
     try:
         spec.ic.build(spec.grid)
     except ValueError as exc:
@@ -168,7 +162,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config_text(fh.read(), overrides)
 
 

@@ -115,6 +115,11 @@ class ExperimentSpec:
         tol = _time_tol(self.t_end)
         if not self.t_end > tol:
             raise ValueError(f"t_end must exceed the time tolerance {tol:g}")
+        # with a time tolerance of sample_every or more, run_until's cut that
+        # lands a step on the next sample time lengthens the step, past dt_max
+        if not tol < self.sample_every:
+            raise ValueError(f"t_end = {self.t_end:g} puts the time tolerance {tol:g} at or "
+                             f"above sample_every = {self.sample_every:g}")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 

@@ -20,9 +20,9 @@ The two equations differ only in their parameters, so the kernels evaluate
 both at once on the pair stacked as one (2, n) array w = (u, v), with the
 per-field parameters as (2, 1) columns (_columns) and the other field read as
 the flipped rows w[::-1].  The entry points take w as it is; only the
-stepper's step() and _bdf1_error stack a State's Fields, once per step.  The
-face and coefficient helpers work along the last axis, so they take one field
-with scalar parameters as well.  The exponents n_i stay scalars, one per row
+stepper's step() stacks a State's Fields, once per step.  The face and
+coefficient helpers work along the last axis, so they take one field with
+scalar parameters as well.  The exponents n_i stay scalars, one per row
 when n1 != n2 (_pow): numpy's power has a fast path for the scalar exponent
 2.0 that an array exponent skips, and the two differ in the last bit.
 """

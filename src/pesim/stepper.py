@@ -5,7 +5,7 @@ IMEX treats the stiff parts implicitly with coefficients frozen at the old
 state (plain diffusion, the fourth-order thin-film term, and the singular
 fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
 Both fields are held as one (2, n) array (see the model module), which only
-step() and _bdf1_error stack from a State's Fields.  The IMEX step is one
+step() stacks from a State's Fields.  The IMEX step is one
 banded solve of a block-diagonal system with u in rows [0, n) and v in
 [n, 2n): the stacked array's own memory order.
 
@@ -117,6 +117,8 @@ class StepOutcome:
     newton_iters: int
     min_u: float
     min_v: float
+    err: float | None = None  # fully implicit with history: scaled local error
+    slopes: np.ndarray | None = None  # fully implicit: (w_new - w_old) / dt
 
 
 class StepperFailure(RuntimeError):
@@ -145,13 +147,13 @@ def _band_storage(kl, m):
     return np.zeros((3 * kl + 1, m + 2 * kl), order="F")
 
 
-def _band_slots(ab, kl, n, r, stride=1, row_off=0, col_off=0, pair=None):
+def _band_slots(ab, kl, n, r, stride=1, col_off=0, pair=None):
     """(2r + 1, n) view of ab whose [r + k, i] is the slot of the matrix entry
-    A[stride*i + row_off, stride*(i + k) + col_off].  With pair = (dr, dc), a
+    A[stride*i, stride*(i + k) + col_off].  With pair = (dr, dc), a
     (2r + 1, 2, n) view of two such blocks, the second shifted by dr rows and
     dc columns: the bands of the stacked pair."""
     s_row, s_col = ab.strides
-    row = 2 * kl + row_off - col_off + stride * r  # slot of k = -r, i = 0
+    row = 2 * kl - col_off + stride * r  # slot of k = -r, i = 0
     col = kl + col_off - stride * r
     shape, strides = (2 * r + 1, n), (stride * (s_col - s_row), stride * s_col)
     if pair is not None:
@@ -233,9 +235,9 @@ def _stiff_bands(out, w, dx, d_coeff, n_exp, rp, kind):
 # IMEX scheme
 # ---------------------------------------------------------------------------
 
-def _imex_advance(w, dx, dt, kp, rp, kind, cfg):
-    """One IMEX step of the stacked pair w: (w_new, 0), with w_new None if
-    the solve is singular; the signature and result are _newton_advance's."""
+def _imex_advance(w, dx, dt, kp, rp, kind):
+    """One IMEX step of the stacked pair w: w_new, or None if the solve is
+    singular."""
     c = _columns(kp, rp)
     # the bands vanish outside each field's block, so the block-diagonal
     # system solves exactly as two separate systems would
@@ -250,7 +252,7 @@ def _imex_advance(w, dx, dt, kp, rp, kind, cfg):
     flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
     rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind))
     x = _solve_shifted(ab, kl, rhs.reshape(2 * n))
-    return None if x is None else x.reshape(2, n), 0
+    return None if x is None else x.reshape(2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +269,8 @@ def _jacobian_ab(w, dx, dt, kp, rp, kind):
     r = 2 if kind is ModelKind.REGULARIZED else 1
     ab = _band_storage(_HALFWIDTH, 2 * n)
     # blocks d(u eq)/du and d(v eq)/dv, then d(u eq)/dv and d(v eq)/du
-    own = _band_slots(ab, _HALFWIDTH, n, r, 2, 0, 0, pair=(1, 1))
-    cross = _band_slots(ab, _HALFWIDTH, n, 1, 2, 0, 1, pair=(1, -1))
+    own = _band_slots(ab, _HALFWIDTH, n, r, 2, 0, pair=(1, 1))
+    cross = _band_slots(ab, _HALFWIDTH, n, 1, 2, 1, pair=(1, -1))
     _stiff_bands(own, w, dx, c.d, c.n, rp, kind)
     _put_div_bands(cross, c.chi, taxis_face_coeff(w, c.n, rp, kind), dx)
     jac = reaction_jacobian(w, kp, rp, kind)
@@ -348,13 +350,25 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg):
 # ---------------------------------------------------------------------------
 
 def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
-         kind: ModelKind, cfg: StepperConfig) -> StepOutcome:
-    """Attempt one step of size dt; rejection is reported, retrying is the caller's job."""
+         kind: ModelKind, cfg: StepperConfig, history=None) -> StepOutcome:
+    """Attempt one step of size dt; rejection is reported, retrying is the caller's job.
+
+    The attempt is rejected if the solve fails, the result is not finite or
+    not above positivity_floor, or a fully implicit step fails its BDF1 local
+    error test.  history is (dt_prev, slopes_prev) of the accepted step before,
+    or None (IMEX, the first fully implicit step), which gives err None.  The
+    estimate needs no extra solve: err = dt^2 / (dt + dt_prev) times the change
+    of slope, the BDF1 estimate of (dt^2 / 2) w'', against _TOL * (1 + |w_new|);
+    above 1 the step fails.  A fully implicit outcome past positivity carries
+    its slopes (w_new - w_old) / dt, the next step's history.
+    """
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")
-    advance = _imex_advance if cfg.scheme is Scheme.IMEX else _newton_advance
     w = np.array((state.u.values, state.v.values))
-    wn, iters = advance(w, state.grid.dx, dt, kp, rp, kind, cfg)
+    if cfg.scheme is Scheme.IMEX:
+        wn, iters = _imex_advance(w, state.grid.dx, dt, kp, rp, kind), 0
+    else:
+        wn, iters = _newton_advance(w, state.grid.dx, dt, kp, rp, kind, cfg)
     if wn is None:
         return StepOutcome(state, dt, False, iters, np.nan, np.nan)
 
@@ -364,30 +378,19 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
         return StepOutcome(state, dt, False, iters, np.nan, np.nan)
     if min(min_u, min_v) <= cfg.positivity_floor:
         return StepOutcome(state, dt, False, iters, min_u, min_v)
+    err = slopes = None
+    if cfg.scheme is Scheme.FULLY_IMPLICIT:
+        slopes = (wn - w) / dt
+        if history is not None:
+            dt_prev, slopes_prev = history
+            c = dt * dt / (dt + dt_prev)
+            err = float((np.abs(c * (slopes - slopes_prev)) / (_TOL * (1.0 + np.abs(wn)))).max())
+            if err > 1.0:
+                return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes)
     # wn is a fresh array, proven finite and positive just above
     grid = state.grid
     new_state = State.trusted(state.t + dt, Field.trusted(grid, wn[0]), Field.trusted(grid, wn[1]))
-    return StepOutcome(new_state, dt, True, iters, min_u, min_v)
-
-
-def _bdf1_error(old: State, new: State, dt: float, history):
-    """Scaled local error of the backward-Euler step old -> new of size dt, and
-    the step's slopes (w_new - w_old) / dt of both fields.
-
-    history is (dt_prev, slopes_prev) of the accepted step before, or None,
-    which gives error None.  The estimate needs no extra solve: it is
-    dt^2 / (dt + dt_prev) times the change of slope, the BDF1 estimate of
-    (dt^2 / 2) w'', measured against _TOL * (1 + |w_new|); above 1 the step
-    fails the tolerance.
-    """
-    w0, w1 = (np.array((s.u.values, s.v.values)) for s in (old, new))
-    slopes = (w1 - w0) / dt
-    if history is None:
-        return None, slopes
-    dt_prev, slopes_prev = history
-    c = dt * dt / (dt + dt_prev)
-    err = float((np.abs(c * (slopes - slopes_prev)) / (_TOL * (1.0 + np.abs(w1)))).max())
-    return err, slopes
+    return StepOutcome(new_state, dt, True, iters, min_u, min_v, err, slopes)
 
 
 def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
@@ -395,13 +398,13 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
     """Advance to t_end with adaptive dt; returns the sample log, which ends
     with the final state.
 
-    A step that step() rejects is retried at half the dt.  IMEX grows dt by
-    _GROWTH after each accepted step, and so does the fully implicit scheme
-    after its first step, which has no history.  After that, a fully
-    implicit step is rejected when its BDF1 local error estimate
-    (_bdf1_error) exceeds 1, and the next dt is the step just taken times
-    the standard controller factor 0.9 / sqrt(err), bounded to [0.2, 2].
-    dt never exceeds dt_max.
+    step() alone accepts or rejects an attempt; run_until passes it history
+    and sizes dt.  A rejection without an error estimate is retried at half
+    the dt.  IMEX grows dt by _GROWTH after each accepted step, and so does
+    the fully implicit scheme after its first step, which has no history.
+    After that, the next dt is the step just taken times the standard
+    controller factor 0.9 / sqrt(err) of step()'s error estimate, bounded
+    to [0.2, 2].  dt never exceeds dt_max.
 
     Samples are taken at the start and at the first step boundary after each
     multiple of sample_every; a step that would pass two pending multiples is
@@ -417,25 +420,21 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
         return samples
 
     next_sample = state.t + sample_every
-    dt = min(max(cfg.dt_init, cfg.dt_min), cfg.dt_max)
+    dt = cfg.dt_init
     history = None  # fully implicit: (dt, slopes) of the last accepted step
     while state.t < t_end - tol_t:
         dt_try = min(dt, t_end - state.t)
         if state.t + dt_try >= next_sample + sample_every - tol_t:
             dt_try = next_sample - state.t
-        out = step(state, dt_try, kp, rp, kind, cfg)
-        accepted, err = out.accepted, None
-        if accepted and cfg.scheme is Scheme.FULLY_IMPLICIT:
-            err, slopes = _bdf1_error(state, out.state, dt_try, history)
-            accepted = err is None or err <= 1.0
-            if accepted:
-                history = (dt_try, slopes)
-        if err is None:
-            dt = min(dt * _GROWTH, cfg.dt_max) if accepted else dt * _SAFETY
+        out = step(state, dt_try, kp, rp, kind, cfg, history)
+        if out.err is None:
+            dt = min(dt * _GROWTH, cfg.dt_max) if out.accepted else dt * _SAFETY
         else:
-            factor = min(2.0, max(0.2, 0.9 / sqrt(err))) if err > 0.0 else 2.0
+            factor = min(2.0, max(0.2, 0.9 / sqrt(out.err))) if out.err > 0.0 else 2.0
             dt = min(dt_try * factor, cfg.dt_max)
-        if accepted:
+        if out.accepted:
+            if out.slopes is not None:
+                history = (dt_try, out.slopes)
             state = out.state
             if state.t >= next_sample - tol_t:
                 samples.append(state)

@@ -7,7 +7,7 @@ import pytest
 
 from pesim import inequalities
 from pesim.cli import _fmt, main, write_snapshots
-from pesim.config import ConfigError, parse_config_text
+from pesim.config import ConfigError, parse_config, parse_config_text
 from pesim.functionals import DiagnosticsRecord
 from pesim.grid import Field, Grid1D
 from pesim.model import State
@@ -133,6 +133,15 @@ def test_non_utf8_config_exit_1(tmp_path, capsys, command):
     assert main(command[:1] + [str(cfg)] + command[1:]) == 1
     assert str(cfg) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_with_byte_order_mark(tmp_path):
+    # editors that save "UTF-8 with BOM" put U+FEFF before the first key
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(BASE.lstrip().encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + BASE.lstrip().encode())
+    assert parse_config(str(bom)) == parse_config(str(plain))
+    assert main(["simulate", str(bom), "--out", str(tmp_path / "out")]) == 0
 
 
 # lambda2 = a2*lambda1 (the extinction regime) and a far too stiff start: the
@@ -429,6 +438,38 @@ def test_plot_after_simulate(tmp_path):
         if "snapshots/" in line:
             name = line.split("'")[1]
             assert os.path.isfile(os.path.join(out, name))
+
+
+def _plotted_profile(out):
+    assert main(["plot", out]) == 0
+    lines = _read(os.path.join(out, "plot.gp")).splitlines()
+    return next(line.split("'")[1] for line in lines if "snapshots/" in line)
+
+
+def test_rerun_with_fewer_samples_removes_old_snapshots(tmp_path):
+    out = str(tmp_path / "out")
+    for t_end in ("3", "1"):
+        text = BASE.replace("time.t_end = 2.0", f"time.t_end = {t_end}")
+        assert main(["simulate", _write(tmp_path, "run.cfg", text), "--out", out]) == 0
+    samples = json.loads(_read(os.path.join(out, "summary.json")))["run"]["sample_times"]
+    assert samples[-1] == 1.0
+    snaps = sorted(os.listdir(os.path.join(out, "snapshots")))
+    assert snaps == [f"state_{i:05d}.csv" for i in range(len(samples))]
+    assert _plotted_profile(out) == f"snapshots/{snaps[-1]}"
+
+
+def test_rerun_removes_other_commands_outputs(tmp_path):
+    out = str(tmp_path / "out")
+    cfg = _write(tmp_path, "run.cfg", BASE.replace("time.t_end = 2.0", "time.t_end = 0.5"))
+    assert main(["simulate", cfg, "--out", out]) == 0
+    # the eps study writes no snapshots: none of the simulate run's remain
+    assert main(["experiment", cfg, "--which", "eps", "--out", out]) == 0
+    assert os.listdir(os.path.join(out, "snapshots")) == []
+    assert main(["simulate", cfg, "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "verdicts.json"))
+    assert not os.path.exists(os.path.join(out, "eps_distances.csv"))
+    _plotted_profile(out)
+    assert "eps_distances.csv" not in _read(os.path.join(out, "plot.gp"))
 
 
 def test_plot_empty_dir_exit_1(tmp_path):

@@ -44,6 +44,13 @@ def test_ic_kinds():
         InitialCondition("gaussian")
 
 
+def test_spec_rejects_time_tolerance_at_sample_every():
+    # a time tolerance of 3 >= sample_every = 0.5 would make run_until cut a
+    # step past dt_max; the spec refuses it, not the first step()
+    with pytest.raises(ValueError, match="^t_end"):
+        _coex_spec(t_end=3e9)
+
+
 def test_coexistence_at_steady_state_passes_immediately():
     ic = InitialCondition("constant", 1.5, 0.5)
     res = run_coexistence_study(_coex_spec(t_end=0.5, ic=ic))

@@ -412,10 +412,35 @@ def test_newton_always_takes_a_correction(coex_params, reg_params):
     assert not np.array_equal(final.v.values, st.v.values)
 
 
+def test_step_applies_local_error_test(unit_grid, coex_params, reg_params):
+    # step() itself judges a fully implicit attempt by the BDF1 estimate
+    # dt^2 / (dt + dt_prev) * |slopes - slopes_prev| / (_TOL * (1 + |w_new|))
+    st = _smooth_state(unit_grid)
+    dt, kind = 1e-2, ModelKind.REGULARIZED
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    first = step(st, dt, coex_params, reg_params, kind, cfg)  # no history: no estimate
+    assert first.accepted and first.err is None
+    w_old = np.array((st.u.values, st.v.values))
+    w_new = np.array((first.state.u.values, first.state.v.values))
+    assert np.array_equal(first.slopes, (w_new - w_old) / dt)
+
+    sharp = (dt, first.slopes + 100.0)
+    out = step(st, dt, coex_params, reg_params, kind, cfg, sharp)
+    assert not out.accepted and out.state is st
+    expected = (0.5 * dt * 100.0 / (stp._TOL * (1.0 + np.abs(w_new)))).max()
+    assert out.err > 1.0 and out.err == pytest.approx(expected, rel=1e-9)
+    same = step(st, dt, coex_params, reg_params, kind, cfg, (dt, first.slopes))
+    assert same.accepted and same.err == 0.0
+
+    imex = step(st, dt, coex_params, reg_params, kind, StepperConfig(), sharp)
+    assert imex.accepted and imex.err is None and imex.slopes is None
+
+
 def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkeypatch):
     # on the n = 1024 benchmark start every attempt passes Newton and
     # positivity, yet dt falls well below its first value: only the local
-    # error estimate shrinks dt, by a factor in [0.2, 2] per attempt
+    # error estimate rejects attempts and shrinks dt, by a factor in [0.2, 2]
+    # per attempt
     attempts = []
 
     def counted(*args):
@@ -428,7 +453,8 @@ def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkey
     samples = run_until(_implicit_n1024_state(), 0.01, coex_params, reg_params,
                         ModelKind.REGULARIZED, cfg, 0.005)
     assert len(samples) == 3 and samples[-1].t == pytest.approx(0.01)
-    assert all(out.accepted for out in attempts)
+    rejected = [out for out in attempts if not out.accepted]
+    assert rejected and all(out.err is not None and out.err > 1.0 for out in rejected)
     dts = [out.dt_used for out in attempts[:-1]]  # the last step is cut to t_end
     assert dts[1] == pytest.approx(stp._GROWTH * dts[0])  # the first step has no history
     assert min(dts) < 0.2 * dts[0]
