@@ -5,9 +5,9 @@ IMEX treats the stiff parts implicitly with coefficients frozen at the old
 state (plain diffusion, the fourth-order thin-film term, and the singular
 fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
 Both fields are held as one (2, n) array (see the model module), which only
-step() stacks from a State's Fields.  The IMEX step is one
-banded solve of a block-diagonal system with u in rows [0, n) and v in
-[n, 2n): the stacked array's own memory order.
+step() stacks from a State's Fields.  The IMEX step is one banded solve of a
+block-diagonal system with u in rows [0, n) and v in [n, 2n): the stacked
+array's own memory order.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
