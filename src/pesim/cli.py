@@ -68,7 +68,7 @@ def write_snapshots(out_dir, states):
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     for i, s in enumerate(states):
-        rows = zip(s.grid.centers, s.u.values, s.v.values)
+        rows = zip(s.grid.centers, *s.w)
         with open(os.path.join(snap_dir, f"state_{i:05d}.csv"), "w", encoding="utf-8") as fh:
             fh.write("x,u,v\n")
             fh.writelines("%.17g,%.17g,%.17g\n" % r for r in rows)
@@ -133,7 +133,7 @@ def cmd_simulate(config_path, out_override=None) -> int:
         return _fail(str(exc), 1)
 
     try:
-        states, records = _run(cfg.spec, cfg.stepper)
+        states, records = _run(cfg.spec)
     except StepperFailure as exc:
         return _write_run(cfg, exc.samples, exc.records, exc)
     return _write_run(cfg, states, records)
@@ -153,7 +153,7 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     out_dir = cfg.out_dir
     args = (cfg.spec, eps_list or _DEFAULT_EPS_LIST) if which == "eps" else (cfg.spec,)
     try:
-        result = _EXPERIMENTS[which](*args, cfg.stepper)
+        result = _EXPERIMENTS[which](*args)
     except ValueError as exc:  # RegimeMismatch included; nothing written yet
         if created:
             shutil.rmtree(created)
@@ -212,6 +212,7 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
     # an inequality, do not load the module (+0.4 MB peak RSS when they did)
     from .inequalities import all_reports, bernis_report
 
+    swept = []
     if bernis_beta is not None:
         if suite not in ("all", "bernis"):
             return _fail(f"--beta: suite {suite!r} has no bernis exponent sweep", 1)
@@ -223,11 +224,10 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
             return _fail(f"--beta: {exc}", 1)
     try:
         _make_dir(out_dir, "--out")
-        reports = all_reports(suite, skip=() if bernis_beta is None else ("bernis",))
+        # bernis is the first suite, so its swept report leads
+        reports = swept + all_reports(suite, skip=() if bernis_beta is None else ("bernis",))
     except ValueError as exc:  # ConfigError included
         return _fail(str(exc), 1)
-    if bernis_beta is not None:
-        reports += swept
     ok = True
     for rep in reports:
         with open(os.path.join(out_dir, f"{rep.name}.json"), "w", encoding="utf-8") as fh:
@@ -298,9 +298,10 @@ def cmd_plot(out_dir) -> int:
             ]))
     snap_dir = os.path.join(out_dir, "snapshots")
     if os.path.isdir(snap_dir):
-        snaps = sorted(f for f in os.listdir(snap_dir) if f.endswith(".csv"))
-        if snaps:
-            last = f"snapshots/{snaps[-1]}"
+        snaps = {int(m[1]): name for name in os.listdir(snap_dir)
+                 if (m := _SNAPSHOT.fullmatch(name))}
+        if snaps:  # by number: names past state_99999 sort before it as text
+            last = f"snapshots/{snaps[max(snaps)]}"
             sections.append("\n".join([
                 png("profiles"),
                 "set title 'final profiles'",

@@ -74,7 +74,6 @@ class RunConfig:
 
     values: dict
     spec: ExperimentSpec
-    stepper: StepperConfig
 
     @property
     def out_dir(self) -> str:
@@ -141,13 +140,14 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     stepper = _build(StepperConfig, "stepper.", values, chosen,
                      scheme=_enum(Scheme, "stepper.scheme", values))
     # a sample interval below dt_min would cut every step to a sliver; checked
-    # before ExperimentSpec, whose time-tolerance test a tiny interval fails too
+    # before ExperimentSpec, whose time-tolerance test a tiny interval fails
+    # too, and here, where the error can name whichever of the two keys was set
     sample_every = values["time.sample_every"]
     if not sample_every >= stepper.dt_min:
         exc = ValueError(f"dt_min must not exceed sample_every = {sample_every:g}")
         raise _fault(exc, {"dt_min": "stepper.dt_min", "sample_every": "time.sample_every"},
                      chosen)
-    spec = _build(ExperimentSpec, "", values, chosen,
+    spec = _build(ExperimentSpec, "", values, chosen, stepper=stepper,
                   kp=_build(KineticParams, "model.", values, chosen),
                   rp=_build(RegParams, "reg.", values, chosen),
                   kind=_enum(ModelKind, "model.kind", values),
@@ -158,7 +158,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     except ValueError as exc:
         ic_keys = {f.name: "ic." + f.name for f in fields(InitialCondition)}
         raise _fault(exc, ic_keys, chosen) from None
-    return RunConfig(values, spec, stepper)
+    return RunConfig(values, spec)
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:

@@ -23,7 +23,7 @@ from .functionals import (
     m_infinity,
     steady_states,
 )
-from .grid import Field, Grid1D, integrate_values, random_cosine_series
+from .grid import Grid1D, random_cosine_series
 from .model import KineticParams, ModelKind, RegParams, State
 from .stepper import StepperConfig, StepperFailure, _time_tol, run_until
 
@@ -76,26 +76,28 @@ class InitialCondition:
     def build(self, grid: Grid1D) -> State:
         """The initial state on grid; a ValueError if it is not finite and
         strictly positive."""
+        base = np.array([[self.base_u], [self.base_v]])
+        amp = np.array([[self.amp_u], [self.amp_v]])
         # huge base or amp values overflow here; the check below rejects them
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "constant":
-                u = np.full(grid.n_cells, self.base_u)
-                v = np.full(grid.n_cells, self.base_v)
+                w = base.repeat(grid.n_cells, axis=1)
             elif self.kind == "perturbed":
                 s = (grid.centers - grid.x_left) / grid.length
-                u = self.base_u + self.amp_u * np.cos(self.mode * math.pi * s)
-                v = self.base_v + self.amp_v * np.cos(self.mode * math.pi * s)
+                w = base + amp * np.cos(self.mode * math.pi * s)
             else:
+                # only here: loading numpy.random adds about 6 MB to a process
                 rng = np.random.default_rng(self.seed)
-                u = random_cosine_series(grid, rng, self.base_u, self.amp_u, self.mode)
-                v = random_cosine_series(grid, rng, self.base_v, self.amp_v, self.mode)
-        for name, w in (("u", u), ("v", v)):
+                w = np.empty((2, grid.n_cells))
+                for row, b, a in zip(w, (self.base_u, self.base_v), (self.amp_u, self.amp_v)):
+                    row[:] = random_cosine_series(grid, rng, b, a, self.mode)
+        for name, row in zip("uv", w):
             # min and max propagate NaN, so this also rejects NaN values
-            if not 0.0 < w.min() <= w.max() < math.inf:
+            if not 0.0 < row.min() <= row.max() < math.inf:
                 raise ValueError(f"base_{name} and amp_{name} give an initial {name} in "
-                                 f"[{w.min():.6g}, {w.max():.6g}] on this grid; it must be "
+                                 f"[{row.min():.6g}, {row.max():.6g}] on this grid; it must be "
                                  "positive and finite")
-        return State(0.0, Field(grid, u), Field(grid, v))
+        return State.trusted(0.0, grid, w)
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,7 @@ class ExperimentSpec:
     t_end: float
     sample_every: float = 1.0
     gamma: float = 1.0
+    stepper: StepperConfig = StepperConfig()
 
     def __post_init__(self):
         # run_until takes no step when t_end lies within its time tolerance
@@ -140,9 +143,9 @@ class ExperimentResult:
     extras: dict = field(default_factory=dict)
 
 
-def _run(spec: ExperimentSpec, cfg: StepperConfig | None):
-    """Run one simulation from spec's initial condition (cfg None: the default
-    stepper); returns the sample log and one diagnostics record per sample.
+def _run(spec: ExperimentSpec):
+    """Run one simulation from spec's initial condition; returns the sample
+    log and one diagnostics record per sample.
 
     A StepperFailure propagates with the records of its partial log attached
     as `records`.
@@ -150,7 +153,7 @@ def _run(spec: ExperimentSpec, cfg: StepperConfig | None):
     state0 = spec.ic.build(spec.grid)
     try:
         samples = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
-                            cfg or StepperConfig(), spec.sample_every)
+                            spec.stepper, spec.sample_every)
     except StepperFailure as exc:
         exc.records = _records(spec, exc.samples)
         raise
@@ -159,10 +162,6 @@ def _run(spec: ExperimentSpec, cfg: StepperConfig | None):
 
 def _records(spec: ExperimentSpec, samples) -> list[DiagnosticsRecord]:
     return [diagnostics_record(s, spec.kp, spec.rp, spec.gamma) for s in samples]
-
-
-def _sup_deviation(values: np.ndarray, target: float) -> float:
-    return float(np.abs(values - target).max())
 
 
 def _tail_slope(records, attr) -> float:
@@ -180,7 +179,7 @@ def _tail_slope(records, attr) -> float:
 # studies
 # ---------------------------------------------------------------------------
 
-def _stabilization_study(spec, cfg, regime: Regime, n2: float, entropy: str,
+def _stabilization_study(spec, regime: Regime, n2: float, entropy: str,
                          v_verdict: str, mismatch: str) -> ExperimentResult:
     """Shared body of the stabilization studies: pin n1 = 2 and n2, run, and
     score the final sup-deviations of u and v from the regime's steady state
@@ -190,13 +189,13 @@ def _stabilization_study(spec, cfg, regime: Regime, n2: float, entropy: str,
     if ss.regime is not regime:
         raise RegimeMismatch(mismatch)
     spec = replace(spec, rp=replace(spec.rp, n1=2.0, n2=n2))
-    samples, records = _run(spec, cfg)
+    samples, records = _run(spec)
 
     boundary = spec.kp.lambda2 == spec.kp.a2 * spec.kp.lambda1  # extinction regime only
     extras = {"boundary_case": boundary} if regime is Regime.EXTINCTION else {}
     tol = 1e-2 * (10.0 if boundary else 1.0)
-    dev_u = _sup_deviation(samples[-1].u.values, ss.u_star)
-    dev_v = _sup_deviation(samples[-1].v.values, ss.v_star)
+    star = np.array([[ss.u_star], [ss.v_star]])
+    dev_u, dev_v = np.abs(samples[-1].w - star).max(axis=1).tolist()
     slope = _tail_slope(records, entropy)
     allowance = 10.0 * math.sqrt(spec.rp.eps)
     verdicts = {
@@ -208,8 +207,7 @@ def _stabilization_study(spec, cfg, regime: Regime, n2: float, entropy: str,
     return ExperimentResult(spec, records, verdicts, samples, extras)
 
 
-def run_coexistence_study(spec: ExperimentSpec,
-                          cfg: StepperConfig | None = None) -> ExperimentResult:
+def run_coexistence_study(spec: ExperimentSpec) -> ExperimentResult:
     """Stabilization toward the coexistence state; requires lambda2 > a2*lambda1.
 
     The regularization exponents are pinned to n1 = n2 = 2, the structural
@@ -218,12 +216,11 @@ def run_coexistence_study(spec: ExperimentSpec,
     tail slope of E1 at most 10*sqrt(eps).
     """
     return _stabilization_study(
-        spec, cfg, Regime.COEXISTENCE, n2=2.0, entropy="E1",
+        spec, Regime.COEXISTENCE, n2=2.0, entropy="E1",
         v_verdict="v_deviation", mismatch="coexistence study needs lambda2 > a2*lambda1")
 
 
-def run_extinction_study(spec: ExperimentSpec,
-                         cfg: StepperConfig | None = None) -> ExperimentResult:
+def run_extinction_study(spec: ExperimentSpec) -> ExperimentResult:
     """Stabilization toward the prey-extinction state (lambda1, 0);
     requires lambda2 <= a2*lambda1 and pins n1 = 2, n2 = 1.  Verdicts: final
     sup-deviations of u from lambda1 and of v from 0 below 1e-2, and the tail
@@ -233,7 +230,7 @@ def run_extinction_study(spec: ExperimentSpec,
     deviation thresholds are relaxed by a factor of 10 (values reported).
     """
     return _stabilization_study(
-        spec, cfg, Regime.EXTINCTION, n2=1.0, entropy="E2",
+        spec, Regime.EXTINCTION, n2=1.0, entropy="E2",
         v_verdict="v_sup", mismatch="extinction study needs lambda2 <= a2*lambda1")
 
 
@@ -250,8 +247,7 @@ def check_eps_list(eps_list) -> list[float]:
     return eps_list
 
 
-def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
-                        cfg: StepperConfig | None = None) -> ExperimentResult:
+def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult:
     """Cauchy-in-eps study: identical runs varying only eps, reporting the
     L2 distances of the final profiles between consecutive eps values.
 
@@ -261,16 +257,14 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
     eps_list = check_eps_list(eps_list)
     specs = [replace(base_spec, rp=replace(base_spec.rp, eps=e), kind=ModelKind.REGULARIZED)
              for e in eps_list]
-    runs = [_run(s, cfg) for s in specs]
+    runs = [_run(s) for s in specs]
 
-    grid = base_spec.grid
-    def l2(a, b):
-        return math.sqrt(integrate_values((a - b) ** 2, grid))
-
-    finals = [samples[-1] for samples, _ in runs]
-    rows = [{"eps_hi": e1, "eps_lo": e2, "dist_u": l2(f1.u.values, f2.u.values),
-             "dist_v": l2(f1.v.values, f2.v.values)}
-            for e1, e2, f1, f2 in zip(eps_list, eps_list[1:], finals, finals[1:])]
+    finals = [samples[-1].w for samples, _ in runs]
+    rows = []
+    for e1, e2, f1, f2 in zip(eps_list, eps_list[1:], finals, finals[1:]):
+        # midpoint L2 norm of each row; a row mean is bitwise the 1-D mean
+        dist_u, dist_v = np.sqrt(base_spec.grid.length * ((f1 - f2) ** 2).mean(axis=1)).tolist()
+        rows.append({"eps_hi": e1, "eps_lo": e2, "dist_u": dist_u, "dist_v": dist_v})
     verdicts = {}
     for c in "uv":
         dist = [r["dist_" + c] for r in rows]
@@ -279,14 +273,13 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list,
     return ExperimentResult(specs[-1], runs[-1][1], verdicts, extras={"distances": rows})
 
 
-def run_absorbing_set(spec: ExperimentSpec,
-                      cfg: StepperConfig | None = None) -> ExperimentResult:
+def run_absorbing_set(spec: ExperimentSpec) -> ExperimentResult:
     """Mass absorbing set: by the end of the run, the combined mass must sit
     below 1.05 times the closed-form asymptotic bound."""
     if spec.kind is not ModelKind.REGULARIZED:
         raise ValueError("model.kind must be regularized: the absorbing-set study "
                          "runs the regularized system")
-    samples, records = _run(spec, cfg)
+    samples, records = _run(spec)
     bound = m_infinity(spec.kp, spec.grid.length)
     final_mass = records[-1].mass_u + records[-1].mass_v
     max_mass = max(r.mass_u + r.mass_v for r in records)
@@ -322,27 +315,25 @@ def lv_rk4_oracle(u0: float, v0: float, kp: KineticParams, t_end: float,
     return u, v
 
 
-def run_ode_consistency(spec: ExperimentSpec, cfg: StepperConfig | None = None,
-                        dev_tol: float = 1e-6,
+def run_ode_consistency(spec: ExperimentSpec, dev_tol: float = 1e-6,
                         oracle_dt: float = 1e-5) -> ExperimentResult:
     """Homogeneous-run cross-check against the RK4 kinetics oracle.
 
     Requires a constant initial condition.  The verdict is the deviation of
     the final state from the oracle value at t_end, maximized over both
     components and all cells, against dev_tol.  That deviation is mostly the
-    stepper's first-order time error, so dev_tol must follow cfg's dt: the
-    CLI's 1e-6 needs dt near 1e-4.  For regularized runs the mollified
-    reaction perturbs the kinetics by O(sqrt(eps)), so callers should widen
-    dev_tol.
+    stepper's first-order time error, so dev_tol must follow the dt of
+    spec.stepper: the CLI's 1e-6 needs dt near 1e-4.  For regularized runs
+    the mollified reaction perturbs the kinetics by O(sqrt(eps)), so callers
+    should widen dev_tol.
     """
     if spec.ic.kind != "constant":
         raise ValueError("ic.kind must be constant: the ode-consistency study needs "
                          "a homogeneous initial condition")
-    samples, records = _run(spec, cfg)
-    final = samples[-1]
+    samples, records = _run(spec)
     uo, vo = lv_rk4_oracle(spec.ic.base_u, spec.ic.base_v, spec.kp,
                            spec.t_end, oracle_dt)
-    dev = max(_sup_deviation(final.u.values, uo), _sup_deviation(final.v.values, vo))
+    dev = float(np.abs(samples[-1].w - np.array([[uo], [vo]])).max())
     verdicts = {"oracle_deviation": Verdict(dev <= dev_tol, dev, dev_tol)}
     extras = {"oracle_u": uo, "oracle_v": vo}
     return ExperimentResult(spec, records, verdicts, samples, extras)

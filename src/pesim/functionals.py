@@ -7,13 +7,13 @@ the extinction pair (E2, D2), the gradient functional y used as a conditional
 quasi-entropy, and the weak-form residual of a sampled trajectory.
 
 Where u and v enter alike, a functional evaluates both at once in the model's
-stacked form: w = (u, v) is one (2, n) array, the per-field constants are
-(2, 1) columns (model._columns, the steady state), exponents go through
-model._pow, one diff1_values call gives both gradients, and _quad integrates
-each row.  The row integrals are then added in the order of the per-field
-formulas (E1 field by field, D1 term by term with u before v), because any
-other order changes the last bit.  E2 and D2 are not symmetric in u and v and
-keep one term per field.
+stacked form: w = (u, v) is the state's (2, n) array State.w, the per-field
+constants are (2, 1) columns (model._columns, the steady state), exponents go
+through model._pow, one diff1_values call gives both gradients, and _quad
+integrates each row.  The row integrals are then added in the order of the
+per-field formulas (E1 field by field, D1 term by term with u before v),
+because any other order changes the last bit.  E2 and D2 are not symmetric in
+u and v and keep one term per field.
 """
 
 from __future__ import annotations
@@ -108,11 +108,6 @@ def phi(xi_star, xi):
 # entropy / dissipation functionals
 # ---------------------------------------------------------------------------
 
-def _pair(state: State) -> np.ndarray:
-    """The state's fields stacked as one (2, n) array w = (u, v)."""
-    return np.array((state.u.values, state.v.values))
-
-
 def _quad(values, grid):
     """Midpoint integral of each row (a row mean is bitwise the 1-D mean)."""
     return grid.length * values.mean(axis=-1)
@@ -120,7 +115,7 @@ def _quad(values, grid):
 
 def quasi_entropy_F(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Logarithmic quasi-entropy with the regularization's inverse-power tail."""
-    g, w = state.grid, _pair(state)
+    g, w = state.grid, state.w
     n = _columns(kp, rp).n
     # raveled: a (2, 1) column would broadcast against the (2,) row integrals
     coef = np.ravel(rp.eps / ((3.0 - n) * (4.0 - n)))
@@ -130,7 +125,7 @@ def quasi_entropy_F(state: State, kp: KineticParams, rp: RegParams) -> float:
 
 def dissipation_D(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the quasi-entropy; nonnegative."""
-    g, w = state.grid, _pair(state)
+    g, w = state.grid, state.w
     c = _columns(kp, rp)
     d = c.d.ravel()
     wx = diff1_values(w, g.dx)
@@ -148,7 +143,7 @@ def entropy_E1(state: State, kp: KineticParams, rp: RegParams) -> float:
     ss = steady_states(kp)
     if ss.regime is not Regime.COEXISTENCE:
         raise ValueError("coexistence entropy undefined in the extinction regime")
-    g, w = state.grid, _pair(state)
+    g, w = state.grid, state.w
     star = np.array([[ss.u_star], [ss.v_star]])
     # the weight leads each product, as in the per-field a * v_star * eps / 6
     weight = np.array([1.0, kp.a1 / kp.a2])
@@ -160,7 +155,7 @@ def entropy_E1(state: State, kp: KineticParams, rp: RegParams) -> float:
 def dissipation_rate_D1(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the coexistence entropy; nonnegative."""
     ss = steady_states(kp)
-    g, w = state.grid, _pair(state)
+    g, w = state.grid, state.w
     wx = diff1_values(w, g.dx)
     epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
     grad = _quad(wx**2 / w**2, g)
@@ -172,7 +167,7 @@ def dissipation_rate_D1(state: State, kp: KineticParams, rp: RegParams) -> float
 def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Extinction entropy: relative entropy to lambda1 in u plus prey penalties."""
     g = state.grid
-    u, v = state.u.values, state.v.values
+    u, v = state.w
     a = kp.a1 / kp.a2
     return float(
         _quad(phi(kp.lambda1, u), g)
@@ -186,7 +181,7 @@ def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
 def dissipation_rate_D2(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Dissipation rate paired with the extinction entropy; nonnegative."""
     g = state.grid
-    u, v = w = _pair(state)
+    u, v = w = state.w
     ux, vx = diff1_values(w, g.dx)
     epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
     return float(
@@ -203,7 +198,7 @@ def conditional_y(state: State, gamma: float = 1.0) -> float:
     """Gradient functional  int u_x^2 + gamma * int v_x^2  (gamma > 0)."""
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    g, w = state.grid, _pair(state)
+    g, w = state.grid, state.w
     h1 = _quad(diff1_values(w, g.dx) ** 2, g)
     return float(h1[0] + gamma * h1[1])
 
@@ -219,7 +214,7 @@ def cross_entropy_productions(state: State, kp: KineticParams, rp: RegParams):
     few ulp.
     """
     g = state.grid
-    ux, vx = np.diff(_pair(state)) / g.dx
+    ux, vx = np.diff(state.w) / g.dx
     s = g.dx * float((ux * vx).sum())
     return kp.chi1 * s, -(kp.chi1 / kp.chi2) * kp.chi2 * s
 
@@ -279,7 +274,7 @@ def weak_residual(sample_log, kp: KineticParams, test_fn) -> tuple[float, float]
 
     i_pt, i_flux, i_react = (np.empty((2, len(samples))) for _ in range(3))
     for k, s in enumerate(samples):
-        w = _pair(s)
+        w = s.w
         wx = diff1_values(w, grid.dx)
         ph = np.asarray(test_fn.value(x, s.t))
         ph_t = np.asarray(test_fn.time_deriv(x, s.t))
@@ -290,7 +285,7 @@ def weak_residual(sample_log, kp: KineticParams, test_fn) -> tuple[float, float]
         i_react[:, k] = _quad(reaction_terms(w, kp, _LIMIT_REG, ModelKind.LIMIT) * ph, grid)
 
     ph0 = np.asarray(test_fn.value(x, samples[0].t))
-    lhs = -_trapz(i_pt, times) - _quad(_pair(samples[0]) * ph0, grid)
+    lhs = -_trapz(i_pt, times) - _quad(samples[0].w * ph0, grid)
     rhs = _trapz(i_flux, times) + _trapz(i_react, times)
     return tuple(np.abs(lhs - rhs).tolist())
 
@@ -331,10 +326,12 @@ def diagnostics_record(state: State, kp: KineticParams, rp: RegParams,
     In the extinction regime the coexistence pair (E1, D1) is undefined and
     reported as None (empty in CSV output) rather than infinity or NaN.
     """
-    g, w = state.grid, _pair(state)
+    g, w = state.grid, state.w
     coexist = steady_states(kp).regime is Regime.COEXISTENCE
     mass_u, mass_v = _quad(w, g).tolist()
     h1_u, h1_v = _quad(diff1_values(w, g.dx) ** 2, g).tolist()
+    min_u, min_v = w.min(axis=1).tolist()
+    max_u, max_v = w.max(axis=1).tolist()
     return DiagnosticsRecord(
         t=state.t,
         mass_u=mass_u,
@@ -346,10 +343,10 @@ def diagnostics_record(state: State, kp: KineticParams, rp: RegParams,
         E2=entropy_E2(state, kp, rp),
         D2=dissipation_rate_D2(state, kp, rp),
         y=h1_u + gamma * h1_v,
-        min_u=state.u.min(),
-        min_v=state.v.min(),
-        max_u=state.u.max(),
-        max_v=state.v.max(),
+        min_u=min_u,
+        min_v=min_v,
+        max_u=max_u,
+        max_v=max_v,
         h1_u=h1_u,
         h1_v=h1_v,
     )

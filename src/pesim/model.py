@@ -19,18 +19,18 @@ part of the right-hand side telescopes to zero mass exactly.
 The two equations differ only in their parameters, so the kernels evaluate
 both at once on the pair stacked as one (2, n) array w = (u, v), with the
 per-field parameters as (2, 1) columns (_columns) and the other field read as
-the flipped rows w[::-1].  The entry points take w as it is; only the
-stepper's step() stacks a State's Fields, once per step.  The face and
-coefficient helpers work along the last axis, so they take one field with
-scalar parameters as well.  The exponents n_i stay scalars, one per row
-when n1 != n2 (_pow): numpy's power has a fast path for the scalar exponent
-2.0 that an array exponent skips, and the two differ in the last bit.
+the flipped rows w[::-1].  The entry points take w as it is; a State holds
+its pair in this form, as State.w.  The face and coefficient helpers work
+along the last axis, so they take one field with scalar parameters as well.
+The exponents n_i stay scalars, one per row when n1 != n2 (_pow): numpy's
+power has a fast path for the scalar exponent 2.0 that an array exponent
+skips, and the two differ in the last bit.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -100,25 +100,39 @@ class ModelKind(Enum):
 
 @dataclass(frozen=True)
 class State:
-    """Time plus the predator/prey density pair, strictly positive on one grid."""
+    """Time plus the predator/prey density pair, strictly positive on one grid.
+
+    w is the pair stacked as one read-only (2, n) array, the form every
+    kernel computes on; u and v are Fields over its two rows.
+    """
 
     t: float
     u: Field
     v: Field
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.grid != self.v.grid:
             raise ValueError("u and v must share a grid")
         if self.u.min() <= 0.0 or self.v.min() <= 0.0:
             raise ValueError("state must be strictly positive")
+        self._adopt(self.u.grid, np.array((self.u.values, self.v.values)))
 
     @classmethod
-    def trusted(cls, t: float, u: Field, v: Field) -> "State":
-        """Build a state whose fields share a grid and are known to be positive."""
+    def trusted(cls, t: float, grid: Grid1D, w: np.ndarray) -> "State":
+        """Adopt a finite, strictly positive (2, n_cells) array w without copy or
+        check; it is frozen in place, so the caller must not keep writing to it."""
         st = object.__new__(cls)
-        for name, value in (("t", t), ("u", u), ("v", v)):
-            object.__setattr__(st, name, value)
+        object.__setattr__(st, "t", t)
+        st._adopt(grid, w)
         return st
+
+    def _adopt(self, grid: Grid1D, w: np.ndarray):
+        """Take w as the pair and make u and v views of its rows."""
+        w.flags.writeable = False
+        for name, value in (("w", w), ("u", Field.trusted(grid, w[0])),
+                            ("v", Field.trusted(grid, w[1]))):
+            object.__setattr__(self, name, value)
 
     @property
     def grid(self) -> Grid1D:

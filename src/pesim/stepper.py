@@ -4,10 +4,9 @@ damped Newton iteration, both backed by banded LU solves.
 IMEX treats the stiff parts implicitly with coefficients frozen at the old
 state (plain diffusion, the fourth-order thin-film term, and the singular
 fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
-Both fields are held as one (2, n) array (see the model module), which only
-step() stacks from a State's Fields.  The IMEX step is one banded solve of a
-block-diagonal system with u in rows [0, n) and v in [n, 2n): the stacked
-array's own memory order.
+Both fields are held as one (2, n) array, a State's w (see the model
+module).  The IMEX step is one banded solve of a block-diagonal system with u
+in rows [0, n) and v in [n, 2n): the stacked array's own memory order.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
@@ -35,7 +34,6 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .grid import Field
 from .model import (
     KineticParams,
     ModelKind,
@@ -147,20 +145,17 @@ def _band_storage(kl, m):
     return np.zeros((3 * kl + 1, m + 2 * kl), order="F")
 
 
-def _band_slots(ab, kl, n, r, stride=1, col_off=0, pair=None):
-    """(2r + 1, n) view of ab whose [r + k, i] is the slot of the matrix entry
-    A[stride*i, stride*(i + k) + col_off].  With pair = (dr, dc), a
-    (2r + 1, 2, n) view of two such blocks, the second shifted by dr rows and
-    dc columns: the bands of the stacked pair."""
+def _band_slots(ab, kl, n, r, stride=1, col_off=0, *, pair):
+    """(2r + 1, 2, n) view of ab holding the bands of the stacked pair's two
+    blocks: [r + k, 0, i] is the slot of the matrix entry
+    A[stride*i, stride*(i + k) + col_off], and with pair = (dr, dc),
+    [r + k, 1, i] is the slot of the entry dr rows and dc columns further on."""
     s_row, s_col = ab.strides
     row = 2 * kl - col_off + stride * r  # slot of k = -r, i = 0
     col = kl + col_off - stride * r
-    shape, strides = (2 * r + 1, n), (stride * (s_col - s_row), stride * s_col)
-    if pair is not None:
-        dr, dc = pair
-        shape = (2 * r + 1, 2, n)
-        strides = (strides[0], (dr - dc) * s_row + dc * s_col, strides[1])
-    return np.ndarray(shape, ab.dtype, ab, row * s_row + col * s_col, strides)
+    dr, dc = pair
+    strides = (stride * (s_col - s_row), (dr - dc) * s_row + dc * s_col, stride * s_col)
+    return np.ndarray((2 * r + 1, 2, n), ab.dtype, ab, row * s_row + col * s_col, strides)
 
 
 def _solve_shifted(ab, kl, b):
@@ -202,9 +197,9 @@ def _put_div_bands(out, sigma, c_face, dx):
 
 
 def _stiff_bands(out, w, dx, d_coeff, n_exp, rp, kind):
-    """Write into the zeroed out the bands of the stiff operator L(w) of one
-    field, or of each row of a stacked pair: second-order diffusion (3 rows),
-    minus div(eps m4(w) w_xxx) for the regularized model (5 rows)."""
+    """Write into the zeroed out, a _band_slots view, the bands of the stiff
+    operator L(w) of each row of the stacked pair w: second-order diffusion
+    (3 rows), minus div(eps m4(w) w_xxx) for the regularized model (5 rows)."""
     mid = out.shape[0] // 2
     _put_div_bands(out[mid - 1:mid + 2], 1.0, diffusion_face_coeff(w, d_coeff, rp, kind), dx)
     if kind is ModelKind.LIMIT:
@@ -364,7 +359,7 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     """
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")
-    w = np.array((state.u.values, state.v.values))
+    w = state.w
     if cfg.scheme is Scheme.IMEX:
         wn, iters = _imex_advance(w, state.grid.dx, dt, kp, rp, kind), 0
     else:
@@ -388,8 +383,7 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
             if err > 1.0:
                 return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes)
     # wn is a fresh array, proven finite and positive just above
-    grid = state.grid
-    new_state = State.trusted(state.t + dt, Field.trusted(grid, wn[0]), Field.trusted(grid, wn[1]))
+    new_state = State.trusted(state.t + dt, state.grid, wn)
     return StepOutcome(new_state, dt, True, iters, min_u, min_v, err, slopes)
 
 

@@ -49,9 +49,9 @@ def homogeneous_ode_run():
         ic=InitialCondition("constant", 1.0, 1.0),
         t_end=10.0,
         sample_every=1.0,
+        stepper=StepperConfig(scheme=Scheme.IMEX, dt_init=1e-4, dt_max=1e-4),
     )
-    cfg = StepperConfig(scheme=Scheme.IMEX, dt_init=1e-4, dt_max=1e-4)
-    return run_ode_consistency(spec, cfg, dev_tol=1e-6, oracle_dt=1e-5)
+    return run_ode_consistency(spec, dev_tol=1e-6, oracle_dt=1e-5)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from pesim import inequalities
 from pesim.cli import _fmt, main, write_snapshots
 from pesim.config import ConfigError, parse_config, parse_config_text
 from pesim.functionals import DiagnosticsRecord
-from pesim.grid import Field, Grid1D
+from pesim.grid import Grid1D
 from pesim.model import State
 
 
@@ -43,6 +43,8 @@ def test_parse_defaults_and_comments():
     assert cfg.spec.kind.value == "regularized"
     cfg = parse_config_text("grid.n = 64  # inline comment\n")
     assert cfg.values["grid.n"] == 64
+    # the stepper settings travel inside the spec
+    assert parse_config_text("stepper.dt_max = 0.01").spec.stepper.dt_max == 0.01
 
 
 def test_parse_rejects_unknown_key():
@@ -86,7 +88,7 @@ def test_write_snapshots_text_and_roundtrip(tmp_path):
     u[:6] = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0 / 3.0]
     v = np.geomspace(1e-17, 1e17, 64)
     v[:3] = [np.inf, -np.inf, np.nan]
-    write_snapshots(str(tmp_path), [State.trusted(0.0, Field.trusted(g, u), Field.trusted(g, v))])
+    write_snapshots(str(tmp_path), [State.trusted(0.0, g, np.array((u, v)))])
     with open(tmp_path / "snapshots" / "state_00000.csv", encoding="utf-8") as fh:
         text = fh.read()
     expected = "x,u,v\n" + "".join(
@@ -397,6 +399,22 @@ def test_verify_beta_runs_only_that_beta(tmp_path, monkeypatch):
     assert rep["worst_case_payload"]["beta"] == 2.0
 
 
+def test_verify_beta_keeps_the_suite_order(tmp_path, capsys, monkeypatch):
+    # the swept bernis report leads, as the default bernis report does
+    def fake(name):
+        return lambda **kw: inequalities.CheckReport(name, 1, 0.5, True, 0.0)
+
+    for builder in ("bernis", "interp_lower", "interp_log", "mollifier", "hflux",
+                    "elementary", "ode_comparison"):
+        monkeypatch.setattr(inequalities, builder + "_report", fake(builder))
+    printed = []
+    for beta in ([], ["--beta", "2.5"]):
+        assert main(["verify", "--out", str(tmp_path / "reports"), "--suite", "all", *beta]) == 0
+        printed.append([line.split()[1] for line in capsys.readouterr().out.splitlines()])
+    assert printed[0] == printed[1]
+    assert printed[0][0] == "bernis:" and len(printed[0]) == 7
+
+
 @pytest.mark.parametrize("args", [
     ["--suite", "bernis", "--beta", "nan"],
     ["--suite", "all", "--beta", "inf"],
@@ -456,6 +474,15 @@ def test_rerun_with_fewer_samples_removes_old_snapshots(tmp_path):
     snaps = sorted(os.listdir(os.path.join(out, "snapshots")))
     assert snaps == [f"state_{i:05d}.csv" for i in range(len(samples))]
     assert _plotted_profile(out) == f"snapshots/{snaps[-1]}"
+
+
+def test_plot_takes_the_highest_numbered_snapshot(tmp_path):
+    # past state_99999 the names no longer sort as text; a stray csv is no snapshot
+    out = tmp_path / "out"
+    (out / "snapshots").mkdir(parents=True)
+    for name in ("state_99999.csv", "state_100000.csv", "zzz.csv"):
+        (out / "snapshots" / name).write_text("x,u,v\n0.5,1,1\n")
+    assert _plotted_profile(str(out)) == "snapshots/state_100000.csv"
 
 
 def test_rerun_removes_other_commands_outputs(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ def test_ode_consistency_steady_start(coex_params):
     ic = InitialCondition("constant", 1.5, 0.5)
     spec = _coex_spec(t_end=2.0, ic=ic, kind=ModelKind.LIMIT)
     cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
-    res = run_ode_consistency(spec, cfg, dev_tol=1e-9, oracle_dt=1e-4)
+    res = run_ode_consistency(replace(spec, stepper=cfg), dev_tol=1e-9, oracle_dt=1e-4)
     assert res.verdicts["oracle_deviation"].passed
     # constant trajectories
     assert res.records[-1].mass_u == pytest.approx(1.5, abs=1e-9)
@@ -172,7 +174,7 @@ def test_ode_consistency_short_run(coex_params):
     ic = InitialCondition("constant", 1.0, 1.0)
     spec = _coex_spec(t_end=1.0, ic=ic, kind=ModelKind.LIMIT)
     cfg = StepperConfig(dt_init=1e-4, dt_max=1e-4)
-    res = run_ode_consistency(spec, cfg, dev_tol=5e-3, oracle_dt=1e-4)
+    res = run_ode_consistency(replace(spec, stepper=cfg), dev_tol=5e-3, oracle_dt=1e-4)
     assert res.verdicts["oracle_deviation"].passed
 
 
@@ -183,7 +185,7 @@ def test_ode_consistency_regularized_perturbation(coex_params):
     spec = _coex_spec(t_end=2.0, ic=ic, kind=ModelKind.REGULARIZED,
                       rp=RegParams(1e-8))
     cfg = StepperConfig(dt_init=1e-4, dt_max=1e-4)
-    res = run_ode_consistency(spec, cfg, dev_tol=1e-4, oracle_dt=1e-4)
+    res = run_ode_consistency(replace(spec, stepper=cfg), dev_tol=1e-4, oracle_dt=1e-4)
     assert res.verdicts["oracle_deviation"].passed
 
 

@@ -46,6 +46,24 @@ def test_state_requires_positivity(unit_grid):
         State(0.0, u, zero)
 
 
+def test_state_holds_its_pair_as_one_frozen_array(unit_grid):
+    u, v = Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5)
+    st = State(0.0, u, v)
+    assert st.w.shape == (2, unit_grid.n_cells) and not st.w.flags.writeable
+    assert np.array_equal(st.w, [u.values, v.values])
+    # u and v are views of the pair's rows
+    assert np.shares_memory(st.w, st.u.values) and np.shares_memory(st.w, st.v.values)
+
+
+def test_trusted_state_adopts_its_array_without_copy(unit_grid):
+    w = np.array((np.full(unit_grid.n_cells, 1.5), np.full(unit_grid.n_cells, 0.5)))
+    st = State.trusted(0.25, unit_grid, w)
+    assert st.w is w and not w.flags.writeable
+    assert np.shares_memory(w, st.u.values) and np.shares_memory(w, st.v.values)
+    assert np.array_equal(st.u.values, w[0]) and np.array_equal(st.v.values, w[1])
+    assert st.t == 0.25 and st.grid is unit_grid
+
+
 def test_g_mollifier_values():
     assert g_mollifier(0.0, 0.5) == 0.0
     assert g_mollifier(1.0, 1.0) == pytest.approx(0.75)
@@ -153,8 +171,7 @@ def test_g_mollifier_deriv_matches_fd():
 def test_rhs_steady_state_identically_zero(unit_grid, coex_params, reg_params):
     st = State(0.0, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
     for kind in ModelKind:
-        du, dv = compute_rhs(np.array((st.u.values, st.v.values)), unit_grid.dx,
-                             coex_params, reg_params, kind)
+        du, dv = compute_rhs(st.w, unit_grid.dx, coex_params, reg_params, kind)
         assert np.all(du == 0.0)
         assert np.all(dv == 0.0)
 
@@ -162,8 +179,7 @@ def test_rhs_steady_state_identically_zero(unit_grid, coex_params, reg_params):
 def test_rhs_homogeneous_reduces_to_ode(unit_grid, coex_params, reg_params):
     c1, c2 = 1.3, 0.7
     st = State(0.0, Field.constant(unit_grid, c1), Field.constant(unit_grid, c2))
-    du, dv = compute_rhs(np.array((st.u.values, st.v.values)), unit_grid.dx,
-                         coex_params, reg_params, ModelKind.LIMIT)
+    du, dv = compute_rhs(st.w, unit_grid.dx, coex_params, reg_params, ModelKind.LIMIT)
     kp = coex_params
     assert du == pytest.approx(c1 * (kp.lambda1 - c1 + kp.a1 * c2), rel=1e-14)
     assert dv == pytest.approx(c2 * (kp.lambda2 - c2 - kp.a2 * c1), rel=1e-14)
@@ -193,7 +209,7 @@ def test_reaction_jacobian_matches_finite_differences(unit_grid, kind):
                        lambda1=1.1, lambda2=2.3)
     rp = RegParams(eps=0.05, alpha=0.5, n1=2.0, n2=1.0)
     st = positive_trig_state(unit_grid, np.random.default_rng(29), base=(0.1, 2.0))
-    w = np.array((st.u.values, st.v.values))
+    w = st.w
     h = 1e-6
     # fd[j][i] = d r_i / d w_j: the reactions are pointwise, so perturbing a
     # whole row gives the derivative at every cell at once
@@ -215,6 +231,38 @@ def test_rhs_rejects_bad_input(unit_grid, coex_params, reg_params):
     v_other = Field.constant(other, 1.0)
     with pytest.raises(ValueError):
         State(0.0, u, v_other)
+
+
+@pytest.mark.parametrize("kind, eps", [(ModelKind.LIMIT, 1e-4),
+                                       (ModelKind.REGULARIZED, 1e-4),
+                                       (ModelKind.REGULARIZED, 1e-2)])
+def test_rhs_observed_spatial_order(coex_params, kind, eps):
+    # cell centres nest when n is tripled (coarse cell i is fine cell 3i + 1),
+    # so at second order the max difference between successive grids falls
+    # by a factor of 9 for each field
+    rp = RegParams(eps)
+
+    def rhs(n):
+        x = Grid1D(0.0, 1.0, n).centers
+        w = np.array((1.5 + 0.3 * np.cos(np.pi * x), 0.5 + 0.3 * np.cos(2 * np.pi * x)))
+        return compute_rhs(w, 1.0 / n, coex_params, rp, kind)
+
+    # the thin-film term's roundoff floor, eps * u_mach * max|w| / dx^4, must
+    # stay below 2% of the difference it enters; the limit model's floor
+    # (dx^-2 in place of eps * dx^-4) is negligible on these grids
+    eps4 = rp.eps if kind is ModelKind.REGULARIZED else 0.0
+    n, coarse, diffs = 27, rhs(27), []
+    while n < 729:
+        n *= 3
+        fine = rhs(n)
+        d = np.abs(coarse - fine[:, 1::3]).max(axis=1)
+        if eps4 * np.finfo(float).eps * 1.8 * n**4 > 0.02 * d.min():
+            break
+        diffs.append(d)
+        coarse = fine
+    ratios = np.array(diffs[:-1]) / np.array(diffs[1:])
+    assert len(ratios) >= 2
+    assert np.all((7.0 < ratios) & (ratios < 11.0)), ratios
 
 
 def test_rhs_eps_consistency(unit_grid, coex_params):

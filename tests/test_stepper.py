@@ -16,6 +16,7 @@ from pesim.model import (
     ModelKind,
     RegParams,
     State,
+    _columns,
     compute_rhs,
     diffusion_face_coeff,
     face_gradient,
@@ -69,20 +70,21 @@ def test_banded_operator_matches_direct_flux(coex_params):
     grid = Grid1D(0.0, 1.0, 48)
     n = grid.n_cells
     rp = RegParams(1e-3, 0.5, 2.0, 1.0)
+    c = _columns(coex_params, rp)  # n1 != n2: an exponent per field
     for kind in ModelKind:
         kl = 2 if kind is ModelKind.REGULARIZED else 1
         for _ in range(5):
-            w = positive_trig_state(grid, rng).u.values
-            ab = stp._band_storage(kl, n)
-            stp._stiff_bands(stp._band_slots(ab, kl, n, kl), w, grid.dx,
-                             coex_params.d1, rp.n1, rp, kind)
+            w = positive_trig_state(grid, rng).w
+            ab = stp._band_storage(kl, 2 * n)
+            stp._stiff_bands(stp._band_slots(ab, kl, n, kl, pair=(n, n)), w, grid.dx,
+                             c.d, c.n, rp, kind)
             mat = _dense(ab, kl)
-            flux = diffusion_face_coeff(w, coex_params.d1, rp, kind) * face_gradient(w, grid.dx)
+            flux = diffusion_face_coeff(w, c.d, rp, kind) * face_gradient(w, grid.dx)
             if kind is ModelKind.REGULARIZED:
-                flux -= thinfilm_face_coeff(w, rp.n1, rp) * face_third_derivative(w, grid.dx)
-            direct = (flux[1:] - flux[:-1]) / grid.dx
+                flux -= thinfilm_face_coeff(w, c.n, rp) * face_third_derivative(w, grid.dx)
+            direct = ((flux[:, 1:] - flux[:, :-1]) / grid.dx).ravel()
             scale = max(1.0, np.abs(direct).max())
-            assert np.abs(mat @ w - direct).max() < 1e-11 * scale
+            assert np.abs(mat @ w.ravel() - direct).max() < 1e-11 * scale
 
 
 def test_steady_state_step_unchanged(unit_grid, coex_params, reg_params):
@@ -266,15 +268,19 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
     out = step(samples[-1], 1e-3, coex_params, reg_params, kind, cfg)
     assert out.accepted
     states = samples + [out.state]
-    saved = [(s.u.values.copy(), s.v.values.copy()) for s in states]
+    saved = [(s.w.copy(), s.u.values.copy(), s.v.values.copy()) for s in states]
     for s in states:
+        assert not s.w.flags.writeable
         assert not s.u.values.flags.writeable and not s.v.values.flags.writeable
         with pytest.raises(ValueError):
             s.v.values[0] = 1.0
+        with pytest.raises(ValueError):
+            s.w[0, 0] = 1.0
     st = out.state
     for _ in range(5):
         st = step(st, 1e-3, coex_params, reg_params, kind, cfg).state
-    for s, (u0, v0) in zip(states, saved):
+    for s, (w0, u0, v0) in zip(states, saved):
+        assert np.array_equal(s.w, w0)
         assert np.array_equal(s.u.values, u0) and np.array_equal(s.v.values, v0)
 
 
@@ -327,8 +333,7 @@ def test_jacobian_matches_finite_differences(kind, coex_params):
         out[0::2], out[1::2] = du, dv
         return out
 
-    jac = -_dense(stp._jacobian_ab(np.array((st.u.values, st.v.values)), dx, 1.0, coex_params,
-                                   rp, kind), stp._HALFWIDTH)
+    jac = -_dense(stp._jacobian_ab(st.w, dx, 1.0, coex_params, rp, kind), stp._HALFWIDTH)
     jac_fd = np.empty_like(jac)
     for j in range(2 * n):
         e = np.zeros(2 * n)
@@ -420,8 +425,8 @@ def test_step_applies_local_error_test(unit_grid, coex_params, reg_params):
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
     first = step(st, dt, coex_params, reg_params, kind, cfg)  # no history: no estimate
     assert first.accepted and first.err is None
-    w_old = np.array((st.u.values, st.v.values))
-    w_new = np.array((first.state.u.values, first.state.v.values))
+    w_old = st.w
+    w_new = first.state.w
     assert np.array_equal(first.slopes, (w_new - w_old) / dt)
 
     sharp = (dt, first.slopes + 100.0)
