@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import re
 import shutil
 import sys
+from dataclasses import asdict
 
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
@@ -40,6 +40,9 @@ _EXPERIMENTS = {
 }
 
 _DEFAULT_EPS_LIST = (1e-2, 2.5e-3, 6.25e-4)
+
+_EPS_COLUMNS = ("eps_hi", "eps_lo", "dist_u", "dist_v")  # eps_distances.csv
+_SNAPSHOT_COLUMNS = ("x", "u", "v")  # each snapshot file
 
 
 def _fmt(x) -> str:
@@ -70,7 +73,7 @@ def write_snapshots(out_dir, states):
     for i, s in enumerate(states):
         rows = zip(s.grid.centers, *s.w)
         with open(os.path.join(snap_dir, f"state_{i:05d}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("x,u,v\n")
+            fh.write(",".join(_SNAPSHOT_COLUMNS) + "\n")
             fh.writelines("%.17g,%.17g,%.17g\n" % r for r in rows)
 
 
@@ -164,11 +167,11 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     _write_run(cfg, result.states, result.records, experiment=which)
     if "distances" in result.extras:
         with open(os.path.join(out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
-            fh.write("eps_hi,eps_lo,dist_u,dist_v\n")
+            fh.write(",".join(_EPS_COLUMNS) + "\n")
             for row in result.extras["distances"]:
-                fh.write(",".join(_fmt(row[c]) for c in
-                                  ("eps_hi", "eps_lo", "dist_u", "dist_v")) + "\n")
-    verdicts = {name: {"pass": v.passed, "value": v.value, "threshold": v.threshold}
+                fh.write(",".join(_fmt(row[c]) for c in _EPS_COLUMNS) + "\n")
+    # each Verdict's fields in order, with passed written as "pass"
+    verdicts = {name: {"pass" if k == "passed" else k: x for k, x in asdict(v).items()}
                 for name, v in result.verdicts.items()}
     with open(os.path.join(out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
         json.dump({"experiment": which, "verdicts": verdicts, "extras": result.extras},
@@ -216,8 +219,6 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
     if bernis_beta is not None:
         if suite not in ("all", "bernis"):
             return _fail(f"--beta: suite {suite!r} has no bernis exponent sweep", 1)
-        if not math.isfinite(bernis_beta) or bernis_beta == 1.0:
-            return _fail(f"--beta: must be finite and differ from 1, got {bernis_beta!r}", 1)
         try:  # before the out dir exists: a beta it cannot evaluate leaves none
             swept = [bernis_report(betas=(bernis_beta,))]
         except ValueError as exc:
@@ -253,31 +254,31 @@ def _summary_u_star(path):
     return u_star
 
 
+def _numbered(columns) -> dict:
+    """gnuplot's number of each of a CSV file's columns, by name."""
+    return {name: i for i, name in enumerate(columns, start=1)}
+
+
 def cmd_plot(out_dir) -> int:
-    ts = os.path.join(out_dir, "timeseries.csv")
     if not os.path.isdir(out_dir):
         return _fail(f"not a directory: {out_dir}", 1)
     sections = []
 
-    def png(name):
-        return f"set output '{name}.png'"
+    def section(name, *lines):
+        sections.append("\n".join([f"set output '{name}.png'", *lines]))
 
-    if os.path.isfile(ts):
-        sections.append("\n".join([
-            png("mass"),
-            "set title 'total masses'",
-            "set xlabel 't'",
-            f"plot 'timeseries.csv' using 1:2 with lines title 'mass_u', \\",
-            "     'timeseries.csv' using 1:3 with lines title 'mass_v'",
-        ]))
-        sections.append("\n".join([
-            png("entropies"),
-            "set title 'relative entropies'",
-            "set logscale y",
-            f"plot 'timeseries.csv' using 1:6 with lines title 'E1', \\",
-            "     'timeseries.csv' using 1:8 with lines title 'E2'",
-            "unset logscale y",
-        ]))
+    def plot(csv, col, x, style, *curves):
+        """gnuplot's plot of csv's (column, title) curves against column x."""
+        return "plot " + ", \\\n     ".join(
+            f"'{csv}' using {col[x]}:{col[y]} with {style} title '{title}'" for y, title in curves)
+
+    if os.path.isfile(os.path.join(out_dir, "timeseries.csv")):
+        ts = _numbered(DiagnosticsRecord.CSV_COLUMNS)
+        section("mass", "set title 'total masses'", "set xlabel 't'",
+                plot("timeseries.csv", ts, "t", "lines", ("mass_u", "mass_u"), ("mass_v", "mass_v")))
+        section("entropies", "set title 'relative entropies'", "set logscale y",
+                plot("timeseries.csv", ts, "t", "lines", ("E1", "E1"), ("E2", "E2")),
+                "unset logscale y")
         u_star = None
         summary = os.path.join(out_dir, "summary.json")
         if os.path.isfile(summary):
@@ -286,39 +287,29 @@ def cmd_plot(out_dir) -> int:
             except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
                 return _fail(f"{summary}: {exc}", 1)
         if u_star is not None:
-            sections.append("\n".join([
-                png("deviation"),
-                "mx(a,b) = (a > b) ? a : b",
-                f"us = {_fmt(u_star)}",
-                "set title 'sup deviation of u from the steady state'",
-                "set logscale y",
-                "plot 'timeseries.csv' using 1:(mx(abs($13 - us), abs($11 - us))) "
-                "with lines title '|u - u*|_inf'",
-                "unset logscale y",
-            ]))
+            section("deviation",
+                    "mx(a,b) = (a > b) ? a : b",
+                    f"us = {_fmt(u_star)}",
+                    "set title 'sup deviation of u from the steady state'",
+                    "set logscale y",
+                    f"plot 'timeseries.csv' using {ts['t']}:"
+                    f"(mx(abs(${ts['max_u']} - us), abs(${ts['min_u']} - us))) "
+                    "with lines title '|u - u*|_inf'",
+                    "unset logscale y")
     snap_dir = os.path.join(out_dir, "snapshots")
     if os.path.isdir(snap_dir):
         snaps = {int(m[1]): name for name in os.listdir(snap_dir)
                  if (m := _SNAPSHOT.fullmatch(name))}
         if snaps:  # by number: names past state_99999 sort before it as text
-            last = f"snapshots/{snaps[max(snaps)]}"
-            sections.append("\n".join([
-                png("profiles"),
-                "set title 'final profiles'",
-                "set xlabel 'x'",
-                f"plot '{last}' using 1:2 with lines title 'u', \\",
-                f"     '{last}' using 1:3 with lines title 'v'",
-            ]))
-    eps_csv = os.path.join(out_dir, "eps_distances.csv")
-    if os.path.isfile(eps_csv):
-        sections.append("\n".join([
-            png("eps_distances"),
-            "set title 'consecutive-eps L2 distances of final profiles'",
-            "set logscale xy",
-            "plot 'eps_distances.csv' using 1:3 with linespoints title 'u', \\",
-            "     'eps_distances.csv' using 1:4 with linespoints title 'v'",
-            "unset logscale xy",
-        ]))
+            section("profiles", "set title 'final profiles'", "set xlabel 'x'",
+                    plot(f"snapshots/{snaps[max(snaps)]}", _numbered(_SNAPSHOT_COLUMNS), "x",
+                         "lines", ("u", "u"), ("v", "v")))
+    if os.path.isfile(os.path.join(out_dir, "eps_distances.csv")):
+        section("eps_distances", "set title 'consecutive-eps L2 distances of final profiles'",
+                "set logscale xy",
+                plot("eps_distances.csv", _numbered(_EPS_COLUMNS), "eps_hi", "linespoints",
+                     ("dist_u", "u"), ("dist_v", "v")),
+                "unset logscale xy")
     if not sections:
         return _fail(f"no plottable outputs in {out_dir}", 1)
     header = "\n".join([
@@ -373,10 +364,10 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         return cmd_simulate(args.config, args.out)
     if args.command == "experiment":
-        eps_list = None
-        if args.eps_list is not None:
+        eps_list = args.eps_list  # cmd_experiment rejects any list for another experiment
+        if eps_list is not None and args.which == "eps":
             try:
-                eps_list = check_eps_list(float(tok) for tok in args.eps_list.split(","))
+                eps_list = check_eps_list(float(tok) for tok in eps_list.split(","))
             except ValueError as exc:
                 return _fail(f"--eps-list: {exc} ({args.eps_list!r})", 1)
         return cmd_experiment(args.config, args.which, args.out, eps_list)

@@ -64,9 +64,6 @@ DEFAULTS: dict[str, object] = {
     "out.dir": "out",
 }
 
-_INT_KEYS = {"grid.n", "ic.mode", "ic.seed"}
-_STR_KEYS = {"model.kind", "ic.kind", "stepper.scheme", "out.dir"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -167,15 +164,14 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def _parse_value(key: str, raw: str):
-    if key in _STR_KEYS:
+    kind = type(DEFAULTS[key])  # str, int or float
+    if kind is str:
         return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(key, f"expected {kind}, got {raw!r}")
-    if not math.isfinite(value):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {expected}, got {raw!r}")
+    if kind is float and not math.isfinite(value):
         raise ConfigError(key, f"must be finite, got {raw!r}")
     return value

@@ -19,7 +19,7 @@ u and v and keep one term per field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -313,10 +313,9 @@ class DiagnosticsRecord:
     h1_u: float
     h1_v: float
 
-    CSV_COLUMNS = (
-        "t", "mass_u", "mass_v", "F", "D", "E1", "D1", "E2", "D2", "y",
-        "min_u", "min_v", "max_u", "max_v", "h1_u", "h1_v",
-    )
+
+# the columns of timeseries.csv, in field order
+DiagnosticsRecord.CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def diagnostics_record(state: State, kp: KineticParams, rp: RegParams,

@@ -58,7 +58,7 @@ class Grid1D:
         return self.x_left + np.arange(self.n_cells + 1) * self.dx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: values is an array
 class Field:
     """Grid function sampled at cell centers."""
 

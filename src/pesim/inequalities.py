@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,17 +52,9 @@ class CheckReport:
     worst_case_payload: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "samples": self.samples,
-                "worst_ratio": self.worst_ratio,
-                "pass": self.passed,
-                "tolerance": self.tolerance,
-                "worst_case_payload": self.worst_case_payload,
-            },
-            indent=2,
-        )
+        """The fields in order, with passed written as "pass"."""
+        return json.dumps({"pass" if k == "passed" else k: v for k, v in asdict(self).items()},
+                          indent=2)
 
 
 def _make_report(name, results, tolerance) -> CheckReport:

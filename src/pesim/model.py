@@ -98,7 +98,7 @@ class ModelKind(Enum):
     REGULARIZED = "regularized"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: w is an array
 class State:
     """Time plus the predator/prey density pair, strictly positive on one grid.
 
@@ -109,7 +109,7 @@ class State:
     t: float
     u: Field
     v: Field
-    w: np.ndarray = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.u.grid != self.v.grid:

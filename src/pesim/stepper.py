@@ -49,7 +49,7 @@ from .model import (
     thinfilm_face_coeff,
 )
 
-# dgtsv, dgbsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
+# dgtsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
 # loaded from its file: importing it as scipy.linalg.lapack would run
 # scipy.linalg's __init__, which loads about 300 more modules and costs about
 # 0.3 s per process.
@@ -60,7 +60,7 @@ if not os.path.isfile(_FLAPACK):
 _loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", _FLAPACK)
 _flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_loader.name, _loader))
 _loader.exec_module(_flapack)
-dgbsv, dgbtrf, dgbtrs, dgtsv = _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
+dgbtrf, dgbtrs, dgtsv = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
 
 __all__ = [
     "Scheme",
@@ -160,16 +160,16 @@ def _band_slots(ab, kl, n, r, stride=1, col_off=0, *, pair):
 
 def _solve_shifted(ab, kl, b):
     """Solve (I + B) x = b for B in band storage, overwriting ab and b: gtsv
-    for a tridiagonal B (kl = 1), else gbsv (gbtrf and gbtrs in one call).
+    for a tridiagonal B (kl = 1), else _factor_shifted and gbtrs.
 
     Returns None when LAPACK reports an exactly singular pivot (info > 0).
     """
+    if kl > 1:
+        lu = _factor_shifted(ab, kl)
+        return None if lu is None else dgbtrs(lu[0], kl, kl, b, lu[1], overwrite_b=1)[0]
     a = ab[:, kl:-kl]
     a[2 * kl] += 1.0
-    if kl == 1:
-        x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
-    else:
-        x, info = dgbsv(kl, kl, a, b, overwrite_ab=1, overwrite_b=1)[2:]
+    x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
     if info < 0:
         raise ValueError(f"LAPACK: illegal value in argument {-info}")
     return x if info == 0 else None

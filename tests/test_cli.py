@@ -1,16 +1,20 @@
 import json
 import os
+import re
 import warnings
+from dataclasses import MISSING, fields
+from enum import Enum
 
 import numpy as np
 import pytest
 
-from pesim import inequalities
+from pesim import config, inequalities
 from pesim.cli import _fmt, main, write_snapshots
-from pesim.config import ConfigError, parse_config, parse_config_text
-from pesim.functionals import DiagnosticsRecord
+from pesim.config import DEFAULTS, ConfigError, parse_config, parse_config_text
+from pesim.experiments import ExperimentSpec, InitialCondition
 from pesim.grid import Grid1D
-from pesim.model import State
+from pesim.model import KineticParams, RegParams, State
+from pesim.stepper import StepperConfig
 
 
 def _read(path):
@@ -32,6 +36,11 @@ time.t_end = 2.0
 time.sample_every = 0.5
 """
 
+# the output layouts, each written out once here as README documents it
+TIMESERIES_HEADER = "t,mass_u,mass_v,F,D,E1,D1,E2,D2,y,min_u,min_v,max_u,max_v,h1_u,h1_v"
+REPORT_KEYS = ["name", "samples", "worst_ratio", "pass", "tolerance", "worst_case_payload"]
+VERDICT_KEYS = ["pass", "value", "threshold"]
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -45,6 +54,22 @@ def test_parse_defaults_and_comments():
     assert cfg.values["grid.n"] == 64
     # the stepper settings travel inside the spec
     assert parse_config_text("stepper.dt_max = 0.01").spec.stepper.dt_max == 0.01
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    # DEFAULTS also sets each value's type: _parse_value reads it from there
+    built = [(StepperConfig, "stepper."), (KineticParams, "model."), (RegParams, "reg."),
+             (Grid1D, ""), (InitialCondition, "ic."), (ExperimentSpec, "")]
+    checked = 0
+    for cls, prefix in built:
+        for f in fields(cls):
+            key = config._RENAMES.get(cls, {}).get(f.name, prefix + f.name)
+            if f.default is MISSING or key not in DEFAULTS:
+                continue
+            default = f.default.value if isinstance(f.default, Enum) else f.default
+            assert DEFAULTS[key] == default and type(DEFAULTS[key]) is type(default), key
+            checked += 1
+    assert checked == 18
 
 
 def test_parse_rejects_unknown_key():
@@ -72,7 +97,7 @@ def test_simulate_smoke(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out}\n")
     assert main(["simulate", cfg]) == 0
     lines = _read(os.path.join(out, "timeseries.csv")).splitlines()
-    assert lines[0] == ",".join(DiagnosticsRecord.CSV_COLUMNS)
+    assert lines[0] == TIMESERIES_HEADER
     assert len(lines) >= 3  # header + at least two rows
     snaps = os.listdir(os.path.join(out, "snapshots"))
     assert len(snaps) == len(lines) - 1
@@ -97,6 +122,17 @@ def test_write_snapshots_text_and_roundtrip(tmp_path):
     back = np.array([[float(c) for c in row.split(",")] for row in text.splitlines()[1:]])
     assert np.array_equal(back, np.column_stack([g.centers, u, v]), equal_nan=True)
     assert np.array_equal(np.signbit(back[:2, 1]), [True, False])
+
+
+@pytest.mark.parametrize("scheme", ["imex", "fully_implicit"])
+@pytest.mark.parametrize("model", ["limit", "regularized"])
+@pytest.mark.parametrize("ic", ["ic.kind = perturbed", "ic.kind = random-trig\nic.mode = 6"],
+                         ids=["perturbed", "random-trig"])
+def test_simulate_on_the_smallest_grid(tmp_path, scheme, model, ic):
+    # n = 8 is the smallest grid that config accepts
+    text = (f"grid.n = 8\nmodel.kind = {model}\nstepper.scheme = {scheme}\n{ic}\n"
+            f"time.t_end = 1.0\nout.dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", _write(tmp_path, "n8.cfg", text)]) == 0
 
 
 def test_simulate_roundtrip_bitwise(tmp_path):
@@ -279,6 +315,7 @@ def test_experiment_coexistence_smoke(tmp_path):
     assert main(["experiment", cfg, "--which", "coexistence"]) == 0
     verdicts = json.loads(_read(os.path.join(out, "verdicts.json")))
     assert all(v["pass"] for v in verdicts["verdicts"].values())
+    assert all(list(v) == VERDICT_KEYS for v in verdicts["verdicts"].values())
 
 
 def test_experiment_regime_mismatch_exit_1(tmp_path):
@@ -354,9 +391,11 @@ def test_experiment_bad_eps_list_exit_1(tmp_path, capsys, eps_list):
 
 def test_eps_list_without_eps_study_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path, "co.cfg", BASE + f"out.dir = {tmp_path / 'out'}\n")
-    assert main(["experiment", cfg, "--which", "coexistence",
-                 "--eps-list", "1e-2,1e-3,1e-4"]) == 1
-    assert "pesim: --eps-list: " in capsys.readouterr().err
+    # a list the eps study would reject too: the experiment is the problem
+    for which, eps_list in (("coexistence", "1e-2,1e-3,1e-4"), ("absorbing", "1,2,3")):
+        assert main(["experiment", cfg, "--which", which, "--eps-list", eps_list]) == 1
+        err = capsys.readouterr().err
+        assert f"pesim: --eps-list: experiment {which!r} has no eps sweep" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -374,6 +413,8 @@ def test_verify_all(tmp_path):
     assert main(["verify", "--out", out, "--suite", "all"]) == 0
     reports = [f for f in os.listdir(out) if f.endswith(".json")]
     assert len(reports) >= 5
+    for name in reports:
+        assert list(json.loads(_read(os.path.join(out, name)))) == REPORT_KEYS
     moll = json.loads(_read(os.path.join(out, "mollifier.json")))
     assert moll["worst_ratio"] <= 1.0
     assert moll["pass"] is True
@@ -428,6 +469,12 @@ def test_verify_bad_beta_exit_1(tmp_path, capsys, args):
     assert main(["verify", "--out", str(out), *args]) == 1
     assert "pesim: --beta: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_suite_choices_are_the_suites(capsys):
+    assert main(["verify", "--help"]) == 0
+    choices = re.search(r"--suite \{([^}]*)\}", capsys.readouterr().out)[1]
+    assert set(choices.split(",")) == {"all"} | set(inequalities._SUITES)
 
 
 def test_verify_single_suite(tmp_path):
@@ -515,7 +562,7 @@ def test_plot_empty_dir_exit_1(tmp_path):
 def test_plot_bad_summary_exit_1(tmp_path, capsys, text):
     out = tmp_path / "out"
     out.mkdir()
-    (out / "timeseries.csv").write_text(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
+    (out / "timeseries.csv").write_text(TIMESERIES_HEADER + "\n")
     (out / "summary.json").write_text(text)
     assert main(["plot", str(out)]) == 1
     assert "summary.json" in capsys.readouterr().err

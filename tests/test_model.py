@@ -64,6 +64,17 @@ def test_trusted_state_adopts_its_array_without_copy(unit_grid):
     assert st.t == 0.25 and st.grid is unit_grid
 
 
+def test_states_and_fields_compare_by_identity(unit_grid):
+    # their values are arrays, so value equality has no single truth value
+    u, v = Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5)
+    st, twin = State(0.0, u, v), State(0.0, u, v)
+    assert u == u and u != Field.constant(unit_grid, 1.5)
+    assert st == st and st != twin
+    assert len({u, v, st, twin}) == 4
+    # grids keep value equality
+    assert Grid1D(0.0, 1.0, 128) == unit_grid
+
+
 def test_g_mollifier_values():
     assert g_mollifier(0.0, 0.5) == 0.0
     assert g_mollifier(1.0, 1.0) == pytest.approx(0.75)

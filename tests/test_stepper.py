@@ -10,6 +10,7 @@ from scipy.optimize import fsolve
 
 import pesim.stepper as stp
 from pesim.experiments import InitialCondition
+from pesim.functionals import diagnostics_record
 from pesim.grid import Field, Grid1D, integrate_values
 from pesim.model import (
     KineticParams,
@@ -182,6 +183,42 @@ def test_first_order_temporal_convergence(scheme, coex_params):
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     for r in ratios:
         assert 1.6 < r < 2.5
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("kind, eps", [(ModelKind.LIMIT, 1e-4),
+                                       (ModelKind.REGULARIZED, 1e-4),
+                                       (ModelKind.REGULARIZED, 1e-2)])
+def test_run_observed_spatial_order(coex_params, scheme, kind, eps):
+    # ten steps at one fixed dt on every grid: the time error is common to all
+    # grids and cancels in their differences.  Cell centres nest when n is
+    # tripled (coarse cell i is fine cell 3i + 1), so at second order the
+    # differences between successive grids fall by a factor of 9
+    rp, cfg = RegParams(eps), StepperConfig(scheme=scheme)
+
+    def run(n):
+        grid = Grid1D(0.0, 1.0, n)
+        x = grid.centers
+        s = State.trusted(0.0, grid, np.array((1.5 + 0.3 * np.cos(np.pi * x),
+                                               0.5 + 0.3 * np.cos(2 * np.pi * x))))
+        for _ in range(10):
+            out = step(s, 1e-4, coex_params, rp, kind, cfg)
+            assert out.accepted
+            s = out.state
+        rec = diagnostics_record(s, coex_params, rp)
+        return s.w, np.array((rec.F, rec.E1, rec.D)), np.array((rec.mass_u, rec.mass_v))
+
+    runs = [run(n) for n in (27, 81, 243, 729)]
+    diffs = [(np.abs(c[0] - f[0][:, 1::3]).max(axis=1), np.abs(c[1] - f[1]),
+              np.abs(c[2] - f[2])) for c, f in zip(runs, runs[1:])]
+    ratios = [np.concatenate([a / b for a, b in zip(d, d_fine)])
+              for d, d_fine in zip(diffs, diffs[1:])]
+    # the masses move only through the reactions: between the two finest
+    # grids their difference, about 1e-11, is at its roundoff floor, so their
+    # last ratio is left out
+    ratios[-1] = ratios[-1][:-2]
+    for r in ratios:
+        assert np.all((7.0 < r) & (r < 11.0)), r
 
 
 def test_mass_identity_per_implicit_step(unit_grid, coex_params):
