@@ -2,7 +2,7 @@
 thin-film fourth-order regularization, and the entropy/inequality
 diagnostics that monitor its quantitative structure."""
 
-from .grid import Field, Grid1D
+from .grid import Grid1D
 from .model import (
     KineticParams,
     ModelKind,

@@ -76,6 +76,12 @@ class InitialCondition:
     def build(self, grid: Grid1D) -> State:
         """The initial state on grid; a ValueError if it is not finite and
         strictly positive."""
+        # at the cell centers cos(k pi s) is even in k, zero at k = n, and equal
+        # to -cos((2n - k) pi s) and to -cos((2n + k) pi s): every mode outside
+        # [0, n) repeats one inside, up to sign
+        if self.kind != "constant" and not 0 <= self.mode < grid.n_cells:
+            raise ValueError(f"mode must lie in [0, {grid.n_cells}) on this grid; at its cell "
+                             "centers every other mode repeats one of these")
         base = np.array([[self.base_u], [self.base_v]])
         amp = np.array([[self.amp_u], [self.amp_v]])
         # huge base or amp values overflow here; the check below rejects them

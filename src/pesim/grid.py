@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
-    "Field",
     "mirror_extend",
     "diff1_values",
     "diff2_values",
@@ -52,55 +51,6 @@ class Grid1D:
     @property
     def centers(self) -> np.ndarray:
         return self.x_left + (np.arange(self.n_cells) + 0.5) * self.dx
-
-    @property
-    def faces(self) -> np.ndarray:
-        return self.x_left + np.arange(self.n_cells + 1) * self.dx
-
-
-@dataclass(frozen=True, eq=False)  # equal only to itself: values is an array
-class Field:
-    """Grid function sampled at cell centers."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True)
-        if vals.shape != (self.grid.n_cells,):
-            raise ValueError(
-                f"expected {self.grid.n_cells} values, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def trusted(cls, grid: Grid1D, values: np.ndarray) -> "Field":
-        """Adopt a finite float array of shape (n_cells,) without copy or check.
-
-        The array is frozen in place, so the caller must not keep writing to it.
-        """
-        values.flags.writeable = False
-        f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "values", values)
-        return f
-
-    @classmethod
-    def constant(cls, grid: Grid1D, c: float) -> "Field":
-        return cls(grid, np.full(grid.n_cells, float(c)))
-
-    @classmethod
-    def from_function(cls, grid: Grid1D, fn) -> "Field":
-        return cls(grid, fn(grid.centers))
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
 
 
 # ---------------------------------------------------------------------------

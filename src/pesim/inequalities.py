@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .grid import (Field, Grid1D, diff1_values, diff2_values, integrate_values,
-                   random_cosine_series)
+from .grid import Grid1D, diff1_values, diff2_values, integrate_values, random_cosine_series
 from .model import h_flux, h_flux_deriv, h_flux_deriv2
 
 __all__ = [
@@ -89,17 +88,15 @@ def signed_ratio(lhs: float, rhs: float) -> float:
 # quadrature-based checkers
 # ---------------------------------------------------------------------------
 
-def check_bernis(f: Field, beta: float) -> float:
-    """Ratio of int f^(beta-2) f_x^4 against 9/(beta-1)^2 int f^beta f_xx^2.
+def check_bernis(w: np.ndarray, g: Grid1D, beta: float) -> float:
+    """Ratio of int w^(beta-2) w_x^4 against 9/(beta-1)^2 int w^beta w_xx^2 on grid g.
 
     Constants make both sides vanish; that degenerate case reports 0.  A
     beta at which either integral is not finite raises ValueError.
     """
     if beta == 1.0:
         raise ValueError("beta must differ from 1")
-    _require_positive_field(f)
-    g = f.grid
-    w = f.values
+    _require_positive_field(w, g)
     wx = diff1_values(w, g.dx)
     wxx = diff2_values(w, g.dx)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -113,13 +110,11 @@ def check_bernis(f: Field, beta: float) -> float:
     return signed_ratio(lhs, rhs)
 
 
-def check_interp_lower(f: Field, p: float, q: float) -> float:
-    """Ratio for the inverse-power interpolation bound on int f^(-p)."""
+def check_interp_lower(w: np.ndarray, g: Grid1D, p: float, q: float) -> float:
+    """Ratio for the inverse-power interpolation bound on int w^(-p) on grid g."""
     if not (p > 0.0 and q > 0.0):
         raise ValueError("p and q must be positive")
-    _require_positive_field(f)
-    g = f.grid
-    w = f.values
+    _require_positive_field(w, g)
     wx = diff1_values(w, g.dx)
     omega = g.length
     lhs = integrate_values(w**-p, g)
@@ -131,11 +126,9 @@ def check_interp_lower(f: Field, p: float, q: float) -> float:
     return signed_ratio(lhs, rhs)
 
 
-def check_interp_log(f: Field) -> float:
-    """Ratio for the bound on -int ln f by the logarithmic gradient integral."""
-    _require_positive_field(f)
-    g = f.grid
-    w = f.values
+def check_interp_log(w: np.ndarray, g: Grid1D) -> float:
+    """Ratio for the bound on -int ln w by the logarithmic gradient integral on grid g."""
+    _require_positive_field(w, g)
     wx = diff1_values(w, g.dx)
     omega = g.length
     lhs = -integrate_values(np.log(w), g)
@@ -147,9 +140,12 @@ def check_interp_log(f: Field) -> float:
     return signed_ratio(lhs, rhs)
 
 
-def _require_positive_field(f: Field):
-    if f.min() <= 0.0:
-        raise ValueError("field must be strictly positive")
+def _require_positive_field(w: np.ndarray, g: Grid1D):
+    if w.shape != (g.n_cells,):
+        raise ValueError(f"expected {g.n_cells} values, got shape {w.shape}")
+    # min and max propagate NaN, so this also rejects NaN values
+    if not 0.0 < w.min() <= w.max() < math.inf:
+        raise ValueError("field must be finite and strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +330,25 @@ def ode_comparison_bound(t0: float, a: float, b: float, beta: float,
 # random field family and shipped suites
 # ---------------------------------------------------------------------------
 
-def random_trig_field(grid: Grid1D, rng: np.random.Generator) -> Field:
+def random_trig_field(grid: Grid1D, rng: np.random.Generator) -> np.ndarray:
     """Positive trig polynomial base + sum c_k cos(k*pi*s(x)), k = 1..4,
     bounded in [0.5, 3]; satisfies the continuum hypotheses (positivity,
     vanishing boundary derivative) exactly."""
     base = rng.uniform(1.0, 2.0)
     amp = rng.uniform(0.2, min(base - 0.5, 1.0))
-    return Field(grid, random_cosine_series(grid, rng, base, amp, 4))
+    return random_cosine_series(grid, rng, base, amp, 4)
 
 
 def _field_sweep(name, seed, check, cases) -> CheckReport:
-    """check(f, **case) for every case on each of 200 random_trig_field draws
-    on a 400-cell unit grid, the fields drawn from default_rng(seed); the
-    payload is {"field": i, **case} and the tolerance 0.05 (quadrature)."""
+    """check(f, grid, **case) for every case on each of 200 random_trig_field
+    draws f on a 400-cell unit grid, the fields drawn from default_rng(seed);
+    the payload is {"field": i, **case} and the tolerance 0.05 (quadrature)."""
     rng = np.random.default_rng(seed)
     grid = Grid1D(0.0, 1.0, 400)
     results = []
     for i in range(200):
         f = random_trig_field(grid, rng)
-        results += [(check(f, **case), {"field": i, **case}) for case in cases]
+        results += [(check(f, grid, **case), {"field": i, **case}) for case in cases]
     return _make_report(name, results, 0.05)
 
 

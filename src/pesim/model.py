@@ -29,14 +29,15 @@ skips, and the two differ in the last bit.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid1D, diff2_values
+from .grid import Grid1D, diff2_values
 
 __all__ = [
     "KineticParams",
@@ -103,40 +104,40 @@ class State:
     """Time plus the predator/prey density pair, strictly positive on one grid.
 
     w is the pair stacked as one read-only (2, n) array, the form every
-    kernel computes on; u and v are Fields over its two rows.
+    kernel computes on; u and v are views of its two rows.
     """
 
     t: float
-    u: Field
-    v: Field
-    w: np.ndarray = field(init=False, repr=False)
+    grid: Grid1D
+    w: np.ndarray
 
     def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise ValueError("u and v must share a grid")
-        if self.u.min() <= 0.0 or self.v.min() <= 0.0:
-            raise ValueError("state must be strictly positive")
-        self._adopt(self.u.grid, np.array((self.u.values, self.v.values)))
+        w = np.array(self.w, dtype=float)
+        if w.shape != (2, self.grid.n_cells):
+            raise ValueError(f"w must have shape (2, {self.grid.n_cells}), got {w.shape}")
+        # min and max propagate NaN, so this also rejects NaN values
+        if not 0.0 < w.min() <= w.max() < math.inf:
+            raise ValueError("state must be finite and strictly positive")
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
     @classmethod
     def trusted(cls, t: float, grid: Grid1D, w: np.ndarray) -> "State":
         """Adopt a finite, strictly positive (2, n_cells) array w without copy or
         check; it is frozen in place, so the caller must not keep writing to it."""
+        w.flags.writeable = False
         st = object.__new__(cls)
-        object.__setattr__(st, "t", t)
-        st._adopt(grid, w)
+        for name, value in (("t", t), ("grid", grid), ("w", w)):
+            object.__setattr__(st, name, value)
         return st
 
-    def _adopt(self, grid: Grid1D, w: np.ndarray):
-        """Take w as the pair and make u and v views of its rows."""
-        w.flags.writeable = False
-        for name, value in (("w", w), ("u", Field.trusted(grid, w[0])),
-                            ("v", Field.trusted(grid, w[1]))):
-            object.__setattr__(self, name, value)
+    @property
+    def u(self) -> np.ndarray:
+        return self.w[0]
 
     @property
-    def grid(self) -> Grid1D:
-        return self.u.grid
+    def v(self) -> np.ndarray:
+        return self.w[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from pesim.experiments import ExperimentSpec, InitialCondition, run_ode_consistency
 from pesim.functionals import CosineBumpTestFunction, weak_residual
-from pesim.grid import Field, Grid1D
+from pesim.grid import Grid1D
 from pesim.inequalities import all_reports
 from pesim.model import KineticParams, ModelKind, RegParams, State
 from pesim.stepper import Scheme, StepperConfig, run_until
@@ -63,8 +63,8 @@ def weak_residual_pair():
     def residuals(n, dt, t_end=1.0):
         grid = Grid1D(0.0, 1.0, n)
         s = grid.centers
-        st = State(0.0, Field(grid, 1.5 + 0.3 * np.cos(np.pi * s)),
-                   Field(grid, 0.5 + 0.3 * np.cos(np.pi * s)))
+        st = State(0.0, grid, [1.5 + 0.3 * np.cos(np.pi * s),
+                               0.5 + 0.3 * np.cos(np.pi * s)])
         cfg = StepperConfig(dt_init=dt, dt_min=dt * 0.5, dt_max=dt,
                             scheme=Scheme.IMEX)
         samples = run_until(st, t_end, COEX_KP, RegParams(1e-4),
@@ -107,5 +107,5 @@ def positive_trig_state(grid, rng, base=(1.0, 2.5), n_modes=3, t=0.0):
         vals = np.full(grid.n_cells, b)
         for k, ck in enumerate(c, start=1):
             vals += ck * np.cos(k * np.pi * s)
-        fields.append(Field(grid, vals))
-    return State(t, fields[0], fields[1])
+        fields.append(vals)
+    return State(t, grid, fields)

@@ -20,7 +20,7 @@ from pesim.experiments import (
     run_extinction_study,
 )
 from pesim.functionals import cross_entropy_productions, m_infinity
-from pesim.grid import Field, Grid1D
+from pesim.grid import Grid1D
 from pesim.model import KineticParams, ModelKind, RegParams, State
 from pesim.stepper import StepperConfig, run_until
 from conftest import COEX_KP, positive_trig_state
@@ -54,14 +54,14 @@ def coexistence_run():
 
 def test_criterion_1_steady_state_exactness():
     t0 = time.time()
-    ic = State(0.0, Field.constant(GRID, 1.5), Field.constant(GRID, 0.5))
+    ic = State(0.0, GRID, np.full((2, GRID.n_cells), [[1.5], [0.5]]))
     worst = 0.0
     for kind in (ModelKind.LIMIT, ModelKind.REGULARIZED):
         final = run_until(ic, 10.0, COEX_KP, RegParams(1e-4), kind,
                           StepperConfig(), sample_every=5.0)[-1]
         worst = max(worst,
-                    np.abs(final.u.values - 1.5).max(),
-                    np.abs(final.v.values - 0.5).max())
+                    np.abs(final.u - 1.5).max(),
+                    np.abs(final.v - 0.5).max())
     elapsed = time.time() - t0
     _report(1, "steady-state exactness",
             worst <= 1e-8 and elapsed < 10.0,

@@ -240,6 +240,11 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     pytest.param("stepper.dt_min", "2\nstepper.dt_init = 2\nstepper.dt_max = 2",
                  id="stepper.dt_min-dt_init-dt_max-2"),
     pytest.param("ic.seed", "-1\nic.kind = random-trig", id="ic.seed--1-random-trig"),
+    # the cell centers resolve modes 0 .. grid.n - 1 only
+    pytest.param("ic.mode", "16\ngrid.n = 16", id="ic.mode-16-grid.n-16"),
+    pytest.param("ic.mode", "1" + "0" * 400, id="ic.mode-1e400"),
+    pytest.param("ic.mode", "1" + "0" * 20 + "\nic.kind = random-trig",
+                 id="ic.mode-1e20-random-trig"),
     # base_u + amp_u overflows to inf
     pytest.param("ic.base_u", "1e308\nic.amp_u = 1e308", id="ic.base_u-amp_u-1e308"),
     # x_right - x_left overflows to inf
@@ -430,7 +435,7 @@ def test_verify_beta_runs_only_that_beta(tmp_path, monkeypatch):
     seen = set()
     real = inequalities.check_bernis
     monkeypatch.setattr(inequalities, "check_bernis",
-                        lambda f, beta: seen.add(beta) or real(f, beta))
+                        lambda f, g, beta: seen.add(beta) or real(f, g, beta))
     out = str(tmp_path / "reports")
     assert main(["verify", "--out", out, "--suite", "bernis", "--beta", "2.0"]) == 0
     assert seen == {2.0}

@@ -35,13 +35,13 @@ def _coex_spec(t_end=5.0, ic=None, n=64, **kw):
 def test_ic_kinds():
     g = _grid()
     st = InitialCondition("constant", 2.0, 0.7).build(g)
-    assert np.all(st.u.values == 2.0) and np.all(st.v.values == 0.7)
+    assert np.all(st.u == 2.0) and np.all(st.v == 0.7)
     st = InitialCondition("perturbed", 1.5, 0.5, 0.3, 0.3, 1, 0).build(g)
-    assert st.u.values[0] > 1.5 > st.u.values[-1]
+    assert st.u[0] > 1.5 > st.u[-1]
     st = InitialCondition("random-trig", 2.0, 2.0, 0.5, 0.5, 4, 42).build(g)
     assert st.u.min() > 1.5 and st.v.min() > 1.5  # base > sum |amps|
     st2 = InitialCondition("random-trig", 2.0, 2.0, 0.5, 0.5, 4, 42).build(g)
-    assert np.array_equal(st.u.values, st2.u.values)
+    assert np.array_equal(st.u, st2.u)
     with pytest.raises(ValueError):
         InitialCondition("gaussian")
 

@@ -21,7 +21,7 @@ from pesim.functionals import (
     steady_states,
     weak_residual,
 )
-from pesim.grid import Field, Grid1D, diff1_values, diff2_values, integrate_values
+from pesim.grid import Grid1D, diff1_values, diff2_values, integrate_values
 from pesim.model import KineticParams, ModelKind, RegParams, State
 from conftest import positive_trig_state
 
@@ -115,7 +115,7 @@ def test_phi():
 def test_quasi_entropy_unit_state(unit_grid):
     kp = _kp(chi1=0.3, chi2=0.3)
     rp = RegParams(eps=0.02, alpha=0.5, n1=2.0, n2=2.0)
-    st = State(0.0, Field.constant(unit_grid, 1.0), Field.constant(unit_grid, 1.0))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.0], [1.0]]))
     assert quasi_entropy_F(st, kp, rp) == pytest.approx(-1.98, rel=1e-13)
     assert dissipation_D(st, kp, rp) == 0.0
 
@@ -123,17 +123,17 @@ def test_quasi_entropy_unit_state(unit_grid):
 def test_dissipation_only_perturbed_component(unit_grid):
     kp = _kp()
     rp = RegParams(eps=0.02, alpha=0.5, n1=2.0, n2=2.0)
-    u = Field.from_function(unit_grid, lambda x: 1.0 + 0.1 * np.cos(np.pi * x))
-    st = State(0.0, u, Field.constant(unit_grid, 1.0))
+    u = 1.0 + 0.1 * np.cos(np.pi * unit_grid.centers)
+    st = State(0.0, unit_grid, [u, np.full(unit_grid.n_cells, 1.0)])
     coarse = dissipation_D(st, kp, rp)
     # self-convergence oracle: same integrand family on a much finer grid
     fine_grid = Grid1D(0.0, 1.0, 2048)
-    uf = Field.from_function(fine_grid, lambda x: 1.0 + 0.1 * np.cos(np.pi * x))
-    stf = State(0.0, uf, Field.constant(fine_grid, 1.0))
+    uf = 1.0 + 0.1 * np.cos(np.pi * fine_grid.centers)
+    stf = State(0.0, fine_grid, [uf, np.full(fine_grid.n_cells, 1.0)])
     fine = dissipation_D(stf, kp, rp)
     assert coarse == pytest.approx(fine, rel=2e-3)
     # v contributes nothing
-    st_swap = State(0.0, Field.constant(unit_grid, 1.0), Field.constant(unit_grid, 1.0))
+    st_swap = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.0], [1.0]]))
     assert dissipation_D(st_swap, kp, rp) == 0.0
 
 
@@ -141,7 +141,7 @@ def test_entropy_E1_homogeneous(unit_grid):
     kp = _kp()
     for eps in (1e-4, 1e-8):
         rp = RegParams(eps=eps)
-        st = State(0.0, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
+        st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.5], [0.5]]))
         expected = (1.5 * eps / 6.0) / 1.5**2 + (0.5 * eps / 6.0) / 0.5**2
         assert entropy_E1(st, kp, rp) == pytest.approx(expected, rel=1e-12)
         assert dissipation_rate_D1(st, kp, rp) == 0.0
@@ -151,7 +151,7 @@ def test_entropy_E1_homogeneous(unit_grid):
 
 def test_entropy_E1_requires_coexistence(unit_grid):
     kp = _kp(lambda1=2.0, lambda2=1.0)
-    st = State(0.0, Field.constant(unit_grid, 2.0), Field.constant(unit_grid, 0.1))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[2.0], [0.1]]))
     with pytest.raises(ValueError):
         entropy_E1(st, kp, RegParams(1e-4))
 
@@ -159,8 +159,8 @@ def test_entropy_E1_requires_coexistence(unit_grid):
 def test_dissipation_D1_perturbed_lower_bound(unit_grid):
     kp = _kp()
     rp = RegParams(1e-4)
-    u = Field.from_function(unit_grid, lambda x: 1.5 + 0.1 * np.cos(np.pi * x))
-    st = State(0.0, u, Field.constant(unit_grid, 0.5))
+    u = 1.5 + 0.1 * np.cos(np.pi * unit_grid.centers)
+    st = State(0.0, unit_grid, [u, np.full(unit_grid.n_cells, 0.5)])
     assert dissipation_rate_D1(st, kp, rp) >= 0.005 * (1.0 - 1e-12)
 
 
@@ -170,7 +170,7 @@ def test_entropy_E2_closed_form(unit_grid):
     eps = 1e-3
     rp = RegParams(eps)
     c = 0.8
-    st = State(0.0, Field.constant(unit_grid, 2.0), Field.constant(unit_grid, c))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[2.0], [c]]))
     a = kp.a1 / kp.a2
     expected = (
         kp.lambda1 * eps / 6.0 / kp.lambda1**2
@@ -186,16 +186,16 @@ def test_entropy_E2_substituted_values(unit_grid):
     # c = 1, A = 1, lambda2 = 1, eps ~ 0 -> E2 = 1.5, D2 = 1
     kp = _kp(lambda1=2.0, lambda2=1.0)
     rp = RegParams(1e-15)
-    st = State(0.0, Field.constant(unit_grid, 2.0), Field.constant(unit_grid, 1.0))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[2.0], [1.0]]))
     assert entropy_E2(st, kp, rp) == pytest.approx(1.5, abs=1e-12)
     assert dissipation_rate_D2(st, kp, rp) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_conditional_y(unit_grid):
-    st = State(0.0, Field.constant(unit_grid, 1.0), Field.constant(unit_grid, 1.0))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.0], [1.0]]))
     assert conditional_y(st) == 0.0
-    v = Field.from_function(unit_grid, lambda x: 1.0 + 0.1 * np.cos(np.pi * x))
-    st2 = State(0.0, Field.constant(unit_grid, 1.0), v)
+    v = 1.0 + 0.1 * np.cos(np.pi * unit_grid.centers)
+    st2 = State(0.0, unit_grid, [np.full(unit_grid.n_cells, 1.0), v])
     assert conditional_y(st2, 2.0) == pytest.approx(0.01 * np.pi**2, rel=1e-3)
     # linearity in gamma
     h1v = conditional_y(st2, 1.0)
@@ -234,7 +234,7 @@ def test_diagnostics_record_coexistence(unit_grid):
 
 def test_diagnostics_record_extinction_regime(unit_grid):
     kp = _kp(lambda1=2.0, lambda2=1.0)
-    st = State(0.0, Field.constant(unit_grid, 2.0), Field.constant(unit_grid, 0.5))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[2.0], [0.5]]))
     rec = diagnostics_record(st, kp, RegParams(1e-4))
     assert rec.E1 is None and rec.D1 is None
     assert rec.E2 >= 0.0
@@ -247,7 +247,7 @@ def test_diagnostics_record_extinction_regime(unit_grid):
 def test_weak_residual_steady_data(unit_grid, coex_params, reg_params):
     # constant-in-time steady samples: every term either vanishes or cancels
     states = [
-        State(t, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
+        State(t, unit_grid, np.full((2, unit_grid.n_cells), [[1.5], [0.5]]))
         for t in np.linspace(0.0, 1.0, 11)
     ]
     tf = CosineBumpTestFunction(1, 1.0)
@@ -263,7 +263,7 @@ def test_weak_residual_zero_test_function(unit_grid, coex_params):
         space_deriv = value
 
     states = [
-        State(t, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
+        State(t, unit_grid, np.full((2, unit_grid.n_cells), [[1.5], [0.5]]))
         for t in np.linspace(0.0, 1.0, 5)
     ]
     ru, rv = weak_residual(states, coex_params, ZeroFn())
@@ -272,7 +272,7 @@ def test_weak_residual_zero_test_function(unit_grid, coex_params):
 
 def test_weak_residual_needs_three_samples(unit_grid, coex_params):
     states = [
-        State(t, Field.constant(unit_grid, 1.0), Field.constant(unit_grid, 1.0))
+        State(t, unit_grid, np.full((2, unit_grid.n_cells), [[1.0], [1.0]]))
         for t in (0.0, 1.0)
     ]
     with pytest.raises(ValueError):
@@ -297,7 +297,7 @@ def _ref_record(state, kp, rp, gamma):
     """Every DiagnosticsRecord field from per-field formulas, in the order
     of addition the stacked functionals must keep bit for bit."""
     g = state.grid
-    u, v = state.u.values, state.v.values
+    u, v = state.u, state.v
     ux, vx = diff1_values(u, g.dx), diff1_values(v, g.dx)
     rho, a = kp.chi1 / kp.chi2, kp.a1 / kp.a2
     epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
@@ -372,7 +372,7 @@ def _ref_weak_residual(samples, kp, test_fn):
     trapz = getattr(np, "trapezoid", None) or np.trapz
     rows = []
     for s in samples:
-        u, v = s.u.values, s.v.values
+        u, v = s.u, s.v
         ux, vx = diff1_values(u, grid.dx), diff1_values(v, grid.dx)
         ph, ph_t, ph_x = (np.asarray(f(x, s.t)) for f in
                           (test_fn.value, test_fn.time_deriv, test_fn.space_deriv))
@@ -385,7 +385,7 @@ def _ref_weak_residual(samples, kp, test_fn):
             _ref_quad(v * (kp.lambda2 - v - kp.a2 * u) * ph, grid),
         ))
     iu_pt, iv_pt, iu_flux, iv_flux, iu_react, iv_react = (np.array(c) for c in zip(*rows))
-    u0, v0 = samples[0].u.values, samples[0].v.values
+    u0, v0 = samples[0].u, samples[0].v
     ph0 = np.asarray(test_fn.value(x, samples[0].t))
     lhs_u = -trapz(iu_pt, times) - _ref_quad(u0 * ph0, grid)
     lhs_v = -trapz(iv_pt, times) - _ref_quad(v0 * ph0, grid)

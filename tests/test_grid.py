@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pesim.grid import (
-    Field,
     Grid1D,
     diff1_values,
     diff2_values,
@@ -24,40 +23,32 @@ def test_grid_invariants():
         Grid1D(0.0, 1.0, 4)
 
 
-def test_field_validation():
-    g = Grid1D(0.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        Field(g, np.ones(9))
-    with pytest.raises(ValueError):
-        Field(g, np.array([1.0, np.nan] + [1.0] * 6))
-
-
 def test_mirror_constant_all_layers():
     g = Grid1D(0.0, 1.0, 16)
-    f = Field.constant(g, 3.7)
-    ext = mirror_extend(f.values)
+    f = np.full(g.n_cells, 3.7)
+    ext = mirror_extend(f)
     assert np.all(ext == 3.7)
     assert ext.shape == (16 + 2,)
 
 
 def test_mirror_cos_left_ghost():
     g = Grid1D(0.0, 1.0, 32)
-    f = Field.from_function(g, lambda x: np.cos(np.pi * x))
-    ext = mirror_extend(f.values)
-    assert ext[0] == f.values[0]
-    assert ext[-1] == f.values[-1]
+    f = np.cos(np.pi * g.centers)
+    ext = mirror_extend(f)
+    assert ext[0] == f[0]
+    assert ext[-1] == f[-1]
 
 
 def test_mirror_linear_one_layer():
     # f = x on 8 cells (minimum size); the reflection rule applied by hand:
     # g[-1] = f[0] = 1/16 and g[n] = f[n-1] = 15/16, the interior untouched
     g = Grid1D(0.0, 1.0, 8)
-    f = Field.from_function(g, lambda x: x)
-    ext = mirror_extend(f.values)
+    f = g.centers
+    ext = mirror_extend(f)
     assert ext.shape == (10,)
     assert ext[0] == 1.0 / 16.0
     assert ext[-1] == 15.0 / 16.0
-    assert np.array_equal(ext[1:-1], f.values)
+    assert np.array_equal(ext[1:-1], f)
 
 
 def test_diff2_constant_is_zero():
@@ -68,16 +59,16 @@ def test_diff2_constant_is_zero():
 
 def test_diff2_cosine_accuracy():
     g = Grid1D(0.0, 1.0, 200)
-    f = Field.from_function(g, lambda x: np.cos(np.pi * x))
+    f = np.cos(np.pi * g.centers)
     exact = -np.pi**2 * np.cos(np.pi * g.centers)
-    assert np.abs(diff2_values(f.values, g.dx) - exact).max() < 1e-3
+    assert np.abs(diff2_values(f, g.dx) - exact).max() < 1e-3
 
 
 def test_diff1_cosine_accuracy_and_neumann():
     g = Grid1D(0.0, 1.0, 200)
-    f = Field.from_function(g, lambda x: np.cos(np.pi * x))
+    f = np.cos(np.pi * g.centers)
     exact = -np.pi * np.sin(np.pi * g.centers)
-    d = diff1_values(f.values, g.dx)
+    d = diff1_values(f, g.dx)
     assert np.abs(d - exact).max() < 1e-3
     # boundary-adjacent values consistent with the no-flux data: the true
     # derivative at the first cell center is itself ~pi^2*dx/2, so the raw
@@ -92,9 +83,9 @@ def test_diff1_boundary_error_second_order():
     errs = []
     for n in (100, 200):
         g = Grid1D(0.0, 1.0, n)
-        f = Field.from_function(g, lambda x: np.cos(np.pi * x))
+        f = np.cos(np.pi * g.centers)
         exact = -np.pi * np.sin(np.pi * g.centers)
-        errs.append(abs(diff1_values(f.values, g.dx)[0] - exact[0]))
+        errs.append(abs(diff1_values(f, g.dx)[0] - exact[0]))
     assert errs[0] / errs[1] > 3.0  # ~4 for O(dx^2)
 
 
@@ -102,9 +93,9 @@ def test_diff3_cosine_accuracy():
     # the model's third derivative: face difference of the mirrored cell
     # second difference, zero on the boundary faces (u_xxx = 0 there)
     g = Grid1D(0.0, 1.0, 200)
-    f = Field.from_function(g, lambda x: np.cos(np.pi * x))
-    d3 = face_third_derivative(f.values, g.dx)
-    exact = np.pi**3 * np.sin(np.pi * g.faces[1:-1])
+    f = np.cos(np.pi * g.centers)
+    d3 = face_third_derivative(f, g.dx)
+    exact = np.pi**3 * np.sin(np.pi * (g.x_left + np.arange(1, g.n_cells) * g.dx))
     assert d3[0] == 0.0 and d3[-1] == 0.0
     assert np.abs(d3[1:-1] - exact).max() < 5e-3
 
@@ -116,14 +107,14 @@ def test_integrate_constant_exact():
 
 def test_integrate_cos_2pi_cancels():
     g = Grid1D(0.0, 1.0, 100)
-    f = Field.from_function(g, lambda x: np.cos(2 * np.pi * x))
-    assert abs(integrate_values(f.values, g)) < 1e-12
+    f = np.cos(2 * np.pi * g.centers)
+    assert abs(integrate_values(f, g)) < 1e-12
 
 
 def test_integrate_quadratic():
     g = Grid1D(0.0, 1.0, 100)
-    f = Field.from_function(g, lambda x: x**2)
-    assert abs(integrate_values(f.values, g) - 1.0 / 3.0) < 5e-5
+    f = g.centers**2
+    assert abs(integrate_values(f, g) - 1.0 / 3.0) < 5e-5
 
 
 def test_diff2_self_adjoint():

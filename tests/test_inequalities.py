@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pesim import inequalities
-from pesim.grid import Field, Grid1D
+from pesim.grid import Grid1D
 from pesim.inequalities import (
     all_reports,
     check_bernis,
@@ -37,21 +37,21 @@ def test_signed_ratio_conventions():
 
 def test_bernis_constant_reports_zero():
     g = Grid1D(0.0, 1.0, 64)
-    assert check_bernis(Field.constant(g, 2.0), 0.0) == 0.0
+    assert check_bernis(np.full(g.n_cells, 2.0), g, 0.0) == 0.0
 
 
 def test_bernis_rejects_beta_one_and_nonpositive():
     g = Grid1D(0.0, 1.0, 64)
-    f = Field.constant(g, 2.0)
+    f = np.full(g.n_cells, 2.0)
     with pytest.raises(ValueError):
-        check_bernis(f, 1.0)
+        check_bernis(f, g, 1.0)
     with pytest.raises(ValueError):
-        check_bernis(Field.constant(g, -1.0), 0.0)
+        check_bernis(np.full(g.n_cells, -1.0), g, 0.0)
     # a beta whose integrals overflow evaluates nothing
-    wavy = Field.from_function(g, lambda x: 2.0 + np.cos(np.pi * x))
+    wavy = 2.0 + np.cos(np.pi * g.centers)
     for beta in (1e5, 1e308):
         with pytest.raises(ValueError, match="non-finite"):
-            check_bernis(wavy, beta)
+            check_bernis(wavy, g, beta)
 
 
 def test_make_report_nan_ratio_wins_and_fails():
@@ -66,8 +66,8 @@ def test_make_report_nan_ratio_wins_and_fails():
 
 def test_bernis_cosine_example():
     g = Grid1D(0.0, 1.0, 400)
-    f = Field.from_function(g, lambda x: 2.0 + np.cos(np.pi * x))
-    assert check_bernis(f, 0.0) <= 1.05
+    f = 2.0 + np.cos(np.pi * g.centers)
+    assert check_bernis(f, g, 0.0) <= 1.05
 
 
 def test_bernis_beta_sweep_random_fields():
@@ -76,7 +76,7 @@ def test_bernis_beta_sweep_random_fields():
     for _ in range(200):
         f = random_trig_field(g, rng)
         for beta in (-1.0, 0.0, 2.0, 3.0):
-            assert check_bernis(f, beta) <= 1.05
+            assert check_bernis(f, g, beta) <= 1.05
 
 
 def test_bernis_tighter_at_finer_resolution():
@@ -86,7 +86,7 @@ def test_bernis_tighter_at_finer_resolution():
     for _ in range(60):
         f = random_trig_field(g, rng)
         for beta in (-1.0, 0.0, 2.0, 3.0):
-            assert check_bernis(f, beta) <= 1.02
+            assert check_bernis(f, g, beta) <= 1.02
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +98,13 @@ def test_interp_log_constant_equality():
     # and the convention reports 0)
     g = Grid1D(0.0, 1.0, 128)
     for c in (0.5, 3.0):
-        assert check_interp_log(Field.constant(g, c)) == pytest.approx(1.0, rel=1e-12)
-    assert check_interp_log(Field.constant(g, 1.0)) == 0.0
+        assert check_interp_log(np.full(g.n_cells, c), g) == pytest.approx(1.0, rel=1e-12)
+    assert check_interp_log(np.full(g.n_cells, 1.0), g) == 0.0
 
 
 def test_interp_lower_constant_value():
     g = Grid1D(0.0, 1.0, 128)
-    assert check_interp_lower(Field.constant(g, 1.0), 1.0, 1.0) == pytest.approx(0.25)
+    assert check_interp_lower(np.full(g.n_cells, 1.0), g, 1.0, 1.0) == pytest.approx(0.25)
 
 
 def test_interp_random_fields():
@@ -113,8 +113,8 @@ def test_interp_random_fields():
     for _ in range(200):
         f = random_trig_field(g, rng)
         for pq in (1.5, 2.0):
-            assert check_interp_lower(f, pq, pq) <= 1.05
-        assert check_interp_log(f) <= 1.05
+            assert check_interp_lower(f, g, pq, pq) <= 1.05
+        assert check_interp_log(f, g) <= 1.05
 
 
 def test_interp_tighter_at_finer_resolution():
@@ -123,17 +123,30 @@ def test_interp_tighter_at_finer_resolution():
     for _ in range(60):
         f = random_trig_field(g, rng)
         for pq in (1.5, 2.0):
-            assert check_interp_lower(f, pq, pq) <= 1.02
-        assert check_interp_log(f) <= 1.02
+            assert check_interp_lower(f, g, pq, pq) <= 1.02
+        assert check_interp_log(f, g) <= 1.02
 
 
 def test_interp_rejects_nonpositive():
     g = Grid1D(0.0, 1.0, 64)
-    bad = Field.constant(g, -0.5)
+    bad = np.full(g.n_cells, -0.5)
     with pytest.raises(ValueError):
-        check_interp_lower(bad, 1.0, 1.0)
+        check_interp_lower(bad, g, 1.0, 1.0)
     with pytest.raises(ValueError):
-        check_interp_log(bad)
+        check_interp_log(bad, g)
+
+
+@pytest.mark.parametrize("check, args", [(check_bernis, (0.0,)), (check_interp_lower, (1.0, 1.0)),
+                                         (check_interp_log, ())],
+                         ids=["bernis", "interp_lower", "interp_log"])
+def test_quadrature_checkers_reject_wrong_length_and_nan(check, args):
+    g = Grid1D(0.0, 1.0, 64)
+    with pytest.raises(ValueError, match="expected 64 values"):
+        check(np.full(g.n_cells + 1, 2.0), g, *args)
+    nan = np.full(g.n_cells, 2.0)
+    nan[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        check(nan, g, *args)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pesim.grid import Field, Grid1D, integrate_values
+from pesim.grid import Grid1D, integrate_values
 from pesim.model import (
     KineticParams,
     ModelKind,
@@ -40,37 +40,53 @@ def test_param_validation():
 
 
 def test_state_requires_positivity(unit_grid):
-    u = Field.constant(unit_grid, 1.0)
-    zero = Field.constant(unit_grid, 0.0)
     with pytest.raises(ValueError):
-        State(0.0, u, zero)
+        State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.0], [0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 15), (1, 16), (16,), (3, 16)])
+def test_state_rejects_a_wrong_shape(shape):
+    g = Grid1D(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match="shape"):
+        State(0.0, g, np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_state_rejects_a_nonpositive_or_nonfinite_entry(bad):
+    g = Grid1D(0.0, 1.0, 16)
+    for row in (0, 1):
+        w = np.ones((2, g.n_cells))
+        w[row, 5] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            State(0.0, g, w)
 
 
 def test_state_holds_its_pair_as_one_frozen_array(unit_grid):
-    u, v = Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5)
-    st = State(0.0, u, v)
+    u, v = np.full(unit_grid.n_cells, 1.5), np.full(unit_grid.n_cells, 0.5)
+    st = State(0.0, unit_grid, [u, v])
     assert st.w.shape == (2, unit_grid.n_cells) and not st.w.flags.writeable
-    assert np.array_equal(st.w, [u.values, v.values])
+    assert np.array_equal(st.w, [u, v])
+    # the pair is copied in, so the caller's arrays stay its own
+    assert not np.shares_memory(st.w, u) and u.flags.writeable
     # u and v are views of the pair's rows
-    assert np.shares_memory(st.w, st.u.values) and np.shares_memory(st.w, st.v.values)
+    assert np.shares_memory(st.w, st.u) and np.shares_memory(st.w, st.v)
 
 
 def test_trusted_state_adopts_its_array_without_copy(unit_grid):
     w = np.array((np.full(unit_grid.n_cells, 1.5), np.full(unit_grid.n_cells, 0.5)))
     st = State.trusted(0.25, unit_grid, w)
     assert st.w is w and not w.flags.writeable
-    assert np.shares_memory(w, st.u.values) and np.shares_memory(w, st.v.values)
-    assert np.array_equal(st.u.values, w[0]) and np.array_equal(st.v.values, w[1])
+    assert np.shares_memory(w, st.u) and np.shares_memory(w, st.v)
+    assert np.array_equal(st.u, w[0]) and np.array_equal(st.v, w[1])
     assert st.t == 0.25 and st.grid is unit_grid
 
 
-def test_states_and_fields_compare_by_identity(unit_grid):
-    # their values are arrays, so value equality has no single truth value
-    u, v = Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5)
-    st, twin = State(0.0, u, v), State(0.0, u, v)
-    assert u == u and u != Field.constant(unit_grid, 1.5)
+def test_states_compare_by_identity(unit_grid):
+    # their pairs are arrays, so value equality has no single truth value
+    w = np.full((2, unit_grid.n_cells), [[1.5], [0.5]])
+    st, twin = State(0.0, unit_grid, w), State(0.0, unit_grid, w)
     assert st == st and st != twin
-    assert len({u, v, st, twin}) == 4
+    assert len({st, twin}) == 2
     # grids keep value equality
     assert Grid1D(0.0, 1.0, 128) == unit_grid
 
@@ -180,7 +196,7 @@ def test_g_mollifier_deriv_matches_fd():
 # ---------------------------------------------------------------------------
 
 def test_rhs_steady_state_identically_zero(unit_grid, coex_params, reg_params):
-    st = State(0.0, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.5], [0.5]]))
     for kind in ModelKind:
         du, dv = compute_rhs(st.w, unit_grid.dx, coex_params, reg_params, kind)
         assert np.all(du == 0.0)
@@ -189,7 +205,7 @@ def test_rhs_steady_state_identically_zero(unit_grid, coex_params, reg_params):
 
 def test_rhs_homogeneous_reduces_to_ode(unit_grid, coex_params, reg_params):
     c1, c2 = 1.3, 0.7
-    st = State(0.0, Field.constant(unit_grid, c1), Field.constant(unit_grid, c2))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[c1], [c2]]))
     du, dv = compute_rhs(st.w, unit_grid.dx, coex_params, reg_params, ModelKind.LIMIT)
     kp = coex_params
     assert du == pytest.approx(c1 * (kp.lambda1 - c1 + kp.a1 * c2), rel=1e-14)
@@ -202,7 +218,7 @@ def test_rhs_mass_identity(unit_grid, coex_params, reg_params):
     for kind in ModelKind:
         for _ in range(10):
             st = positive_trig_state(unit_grid, rng)
-            u, v = st.u.values, st.v.values
+            u, v = st.u, st.v
             du, dv = compute_rhs(np.array((u, v)), unit_grid.dx, coex_params, reg_params, kind)
             ru, rv = reaction_terms(np.array((u, v)), coex_params, reg_params, kind)
             for d, r in ((du, ru), (dv, rv)):
@@ -238,10 +254,8 @@ def test_reaction_jacobian_matches_finite_differences(unit_grid, kind):
 
 def test_rhs_rejects_bad_input(unit_grid, coex_params, reg_params):
     other = Grid1D(0.0, 1.0, 64)
-    u = Field.constant(unit_grid, 1.0)
-    v_other = Field.constant(other, 1.0)
     with pytest.raises(ValueError):
-        State(0.0, u, v_other)
+        State(0.0, other, np.ones((2, unit_grid.n_cells)))
 
 
 @pytest.mark.parametrize("kind, eps", [(ModelKind.LIMIT, 1e-4),
@@ -283,10 +297,10 @@ def test_rhs_eps_consistency(unit_grid, coex_params):
     s = unit_grid.centers
     st = State(
         0.0,
-        Field(unit_grid, 1.5 + 0.4 * np.cos(np.pi * s)),
-        Field(unit_grid, 1.0 + 0.3 * np.cos(2 * np.pi * s)),
+        unit_grid,
+        [1.5 + 0.4 * np.cos(np.pi * s), 1.0 + 0.3 * np.cos(2 * np.pi * s)],
     )
-    u, v, dx = st.u.values, st.v.values, unit_grid.dx
+    u, v, dx = st.u, st.v, unit_grid.dx
     du_lim, dv_lim = compute_rhs(np.array((u, v)), dx, coex_params, RegParams(1e-8),
                                  ModelKind.LIMIT)
     errs = []

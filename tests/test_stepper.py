@@ -11,7 +11,7 @@ from scipy.optimize import fsolve
 import pesim.stepper as stp
 from pesim.experiments import InitialCondition
 from pesim.functionals import diagnostics_record
-from pesim.grid import Field, Grid1D, integrate_values
+from pesim.grid import Grid1D, integrate_values
 from pesim.model import (
     KineticParams,
     ModelKind,
@@ -42,8 +42,8 @@ def _smooth_state(grid, t=0.0):
     s = grid.centers
     return State(
         t,
-        Field(grid, 1.5 + 0.3 * np.cos(np.pi * s)),
-        Field(grid, 0.8 + 0.2 * np.cos(2 * np.pi * s)),
+        grid,
+        [1.5 + 0.3 * np.cos(np.pi * s), 0.8 + 0.2 * np.cos(2 * np.pi * s)],
     )
 
 
@@ -89,26 +89,26 @@ def test_banded_operator_matches_direct_flux(coex_params):
 
 
 def test_steady_state_step_unchanged(unit_grid, coex_params, reg_params):
-    st = State(0.0, Field.constant(unit_grid, 1.5), Field.constant(unit_grid, 0.5))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.5], [0.5]]))
     for scheme in Scheme:
         cfg = StepperConfig(scheme=scheme)
         out = step(st, 0.05, coex_params, reg_params, ModelKind.REGULARIZED, cfg)
         assert out.accepted
-        assert np.abs(out.state.u.values - 1.5).max() < cfg.newton_tol
-        assert np.abs(out.state.v.values - 0.5).max() < cfg.newton_tol
+        assert np.abs(out.state.u - 1.5).max() < cfg.newton_tol
+        assert np.abs(out.state.v - 0.5).max() < cfg.newton_tol
 
 
 def test_fully_implicit_matches_backward_euler_oracle(unit_grid):
     # homogeneous limit-system step reduces to scalar backward Euler
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)
     rp = RegParams(1e-4)
-    st = State(0.0, Field.constant(unit_grid, 1.0), Field.constant(unit_grid, 1.0))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[1.0], [1.0]]))
     dt = 1e-3
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT, dt_init=dt)
     out = step(st, dt, kp, rp, ModelKind.LIMIT, cfg)
     assert out.accepted
-    u1 = out.state.u.values[0]
-    v1 = out.state.v.values[0]
+    u1 = out.state.u[0]
+    v1 = out.state.v[0]
     # residual of the implicit equations at the returned state
     assert abs(u1 - 1.0 - dt * u1 * (1.0 - u1 + v1)) < 1e-10
     assert abs(v1 - 1.0 - dt * v1 * (1.0 - v1 - u1)) < 1e-10
@@ -119,7 +119,7 @@ def test_fully_implicit_matches_backward_euler_oracle(unit_grid):
     sol = fsolve(res, [1.0, 1.0], full_output=False, xtol=1e-13)
     assert u1 == pytest.approx(sol[0], abs=1e-9)
     assert v1 == pytest.approx(sol[1], abs=1e-9)
-    assert np.all(out.state.u.values == u1)
+    assert np.all(out.state.u == u1)
 
 
 def test_schemes_agree_for_small_dt(unit_grid, coex_params, reg_params):
@@ -129,8 +129,8 @@ def test_schemes_agree_for_small_dt(unit_grid, coex_params, reg_params):
     for scheme in Scheme:
         cfg = StepperConfig(scheme=scheme, dt_init=dt, dt_min=1e-12)
         outs.append(step(st, dt, coex_params, reg_params, ModelKind.REGULARIZED, cfg))
-    du = np.abs(outs[0].state.u.values - outs[1].state.u.values).max()
-    dv = np.abs(outs[0].state.v.values - outs[1].state.v.values).max()
+    du = np.abs(outs[0].state.u - outs[1].state.u).max()
+    dv = np.abs(outs[0].state.v - outs[1].state.v).max()
     assert du < 1e-7 and dv < 1e-7
 
 
@@ -156,8 +156,8 @@ def test_run_until_samples_every_multiple(coex_params, reg_params):
 def test_homogeneous_run_matches_rk4_oracle(homogeneous_ode_run):
     final = homogeneous_ode_run.states[-1]
     uo, vo = homogeneous_ode_run.extras["oracle_u"], homogeneous_ode_run.extras["oracle_v"]
-    assert abs(final.u.values[0] - uo) < 1e-6
-    assert abs(final.v.values[0] - vo) < 1e-6
+    assert abs(final.u[0] - uo) < 1e-6
+    assert abs(final.v[0] - vo) < 1e-6
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -176,7 +176,7 @@ def test_first_order_temporal_convergence(scheme, coex_params):
             out = step(s, dt, coex_params, rp, ModelKind.REGULARIZED, cfg)
             assert out.accepted
             s = out.state
-        return s.u.values
+        return s.u
 
     ref = final_u(7.8125e-5)
     errs = [np.abs(final_u(dt) - ref).max() for dt in (4e-3, 2e-3, 1e-3)]
@@ -231,9 +231,9 @@ def test_mass_identity_per_implicit_step(unit_grid, coex_params):
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT, dt_init=dt)
     out = step(st, dt, coex_params, rp, ModelKind.REGULARIZED, cfg)
     assert out.accepted
-    u1, v1 = out.state.u.values, out.state.v.values
+    u1, v1 = out.state.u, out.state.v
     mass_rate = (integrate_values(u1, unit_grid)
-                 - integrate_values(st.u.values, unit_grid)) / dt
+                 - integrate_values(st.u, unit_grid)) / dt
     reaction = integrate_values(
         g_mollifier(u1, rp.eps) * (coex_params.lambda1 - u1 + coex_params.a1 * v1),
         unit_grid,
@@ -253,8 +253,8 @@ def test_determinism(unit_grid, coex_params, reg_params):
     assert len(s1) == len(s2)
     for a, b in zip(s1, s2):
         assert a.t == b.t
-        assert np.array_equal(a.u.values, b.u.values)
-        assert np.array_equal(a.v.values, b.v.values)
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.v, b.v)
 
 
 def test_positivity_and_rejection(unit_grid):
@@ -262,7 +262,7 @@ def test_positivity_and_rejection(unit_grid):
     # prey negative: the step must be rejected, not clamped
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)
     rp = RegParams(1e-4)
-    st = State(0.0, Field.constant(unit_grid, 30.0), Field.constant(unit_grid, 30.0))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[30.0], [30.0]]))
     cfg = StepperConfig(dt_init=10.0, dt_min=10.0, dt_max=10.0)
     out = step(st, 10.0, kp, rp, ModelKind.REGULARIZED, cfg)
     assert not out.accepted
@@ -272,7 +272,7 @@ def test_positivity_and_rejection(unit_grid):
 def test_dt_underflow_raises_with_partial_log(unit_grid):
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)
     rp = RegParams(1e-4)
-    st = State(0.0, Field.constant(unit_grid, 30.0), Field.constant(unit_grid, 30.0))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[30.0], [30.0]]))
     cfg = StepperConfig(dt_init=10.0, dt_min=10.0, dt_max=10.0)
     with pytest.raises(StepperFailure) as exc:
         run_until(st, 50.0, kp, rp, ModelKind.REGULARIZED, cfg, 1.0)
@@ -285,7 +285,7 @@ def test_adaptive_run_recovers_from_rejections(unit_grid):
     # sampled state stays above the positivity floor
     kp = KineticParams(1, 1, 0.05, 0.05, 1, 1, 1, 1)
     rp = RegParams(1e-4)
-    st = State(0.0, Field.constant(unit_grid, 30.0), Field.constant(unit_grid, 30.0))
+    st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[30.0], [30.0]]))
     cfg = StepperConfig(dt_init=0.05, dt_min=1e-10, dt_max=0.05)
     samples = run_until(st, 5.0, kp, rp, ModelKind.REGULARIZED, cfg, 0.5)
     assert samples[-1].t == pytest.approx(5.0, abs=1e-6)
@@ -305,12 +305,12 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
     out = step(samples[-1], 1e-3, coex_params, reg_params, kind, cfg)
     assert out.accepted
     states = samples + [out.state]
-    saved = [(s.w.copy(), s.u.values.copy(), s.v.values.copy()) for s in states]
+    saved = [(s.w.copy(), s.u.copy(), s.v.copy()) for s in states]
     for s in states:
         assert not s.w.flags.writeable
-        assert not s.u.values.flags.writeable and not s.v.values.flags.writeable
+        assert not s.u.flags.writeable and not s.v.flags.writeable
         with pytest.raises(ValueError):
-            s.v.values[0] = 1.0
+            s.v[0] = 1.0
         with pytest.raises(ValueError):
             s.w[0, 0] = 1.0
     st = out.state
@@ -318,7 +318,7 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
         st = step(st, 1e-3, coex_params, reg_params, kind, cfg).state
     for s, (w0, u0, v0) in zip(states, saved):
         assert np.array_equal(s.w, w0)
-        assert np.array_equal(s.u.values, u0) and np.array_equal(s.v.values, v0)
+        assert np.array_equal(s.u, u0) and np.array_equal(s.v, v0)
 
 
 @pytest.mark.parametrize("scheme, kind", [
@@ -362,7 +362,7 @@ def test_jacobian_matches_finite_differences(kind, coex_params):
     st = _smooth_state(grid)
     n, dx = grid.n_cells, grid.dx
     w = np.empty(2 * n)
-    w[0::2], w[1::2] = st.u.values, st.v.values
+    w[0::2], w[1::2] = st.u, st.v
 
     def rhs(w):
         du, dv = compute_rhs(np.array((w[0::2], w[1::2])), dx, coex_params, rp, kind)
@@ -398,7 +398,7 @@ def test_implicit_step_at_n1024_is_accepted(dt, coex_params, reg_params):
     assert outs[0].accepted and outs[1].accepted
     assert outs[0].newton_iters < stp._NEWTON_MAX_ITER
     for field in ("u", "v"):
-        diff = getattr(outs[0].state, field).values - getattr(outs[1].state, field).values
+        diff = getattr(outs[0].state, field) - getattr(outs[1].state, field)
         assert np.abs(diff).max() <= dt
 
 
@@ -439,7 +439,7 @@ def test_wrong_first_jacobian_is_rebuilt(coex_params, reg_params, monkeypatch):
     out = step(*args)
     assert out.accepted and len(builds) == 2
     for field in ("u", "v"):
-        diff = getattr(out.state, field).values - getattr(expected.state, field).values
+        diff = getattr(out.state, field) - getattr(expected.state, field)
         assert np.abs(diff).max() <= 10 * cfg.newton_tol
 
 
@@ -450,8 +450,8 @@ def test_newton_always_takes_a_correction(coex_params, reg_params):
     samples = run_until(st, 0.1, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 0.1)
     final = samples[-1]
     assert final.t == pytest.approx(0.1)
-    assert not np.array_equal(final.u.values, st.u.values)
-    assert not np.array_equal(final.v.values, st.v.values)
+    assert not np.array_equal(final.u, st.u)
+    assert not np.array_equal(final.v, st.v)
 
 
 def test_step_applies_local_error_test(unit_grid, coex_params, reg_params):
@@ -690,7 +690,7 @@ def test_step_matches_dict_band_reference(scheme, kind, n, n2, coex_params):
     grid = Grid1D(0.0, 3.0, n)  # dx is no power of two, so every product rounds
     rp = RegParams(1e-3, 0.5, 2.0, n2)
     st = positive_trig_state(grid, rng)
-    u, v = st.u.values, st.v.values
+    u, v = st.u, st.v
     reference = _ref_imex if scheme is Scheme.IMEX else _ref_newton
     accepted = 0
     for dt in (1e-6, 1e-5, 1e-3):
@@ -701,7 +701,7 @@ def test_step_matches_dict_band_reference(scheme, kind, n, n2, coex_params):
         assert out.accepted == (ref is not None)
         if ref is not None:
             accepted += 1
-            assert np.array_equal(out.state.u.values, ref[0])
-            assert np.array_equal(out.state.v.values, ref[1])
+            assert np.array_equal(out.state.u, ref[0])
+            assert np.array_equal(out.state.v, ref[1])
             assert out.newton_iters == ref[2]
     assert accepted >= 2
