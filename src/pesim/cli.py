@@ -51,6 +51,11 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _json_fields(record) -> dict:
+    """A Verdict's or CheckReport's fields in order, with passed written as "pass"."""
+    return {"pass" if k == "passed" else k: x for k, x in asdict(record).items()}
+
+
 def _fail(message: str, code: int) -> int:
     print(f"pesim: {message}", file=sys.stderr)
     return code
@@ -170,9 +175,7 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
             fh.write(",".join(_EPS_COLUMNS) + "\n")
             for row in result.extras["distances"]:
                 fh.write(",".join(_fmt(row[c]) for c in _EPS_COLUMNS) + "\n")
-    # each Verdict's fields in order, with passed written as "pass"
-    verdicts = {name: {"pass" if k == "passed" else k: x for k, x in asdict(v).items()}
-                for name, v in result.verdicts.items()}
+    verdicts = {name: _json_fields(v) for name, v in result.verdicts.items()}
     with open(os.path.join(out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
         json.dump({"experiment": which, "verdicts": verdicts, "extras": result.extras},
                   fh, indent=2)
@@ -232,7 +235,7 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
     ok = True
     for rep in reports:
         with open(os.path.join(out_dir, f"{rep.name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json() + "\n")
+            fh.write(json.dumps(_json_fields(rep), indent=2) + "\n")
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.name}: "
               f"worst_ratio={rep.worst_ratio:.6g} tol={rep.tolerance:g} "
               f"({rep.samples} samples)")

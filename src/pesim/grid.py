@@ -39,6 +39,8 @@ class Grid1D:
             raise ValueError("x_right - x_left overflows to a non-finite length")
         if self.n_cells < 8:
             raise ValueError("n_cells must be at least 8")
+        if self.n_cells > 2**20:
+            raise ValueError("n_cells must be at most 2**20 = 1048576")
 
     @property
     def length(self) -> float:

@@ -11,9 +11,8 @@ vanishing boundary derivative) hold exactly rather than being violated.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,11 +48,6 @@ class CheckReport:
     passed: bool
     tolerance: float
     worst_case_payload: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        """The fields in order, with passed written as "pass"."""
-        return json.dumps({"pass" if k == "passed" else k: v for k, v in asdict(self).items()},
-                          indent=2)
 
 
 def _make_report(name, results, tolerance) -> CheckReport:
@@ -198,7 +192,7 @@ _ODE_GRID_STEPS = 100_000  # sample times on every draw's barrier
 # graded RK4 steps: the step from sample j spans max(1, min(floor(C*j), M))
 # samples, so h ~ C*(t - t0) inside the initial layer and M samples beyond it
 _ODE_GRADE, _ODE_MAX_SPAN = 0.003, 50
-_ODE_BLOCK = 64  # samples per barrier evaluation
+_ODE_BLOCK = 64  # fewest samples per barrier evaluation, but for the last
 # Relative allowance for the barrier check: the bound is approached (never
 # crossed) as the solution relaxes to its equilibrium, so exact floating-point
 # equality at the limit may wobble by a few ulp.
@@ -217,12 +211,13 @@ def _hermite_weights(m):
 
 def _rk4_dense(s, rate, dt, n_steps):
     """Yield the RK4 solution of s' = rate(s) at samples 1..n_steps of spacing
-    dt, one (m, draws) slab per graded step of m samples; each slab is
-    overwritten by the next.  A step's last row is its end value; the rows
-    before it interpolate the end values and the slopes, the end slope being
-    the next step's k1 (dense output, Hairer, Norsett & Wanner, Solving
-    ODEs I, II.6)."""
-    k1, j, buf = rate(s), 0, np.empty((_ODE_MAX_SPAN, s.size))
+    dt, in (rows, draws) blocks of whole graded steps, each at least
+    _ODE_BLOCK rows but the last; each block is overwritten by the next.  A
+    step's last row is its end value; the rows before it interpolate the end
+    values and the slopes, the end slope being the next step's k1 (dense
+    output, Hairer, Norsett & Wanner, Solving ODEs I, II.6)."""
+    k1, j, rows = rate(s), 0, 0
+    buf = np.empty((_ODE_BLOCK + _ODE_MAX_SPAN - 1, s.size))
     while j < n_steps:
         m = min(max(1, min(int(_ODE_GRADE * j), _ODE_MAX_SPAN)), n_steps - j)
         h = m * dt
@@ -234,33 +229,19 @@ def _rk4_dense(s, rate, dt, n_steps):
         if m > 1:
             # einsum, not @: BLAS buffers would add about 0.25 MB to the peak RSS
             ends = np.stack([s, h * k1, s1, h * f1])
-            np.einsum("ik,kj->ij", _hermite_weights(m), ends, out=buf[:m - 1])
-        buf[m - 1] = s1
-        yield buf[:m]
-        s, k1, j = s1, f1, j + m
-
-
-def _in_blocks(slabs, width):
-    """The rows of slabs regrouped into blocks of _ODE_BLOCK rows, the last
-    one possibly shorter; each block is overwritten by the next."""
-    blk, rows = np.empty((_ODE_BLOCK, width)), 0
-    for slab in slabs:
-        while len(slab):
-            take = min(len(slab), _ODE_BLOCK - rows)
-            blk[rows:rows + take] = slab[:take]
-            slab, rows = slab[take:], rows + take
-            if rows == _ODE_BLOCK:
-                yield blk
-                rows = 0
-    if rows:
-        yield blk[:rows]
+            np.einsum("ik,kj->ij", _hermite_weights(m), ends, out=buf[rows:rows + m - 1])
+        buf[rows + m - 1] = s1
+        s, k1, j, rows = s1, f1, j + m, rows + m
+        if rows >= _ODE_BLOCK or j == n_steps:
+            yield buf[:rows]
+            rows = 0
 
 
 def _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
     """Integrate y' = b - a*y^beta for each draw and yield y(t)/bound(t) at
     the n_steps sample times t0 + dt, t0 + 2*dt, ... (summed one dt at a
     time), dt = (t_end - t0)/n_steps, as (t_blk, ratios) per block of
-    _ODE_BLOCK samples: a (rows, 1) column and a (rows, draws) array.
+    _rk4_dense: a (rows, 1) column and a (rows, draws) array.
 
     Draws above the equilibrium (b/a)^(1/beta) are integrated in z = y^(1-beta),
     whose dynamics z' = (beta-1)*(a - b*z^(beta/(beta-1))) are non-stiff even
@@ -288,8 +269,7 @@ def _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
 
     dt = (t_end - t0) / n_steps
     exp_back, bm1a, t = -1.0 / bm1, bm1 * a, t0
-    slabs = _rk4_dense(s, lambda x: c0 * (c1 - c2 * x**e), dt, n_steps)
-    for s_blk in _in_blocks(slabs, s.size):
+    for s_blk in _rk4_dense(s, lambda x: c0 * (c1 - c2 * x**e), dt, n_steps):
         t_blk = np.full((len(s_blk), 1), dt)
         t_blk[0] += t
         t_blk = np.cumsum(t_blk, axis=0)  # sequential, so t += dt to the bit

@@ -144,9 +144,9 @@ class State:
 # scalar coefficient functions (vectorized over numpy arrays)
 # ---------------------------------------------------------------------------
 
-def _check_nonneg(s, what="s"):
+def _check_nonneg(s):
     if np.any(np.asarray(s) < 0.0):
-        raise ValueError(f"{what} must be nonnegative")
+        raise ValueError("s must be nonnegative")
 
 
 # The underscored kernels below skip the argument checks: the face

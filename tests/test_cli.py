@@ -232,6 +232,10 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     ("reg.alpha", "0.75"),
     ("reg.n2", "3"),
     ("grid.n", "4"),
+    # above 2**20 cells: 10**16 cells would not fit in memory, and at 10**20
+    # numpy's own error names no key
+    pytest.param("grid.n", "1" + "0" * 16, id="grid.n-1e16"),
+    pytest.param("grid.n", "1" + "0" * 20, id="grid.n-1e20"),
     ("domain.right", "-1"),
     ("time.t_end", "-1"),
     ("time.t_end", "3e9"),  # time tolerance 3 above sample_every: a step past dt_max

@@ -370,16 +370,24 @@ def _shipped_ode_draws():
 
 
 def test_graded_kernel_matches_fine_reference_on_shipped_draws(shipped_reports):
-    # every sample of every shipped draw, one block of samples at a time
+    # every sample of every shipped draw, in sample order: the reference's rows
+    # are pulled as each of the kernel's blocks needs them, wherever blocks end
     args = (0.0, *_shipped_ode_draws(), inequalities._ODE_T_SPAN, inequalities._ODE_GRID_STEPS)
     graded_max = fine_max = np.zeros(inequalities._ODE_DRAWS)
+    fine = _fine_ratio_blocks(*args)
+    t_f, r_f = np.empty((0, 1)), np.empty((0, inequalities._ODE_DRAWS))
     with np.errstate(over="ignore"):
-        for (t_g, r_g), (t_f, r_f) in zip(inequalities._ode_ratio_blocks(*args),
-                                          _fine_ratio_blocks(*args), strict=True):
-            assert np.array_equal(t_g, t_f)
-            assert np.abs(r_g - r_f).max() <= 1e-9
+        for t_g, r_g in inequalities._ode_ratio_blocks(*args):
+            while len(t_f) < len(t_g):
+                t_next, r_next = next(fine)
+                t_f, r_f = np.concatenate([t_f, t_next]), np.concatenate([r_f, r_next])
+            rows = len(t_g)
+            assert np.array_equal(t_g, t_f[:rows])
+            assert np.abs(r_g - r_f[:rows]).max() <= 1e-9
             graded_max = np.maximum(graded_max, r_g.max(axis=0))
-            fine_max = np.maximum(fine_max, r_f.max(axis=0))
+            fine_max = np.maximum(fine_max, r_f[:rows].max(axis=0))
+            t_f, r_f = t_f[rows:], r_f[rows:]
+        assert len(t_f) == 0 and next(fine, None) is None
     rep = next(r for r in shipped_reports[0] if r.name == "ode_comparison")
     assert graded_max.argmax() == fine_max.argmax() == rep.worst_case_payload["draw"]
     assert rep.worst_ratio == graded_max.max()
