@@ -2,6 +2,11 @@
 thin-film fourth-order regularization, and the entropy/inequality
 diagnostics that monitor its quantitative structure."""
 
+import os
+
+# pesim never calls BLAS, so the thread pools OpenBLAS starts on load only burn CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .grid import Grid1D
 from .model import (
     KineticParams,

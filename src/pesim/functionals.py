@@ -204,14 +204,19 @@ def conditional_y(state: State, gamma: float = 1.0) -> float:
 
 
 def cross_entropy_productions(state: State, kp: KineticParams, rp: RegParams):
-    """The two discrete cross-diffusion entropy productions.
+    """The two cross-diffusion entropy productions, in their collapsed form.
 
-    Testing the u-equation's taxis flux with the regularized log-entropy
-    weight collapses the face factor h(u) * L''(u) to 1, and the same happens
-    on the v side, so both productions reduce to the same face sum of
-    u_x * v_x.  The pair returned here is (chi1 * S, -(chi1/chi2) * chi2 * S);
-    in exact arithmetic they cancel, and in floating point they agree to a
-    few ulp.
+    In the continuum, testing the u-equation's taxis flux with the regularized
+    log-entropy weight collapses the factor h(u) * L''(u) to 1, and the same
+    happens on the v side, so both productions reduce to one sum S of
+    u_x * v_x.  This returns that collapsed pair, (chi1 * S,
+    -(chi1/chi2) * chi2 * S), computed from one face sum: it never reads rp,
+    and the two cancel to a few ulp for any state.
+
+    The scheme's own fluxes (the face mean of h_eps times the face gradient
+    of the other field) cancel only to second order in dx;
+    tests/test_functionals.py::test_scheme_taxis_fluxes_cancel_in_entropy_to_second_order
+    checks that order.
     """
     g = state.grid
     ux, vx = np.diff(state.w) / g.dx

@@ -22,7 +22,14 @@ from pesim.functionals import (
     weak_residual,
 )
 from pesim.grid import Grid1D, diff1_values, diff2_values, integrate_values
-from pesim.model import KineticParams, ModelKind, RegParams, State
+from pesim.model import (
+    KineticParams,
+    ModelKind,
+    RegParams,
+    State,
+    face_gradient,
+    taxis_face_coeff,
+)
 from conftest import positive_trig_state
 
 
@@ -213,6 +220,35 @@ def test_cross_entropy_productions_cancel(unit_grid):
         st = positive_trig_state(unit_grid, rng)
         pu, pv = cross_entropy_productions(st, kp, rp)
         assert abs(pu + pv) <= 1e-12 * max(abs(pu), abs(pv), 1e-300)
+
+
+def test_scheme_taxis_fluxes_cancel_in_entropy_to_second_order():
+    # each equation's own taxis flux, as compute_rhs forms it, tested with the
+    # face gradient of its entropy weight L'(s) = ln s - eps/((4-n) s^(4-n));
+    # h_eps * L'' = 1 holds pointwise only, so the face mean of h_eps leaves a
+    # defect that must fall like dx^2
+    kp = KineticParams(1, 1, 0.07, 0.03, 1, 1, 1, 2)
+    rp = RegParams(1e-3, 0.5, 2.0, 1.0)
+    kind = ModelKind.REGULARIZED
+
+    def weight_gradient(s, n, dx):
+        return face_gradient(np.log(s) - rp.eps / ((4.0 - n) * s ** (4.0 - n)), dx)
+
+    worst = []
+    for n_cells in (32, 128, 512, 2048):
+        g = Grid1D(0.0, 1.0, n_cells)
+        rng = np.random.default_rng(2024)
+        defects = []
+        for _ in range(20):
+            u, v = positive_trig_state(g, rng).w
+            flux_u = -kp.chi1 * taxis_face_coeff(u, rp.n1, rp, kind) * face_gradient(v, g.dx)
+            flux_v = kp.chi2 * taxis_face_coeff(v, rp.n2, rp, kind) * face_gradient(u, g.dx)
+            pu = g.dx * float(np.sum(flux_u * weight_gradient(u, rp.n1, g.dx)))
+            pv = (kp.chi1 / kp.chi2) * g.dx * float(np.sum(flux_v * weight_gradient(v, rp.n2, g.dx)))
+            defects.append(abs(pu + pv) / max(abs(pu), abs(pv)))
+        worst.append(max(defects))
+    ratios = [coarse / fine for coarse, fine in zip(worst, worst[1:])]
+    assert all(12.0 < r < 20.0 for r in ratios), (worst, ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -540,19 +540,42 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
         assert np.array_equal(x, lapack.dgbsv(kl, kl, np.array(ab, order="F"), b)[2])
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
+def _run_python_with_src(code, **env_changes):
+    """Run `python -c code` with this checkout's src first on PYTHONPATH; an
+    env_changes value of None removes that variable.  Returns stdout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
     # the extension module itself registers as scipy.linalg._flapack; any
     # import through scipy.linalg would also load the package
     code = ("import json, pesim.cli, sys; "
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))")
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    loaded = json.loads(res.stdout)
+    loaded = json.loads(_run_python_with_src(code))
     assert "scipy.linalg" not in loaded, loaded
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_blas_threads():
+    code = ("import json, os, pesim.cli; "
+            "print(json.dumps([len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    threads, value = json.loads(_run_python_with_src(code, OPENBLAS_NUM_THREADS=None))
+    assert (threads, value) == (1, "1")
+    # a value set by the user is kept; its thread count depends on the cores
+    _, value = json.loads(_run_python_with_src(code, OPENBLAS_NUM_THREADS="2"))
+    assert value == "2"
 
 
 # ---------------------------------------------------------------------------
