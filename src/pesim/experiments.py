@@ -23,7 +23,7 @@ from .functionals import (
     m_infinity,
     steady_states,
 )
-from .grid import Grid1D, random_cosine_series
+from .grid import Grid1D, finite_positive, integrate_values, random_cosine_series
 from .model import KineticParams, ModelKind, RegParams, State
 from .stepper import StepperConfig, StepperFailure, _time_tol, run_until
 
@@ -98,8 +98,7 @@ class InitialCondition:
                 for row, b, a in zip(w, (self.base_u, self.base_v), (self.amp_u, self.amp_v)):
                     row[:] = random_cosine_series(grid, rng, b, a, self.mode)
         for name, row in zip("uv", w):
-            # min and max propagate NaN, so this also rejects NaN values
-            if not 0.0 < row.min() <= row.max() < math.inf:
+            if not finite_positive(row):
                 raise ValueError(f"base_{name} and amp_{name} give an initial {name} in "
                                  f"[{row.min():.6g}, {row.max():.6g}] on this grid; it must be "
                                  "positive and finite")
@@ -268,8 +267,7 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult
     finals = [samples[-1].w for samples, _ in runs]
     rows = []
     for e1, e2, f1, f2 in zip(eps_list, eps_list[1:], finals, finals[1:]):
-        # midpoint L2 norm of each row; a row mean is bitwise the 1-D mean
-        dist_u, dist_v = np.sqrt(base_spec.grid.length * ((f1 - f2) ** 2).mean(axis=1)).tolist()
+        dist_u, dist_v = np.sqrt(integrate_values((f1 - f2) ** 2, base_spec.grid)).tolist()
         rows.append({"eps_hi": e1, "eps_lo": e2, "dist_u": dist_u, "dist_v": dist_v})
     verdicts = {}
     for c in "uv":

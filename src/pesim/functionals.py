@@ -9,11 +9,11 @@ quasi-entropy, and the weak-form residual of a sampled trajectory.
 Where u and v enter alike, a functional evaluates both at once in the model's
 stacked form: w = (u, v) is the state's (2, n) array State.w, the per-field
 constants are (2, 1) columns (model._columns, the steady state), exponents go
-through model._pow, one diff1_values call gives both gradients, and _quad
-integrates each row.  The row integrals are then added in the order of the
-per-field formulas (E1 field by field, D1 term by term with u before v),
-because any other order changes the last bit.  E2 and D2 are not symmetric in
-u and v and keep one term per field.
+through model._pow, one diff1_values call gives both gradients, and
+grid.integrate_values integrates each row.  The row integrals are then added
+in the order of the per-field formulas (E1 field by field, D1 term by term
+with u before v), because any other order changes the last bit.  E2 and D2
+are not symmetric in u and v and keep one term per field.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import diff1_values, diff2_values
+from .grid import diff1_values, diff2_values, integrate_values
 from .model import KineticParams, ModelKind, RegParams, State, _columns, _pow, reaction_terms
 
 __all__ = [
@@ -108,18 +108,14 @@ def phi(xi_star, xi):
 # entropy / dissipation functionals
 # ---------------------------------------------------------------------------
 
-def _quad(values, grid):
-    """Midpoint integral of each row (a row mean is bitwise the 1-D mean)."""
-    return grid.length * values.mean(axis=-1)
-
-
 def quasi_entropy_F(state: State, kp: KineticParams, rp: RegParams) -> float:
     """Logarithmic quasi-entropy with the regularization's inverse-power tail."""
     g, w = state.grid, state.w
     n = _columns(kp, rp).n
     # raveled: a (2, 1) column would broadcast against the (2,) row integrals
     coef = np.ravel(rp.eps / ((3.0 - n) * (4.0 - n)))
-    f = _quad(w * np.log(w), g) - _quad(w, g) + coef * _quad(_pow(w, -(3.0 - n)), g)
+    f = (integrate_values(w * np.log(w), g) - integrate_values(w, g)
+         + coef * integrate_values(_pow(w, -(3.0 - n)), g))
     return float(f[0] + kp.chi1 / kp.chi2 * f[1])
 
 
@@ -131,9 +127,9 @@ def dissipation_D(state: State, kp: KineticParams, rp: RegParams) -> float:
     wx = diff1_values(w, g.dx)
     wxx = diff2_values(w, g.dx)
     f = (
-        d / 2.0 * _quad(wx**2 / w, g)
-        + rp.eps * _quad(_pow(w, c.n - 1.0) * wxx**2, g)
-        + d * rp.eps * _quad(wx**2 / _pow(w, 5.0 - c.n), g)
+        d / 2.0 * integrate_values(wx**2 / w, g)
+        + rp.eps * integrate_values(_pow(w, c.n - 1.0) * wxx**2, g)
+        + d * rp.eps * integrate_values(wx**2 / _pow(w, 5.0 - c.n), g)
     )
     return float(f[0] + kp.chi1 / kp.chi2 * f[1])
 
@@ -147,8 +143,8 @@ def entropy_E1(state: State, kp: KineticParams, rp: RegParams) -> float:
     star = np.array([[ss.u_star], [ss.v_star]])
     # the weight leads each product, as in the per-field a * v_star * eps / 6
     weight = np.array([1.0, kp.a1 / kp.a2])
-    rel = weight * _quad(phi(star, w), g)
-    tail = weight * star.ravel() * rp.eps / 6.0 * _quad(w**-2, g)
+    rel = weight * integrate_values(phi(star, w), g)
+    tail = weight * star.ravel() * rp.eps / 6.0 * integrate_values(w**-2, g)
     return float(rel[0] + tail[0] + rel[1] + tail[1])
 
 
@@ -158,9 +154,9 @@ def dissipation_rate_D1(state: State, kp: KineticParams, rp: RegParams) -> float
     g, w = state.grid, state.w
     wx = diff1_values(w, g.dx)
     epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
-    grad = _quad(wx**2 / w**2, g)
-    dev = _quad((w - np.array([[ss.u_star], [ss.v_star]])) ** 2, g)
-    fast = epow * _quad(w ** (-rp.alpha - 4.0) * wx**2, g)
+    grad = integrate_values(wx**2 / w**2, g)
+    dev = integrate_values((w - np.array([[ss.u_star], [ss.v_star]])) ** 2, g)
+    fast = epow * integrate_values(w ** (-rp.alpha - 4.0) * wx**2, g)
     return float(grad[0] + grad[1] + dev[0] + dev[1] + fast[0] + fast[1])
 
 
@@ -170,11 +166,11 @@ def entropy_E2(state: State, kp: KineticParams, rp: RegParams) -> float:
     u, v = state.w
     a = kp.a1 / kp.a2
     return float(
-        _quad(phi(kp.lambda1, u), g)
-        + kp.lambda1 * rp.eps / 6.0 * _quad(u**-2, g)
-        + a * _quad(v, g)
-        + a / (2.0 * kp.lambda2) * _quad(v**2, g)
-        + a * rp.eps / (2.0 * kp.lambda2) * _quad(1.0 / v, g)
+        integrate_values(phi(kp.lambda1, u), g)
+        + kp.lambda1 * rp.eps / 6.0 * integrate_values(u**-2, g)
+        + a * integrate_values(v, g)
+        + a / (2.0 * kp.lambda2) * integrate_values(v**2, g)
+        + a * rp.eps / (2.0 * kp.lambda2) * integrate_values(1.0 / v, g)
     )
 
 
@@ -185,12 +181,12 @@ def dissipation_rate_D2(state: State, kp: KineticParams, rp: RegParams) -> float
     ux, vx = diff1_values(w, g.dx)
     epow = rp.eps ** ((rp.alpha + 2.0) / 2.0)
     return float(
-        _quad(ux**2 / u**2, g)
-        + _quad(vx**2, g)
-        + _quad((u - kp.lambda1) ** 2, g)
-        + _quad(v**3, g)
-        + epow * _quad(u ** (-rp.alpha - 4.0) * ux**2, g)
-        + epow * _quad(v ** (-rp.alpha - 3.0) * vx**2, g)
+        integrate_values(ux**2 / u**2, g)
+        + integrate_values(vx**2, g)
+        + integrate_values((u - kp.lambda1) ** 2, g)
+        + integrate_values(v**3, g)
+        + epow * integrate_values(u ** (-rp.alpha - 4.0) * ux**2, g)
+        + epow * integrate_values(v ** (-rp.alpha - 3.0) * vx**2, g)
     )
 
 
@@ -199,7 +195,7 @@ def conditional_y(state: State, gamma: float = 1.0) -> float:
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     g, w = state.grid, state.w
-    h1 = _quad(diff1_values(w, g.dx) ** 2, g)
+    h1 = integrate_values(diff1_values(w, g.dx) ** 2, g)
     return float(h1[0] + gamma * h1[1])
 
 
@@ -284,13 +280,14 @@ def weak_residual(sample_log, kp: KineticParams, test_fn) -> tuple[float, float]
         ph = np.asarray(test_fn.value(x, s.t))
         ph_t = np.asarray(test_fn.time_deriv(x, s.t))
         ph_x = np.asarray(test_fn.space_deriv(x, s.t))
-        i_pt[:, k] = _quad(w * ph_t, grid)
+        i_pt[:, k] = integrate_values(w * ph_t, grid)
         # the limit system's flux as model.compute_rhs forms it, at the cells
-        i_flux[:, k] = _quad(-(c.d * wx + c.chi * w * wx[::-1]) * ph_x, grid)
-        i_react[:, k] = _quad(reaction_terms(w, kp, _LIMIT_REG, ModelKind.LIMIT) * ph, grid)
+        i_flux[:, k] = integrate_values(-(c.d * wx + c.chi * w * wx[::-1]) * ph_x, grid)
+        react = reaction_terms(w, kp, _LIMIT_REG, ModelKind.LIMIT)
+        i_react[:, k] = integrate_values(react * ph, grid)
 
     ph0 = np.asarray(test_fn.value(x, samples[0].t))
-    lhs = -_trapz(i_pt, times) - _quad(samples[0].w * ph0, grid)
+    lhs = -_trapz(i_pt, times) - integrate_values(samples[0].w * ph0, grid)
     rhs = _trapz(i_flux, times) + _trapz(i_react, times)
     return tuple(np.abs(lhs - rhs).tolist())
 
@@ -332,8 +329,8 @@ def diagnostics_record(state: State, kp: KineticParams, rp: RegParams,
     """
     g, w = state.grid, state.w
     coexist = steady_states(kp).regime is Regime.COEXISTENCE
-    mass_u, mass_v = _quad(w, g).tolist()
-    h1_u, h1_v = _quad(diff1_values(w, g.dx) ** 2, g).tolist()
+    mass_u, mass_v = integrate_values(w, g).tolist()
+    h1_u, h1_v = integrate_values(diff1_values(w, g.dx) ** 2, g).tolist()
     min_u, min_v = w.min(axis=1).tolist()
     max_u, max_v = w.max(axis=1).tolist()
     return DiagnosticsRecord(

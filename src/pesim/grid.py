@@ -20,6 +20,7 @@ __all__ = [
     "diff1_values",
     "diff2_values",
     "integrate_values",
+    "finite_positive",
     "random_cosine_series",
 ]
 
@@ -35,12 +36,12 @@ class Grid1D:
     def __post_init__(self):
         if not self.x_right > self.x_left:
             raise ValueError("x_right must exceed x_left")
-        if not math.isfinite(self.length):
-            raise ValueError("x_right - x_left overflows to a non-finite length")
-        if self.n_cells < 8:
-            raise ValueError("n_cells must be at least 8")
-        if self.n_cells > 2**20:
-            raise ValueError("n_cells must be at most 2**20 = 1048576")
+        if not 8 <= self.n_cells <= 2**20:
+            raise ValueError("n_cells must lie in [8, 2**20 = 1048576]")
+        dx2 = self.dx * self.dx  # * and / by nonzero floats give 0 or inf where ** raises
+        if not (math.isfinite(self.length) and dx2 > 0.0 and math.isfinite(1.0 / dx2 / dx2)):
+            raise ValueError(f"x_right - x_left = {self.length:g} must be finite and leave "
+                             f"1/dx^4 finite on {self.n_cells} cells")
 
     @property
     def length(self) -> float:
@@ -76,11 +77,16 @@ def diff2_values(values: np.ndarray, dx: float) -> np.ndarray:
     return (e[..., 2:] - 2.0 * e[..., 1:-1] + e[..., :-2]) / (dx * dx)
 
 
-def integrate_values(values: np.ndarray, grid: Grid1D) -> float:
-    """Midpoint-rule integral over the domain; exact for constants."""
-    # algebraically dx * sum(values); evaluated as length * mean so that
-    # constants integrate exactly
-    return grid.length * float(values.mean())
+def integrate_values(values: np.ndarray, grid: Grid1D):
+    """Midpoint-rule integral along the last axis: a float for one field, one
+    per row for a stack, each bitwise its row's own; exact for constants."""
+    integral = grid.length * values.mean(axis=-1)  # dx * sum; length * mean keeps constants exact
+    return float(integral) if values.ndim == 1 else integral
+
+
+def finite_positive(values: np.ndarray) -> bool:
+    """Whether every value is finite and strictly positive; min and max propagate NaN."""
+    return bool(0.0 < values.min() <= values.max() < math.inf)
 
 
 def random_cosine_series(grid: Grid1D, rng: np.random.Generator, base: float,

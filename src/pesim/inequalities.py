@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid1D, diff1_values, diff2_values, integrate_values, random_cosine_series
+from .grid import (Grid1D, diff1_values, diff2_values, finite_positive, integrate_values,
+                   random_cosine_series)
 from .model import h_flux, h_flux_deriv, h_flux_deriv2
 
 __all__ = [
@@ -50,15 +51,21 @@ class CheckReport:
     worst_case_payload: dict = field(default_factory=dict)
 
 
+def _worst(results):
+    """The (ratio, payload) pair with the first worst ratio; a NaN ratio wins at once."""
+    worst = (-math.inf, {})
+    for pair in results:
+        if math.isnan(pair[0]):
+            return pair
+        if pair[0] > worst[0]:
+            worst = pair
+    return worst
+
+
 def _make_report(name, results, tolerance) -> CheckReport:
-    """The report of a list of (ratio, payload) pairs; the first worst ratio
-    wins, and a NaN ratio (nothing evaluated) wins at once and fails."""
-    worst, payload = -math.inf, {}
-    for ratio, pl in results:
-        if ratio > worst or math.isnan(ratio):
-            worst, payload = ratio, pl
-            if math.isnan(ratio):
-                break
+    """The report of a list of (ratio, payload) pairs: the _worst one, passed
+    when its ratio is at most 1 + tolerance, so a NaN (nothing evaluated) fails."""
+    worst, payload = _worst(results)
     return CheckReport(name, len(results), worst, worst <= 1.0 + tolerance, tolerance, payload)
 
 
@@ -98,10 +105,7 @@ def check_bernis(w: np.ndarray, g: Grid1D, beta: float) -> float:
         rhs = integrate_values(w**beta * wxx**2, g)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(f"beta = {beta:g} makes a bernis integral non-finite")
-    rhs = 9.0 / (beta - 1.0) ** 2 * rhs
-    if rhs == 0.0 and lhs == 0.0:
-        return 0.0
-    return signed_ratio(lhs, rhs)
+    return signed_ratio(lhs, 9.0 / (beta - 1.0) ** 2 * rhs)
 
 
 def check_interp_lower(w: np.ndarray, g: Grid1D, p: float, q: float) -> float:
@@ -137,8 +141,7 @@ def check_interp_log(w: np.ndarray, g: Grid1D) -> float:
 def _require_positive_field(w: np.ndarray, g: Grid1D):
     if w.shape != (g.n_cells,):
         raise ValueError(f"expected {g.n_cells} values, got shape {w.shape}")
-    # min and max propagate NaN, so this also rejects NaN values
-    if not 0.0 < w.min() <= w.max() < math.inf:
+    if not finite_positive(w):
         raise ValueError("field must be finite and strictly positive")
 
 
@@ -248,10 +251,7 @@ def _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
     for huge y0; the others in y directly.  All draws share one graded RK4
     step sequence (_rk4_dense), vectorized over draws.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    a, b, beta, y0 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b, beta, y0))
     if np.any(beta <= 1.0):
         raise ValueError("beta must exceed 1")
     if np.any(y0 < 0.0) or np.any(a <= 0.0) or np.any(b <= 0.0):
@@ -280,22 +280,21 @@ def _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
 
 
 def _rk4_barrier_worst(t0, a, b, beta, y0, t_end, n_steps=_ODE_GRID_STEPS):
-    """The worst y(t)/bound(t) of _ode_ratio_blocks over every draw and
-    sample time, with the index of the draw and the time where it first
-    occurs.  A NaN ratio (a diverged draw) is returned at once."""
-    worst, worst_draw, worst_t = 0.0, 0, t0
+    """The _worst y(t)/bound(t) of _ode_ratio_blocks, with the draw and the
+    sample time where it first occurs; a NaN ratio (a diverged draw) wins at once."""
+    def block_worsts(blocks):
+        yield 0.0, (0, t0)  # at t0 the barrier is infinite: every ratio there is 0
+        for t_blk, ratios in blocks:
+            k = int(ratios.argmax())  # argmax, like max, stops at the first NaN
+            row, draw = divmod(k, ratios.shape[1])
+            yield float(ratios.flat[k]), (draw, float(t_blk[row, 0]))
+
     # for beta near 1 the early barrier overflows to +inf, which is the
     # mathematically correct value (the check is then trivially satisfied)
     with np.errstate(over="ignore"):
-        for t_blk, ratios in _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps):
-            k = int(ratios.argmax())  # argmax, like max, stops at the first NaN
-            ratio = float(ratios.flat[k])
-            if ratio > worst or math.isnan(ratio):
-                row, worst_draw = divmod(k, ratios.shape[1])
-                worst, worst_t = ratio, float(t_blk[row, 0])
-                if math.isnan(ratio):
-                    break
-    return worst, worst_draw, worst_t
+        blocks = _ode_ratio_blocks(t0, a, b, beta, y0, t_end, n_steps)
+        worst, (draw, t) = _worst(block_worsts(blocks))
+    return worst, draw, t
 
 
 def ode_comparison_bound(t0: float, a: float, b: float, beta: float,
@@ -303,7 +302,7 @@ def ode_comparison_bound(t0: float, a: float, b: float, beta: float,
     """Whether the solution of y' = b - a*y^beta, y(t0) = y0, stays below
     ((beta-1)*a*(t-t0))^(-1/(beta-1)) + (b/a)^(1/beta) on the sampled grid."""
     worst = _rk4_barrier_worst(t0, a, b, beta, y0, t_end)[0]
-    return worst <= 1.0 + _ODE_FP_TOL
+    return _make_report("ode_comparison", [(worst, {})], _ODE_FP_TOL).passed
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +399,8 @@ def ode_comparison_report() -> CheckReport:
     worst, i, t = _rk4_barrier_worst(0.0, a, b, beta, y0, _ODE_T_SPAN)
     payload = {"t_span": _ODE_T_SPAN, "draw": i, "a": float(a[i]), "b": float(b[i]),
                "beta": float(beta[i]), "y0": float(y0[i]), "t": t}
-    return CheckReport("ode_comparison", _ODE_DRAWS, worst, worst <= 1.0 + _ODE_FP_TOL,
-                       _ODE_FP_TOL, payload)
+    return replace(_make_report("ode_comparison", [(worst, payload)], _ODE_FP_TOL),
+                   samples=_ODE_DRAWS)
 
 
 # the lambdas look each builder up at call time, so rebinding a module

@@ -29,7 +29,6 @@ skips, and the two differ in the last bit.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid1D, diff2_values
+from .grid import Grid1D, diff2_values, finite_positive
 
 __all__ = [
     "KineticParams",
@@ -115,8 +114,7 @@ class State:
         w = np.array(self.w, dtype=float)
         if w.shape != (2, self.grid.n_cells):
             raise ValueError(f"w must have shape (2, {self.grid.n_cells}), got {w.shape}")
-        # min and max propagate NaN, so this also rejects NaN values
-        if not 0.0 < w.min() <= w.max() < math.inf:
+        if not finite_positive(w):
             raise ValueError("state must be finite and strictly positive")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)

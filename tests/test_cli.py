@@ -253,6 +253,10 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     pytest.param("ic.base_u", "1e308\nic.amp_u = 1e308", id="ic.base_u-amp_u-1e308"),
     # x_right - x_left overflows to inf
     pytest.param("domain.right", "1e308\ndomain.left = -1e308", id="domain.right-left-1e308"),
+    # cells so narrow that the thin-film scale 1/dx^4 is not finite: dx*dx
+    # underflows to 0 at 1e-300, 1/dx^4 overflows at 1e-150
+    ("domain.right", "1e-300"),
+    ("domain.right", "1e-150"),
 ])
 def test_config_rejection_names_its_key(tmp_path, capsys, key, value):
     text = BASE + f"{key} = {value}\n"

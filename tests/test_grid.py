@@ -21,6 +21,12 @@ def test_grid_invariants():
         Grid1D(1.0, 0.0, 16)
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 4)
+    # the thin-film scale 1/dx^4 overflows at 1e-150; dx*dx underflows to 0
+    # at 1e-300, and dx itself at 5e-324
+    for right in (1e-150, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match=r"^x_right - x_left .*1/dx\^4 finite"):
+            Grid1D(0.0, right, 128)
+    assert np.isfinite(1.0 / Grid1D(0.0, 1e-70, 128).dx ** 4)  # about 2.7e288
 
 
 def test_mirror_constant_all_layers():
@@ -109,6 +115,15 @@ def test_integrate_cos_2pi_cancels():
     g = Grid1D(0.0, 1.0, 100)
     f = np.cos(2 * np.pi * g.centers)
     assert abs(integrate_values(f, g)) < 1e-12
+
+
+def test_integrate_stacked_rows_match_one_field_integrals():
+    # one integral per row, each bitwise the integral of that row alone
+    g = Grid1D(-0.3, 0.9, 1000)
+    w = np.random.default_rng(5).uniform(0.1, 3.0, (2, g.n_cells))
+    stacked = integrate_values(w, g)
+    assert stacked.shape == (2,)
+    assert stacked.tolist() == [integrate_values(w[0], g), integrate_values(w[1], g)]
 
 
 def test_integrate_quadratic():
