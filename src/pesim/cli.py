@@ -43,6 +43,7 @@ _DEFAULT_EPS_LIST = (1e-2, 2.5e-3, 6.25e-4)
 
 _EPS_COLUMNS = ("eps_hi", "eps_lo", "dist_u", "dist_v")  # eps_distances.csv
 _SNAPSHOT_COLUMNS = ("x", "u", "v")  # each snapshot file
+_SNAPSHOT_BLOCK = 1024  # rows per row template and per write in write_snapshots
 
 
 def _fmt(x) -> str:
@@ -61,6 +62,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _cannot_write(key, exc: OSError, path) -> int:
+    """Exit 1 naming key and the path exc names (else path, the file or
+    directory being written) for an output that could not be written."""
+    return _fail(f"{key}: cannot write {exc.filename or path!r}: {exc.strerror or exc}", 1)
+
+
 # ---------------------------------------------------------------------------
 # output writers
 # ---------------------------------------------------------------------------
@@ -73,13 +80,26 @@ def write_timeseries(path, records: list[DiagnosticsRecord]):
 
 
 def write_snapshots(out_dir, states):
+    """Write each state to snapshots/state_NNNNN.csv as x,u,v rows in %.17g,
+    the text _fmt gives.  The x column is formatted once per call (again only
+    where a state's grid differs from the one before it), into one row
+    template per _SNAPSHOT_BLOCK rows; each state then costs one % and one
+    write per block.  Blocks are streamed, never joined into a whole file:
+    a joined file's text raised peak RSS by about 1.5 MB at 8192 rows."""
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
+    k, grid = _SNAPSHOT_BLOCK, None
     for i, s in enumerate(states):
-        rows = zip(s.grid.centers, *s.w)
+        if s.grid != grid:
+            grid, centers = s.grid, s.grid.centers
+            # %.17g text holds no %, so each template keeps only the u and v fields
+            templates = [(j, "".join("%.17g,%%.17g,%%.17g\n" % x
+                                     for x in centers[j:j + k].tolist()))
+                         for j in range(0, grid.n_cells, k)]
         with open(os.path.join(snap_dir, f"state_{i:05d}.csv"), "w", encoding="utf-8") as fh:
             fh.write(",".join(_SNAPSHOT_COLUMNS) + "\n")
-            fh.writelines("%.17g,%.17g,%.17g\n" % r for r in rows)
+            for j, tpl in templates:
+                fh.write(tpl % tuple(s.w[:, j:j + k].T.ravel().tolist()))
 
 
 def write_summary(out_dir, cfg: RunConfig, run_info: dict):
@@ -169,17 +189,22 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     except StepperFailure as exc:
         return _write_run(cfg, exc.samples, exc.records, exc, which)
 
-    _write_run(cfg, result.states, result.records, experiment=which)
-    if "distances" in result.extras:
-        with open(os.path.join(out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
-            fh.write(",".join(_EPS_COLUMNS) + "\n")
-            for row in result.extras["distances"]:
-                fh.write(",".join(_fmt(row[c]) for c in _EPS_COLUMNS) + "\n")
+    rc = _write_run(cfg, result.states, result.records, experiment=which)
+    if rc:
+        return rc
     verdicts = {name: _json_fields(v) for name, v in result.verdicts.items()}
-    with open(os.path.join(out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
-        json.dump({"experiment": which, "verdicts": verdicts, "extras": result.extras},
-                  fh, indent=2)
-        fh.write("\n")
+    try:
+        if "distances" in result.extras:
+            with open(os.path.join(out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
+                fh.write(",".join(_EPS_COLUMNS) + "\n")
+                for row in result.extras["distances"]:
+                    fh.write(",".join(_fmt(row[c]) for c in _EPS_COLUMNS) + "\n")
+        with open(os.path.join(out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
+            json.dump({"experiment": which, "verdicts": verdicts, "extras": result.extras},
+                      fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        return _cannot_write("out.dir", exc, out_dir)
     if not all(v["pass"] for v in verdicts.values()):
         return _fail("one or more verdicts failed (see verdicts.json)", 3)
     return 0
@@ -189,25 +214,28 @@ def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
                failure: StepperFailure | None = None, experiment=None) -> int:
     """Write timeseries.csv, the snapshots (if any states) and summary.json of
     one run, complete or cut short by failure, after removing what an earlier
-    run left that this one does not overwrite; returns the exit code, 2 after
-    a failure and 0 otherwise."""
-    _remove_stale(cfg.out_dir, len(states))
-    write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
-    if states:
-        write_snapshots(cfg.out_dir, states)
+    run left that this one does not overwrite; returns the exit code, 1 when
+    an output cannot be written, else 2 after a failure and 0 otherwise."""
     run_info = {"status": "ok" if failure is None else "solver_failure",
                 "failure": None if failure is None else str(failure)}
     if experiment is not None:
         run_info["experiment"] = experiment
     ss = steady_states(cfg.spec.kp)
-    write_summary(cfg.out_dir, cfg, {
-        **run_info,
-        "final_time": records[-1].t if records else None,
-        "sample_times": [r.t for r in records],
-        "u_star": ss.u_star,
-        "v_star": ss.v_star,
-        "regime": ss.regime.value,
-    })
+    try:
+        _remove_stale(cfg.out_dir, len(states))
+        write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
+        if states:
+            write_snapshots(cfg.out_dir, states)
+        write_summary(cfg.out_dir, cfg, {
+            **run_info,
+            "final_time": records[-1].t if records else None,
+            "sample_times": [r.t for r in records],
+            "u_star": ss.u_star,
+            "v_star": ss.v_star,
+            "regime": ss.regime.value,
+        })
+    except OSError as exc:
+        return _cannot_write("out.dir", exc, cfg.out_dir)
     if failure is not None:
         return _fail(f"solver failure: {failure}", 2)
     return 0
@@ -234,8 +262,12 @@ def cmd_verify(out_dir, suite="all", bernis_beta=None) -> int:
         return _fail(str(exc), 1)
     ok = True
     for rep in reports:
-        with open(os.path.join(out_dir, f"{rep.name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_json_fields(rep), indent=2) + "\n")
+        path = os.path.join(out_dir, f"{rep.name}.json")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(_json_fields(rep), indent=2) + "\n")
+        except OSError as exc:
+            return _cannot_write("--out", exc, path)
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.name}: "
               f"worst_ratio={rep.worst_ratio:.6g} tol={rep.tolerance:g} "
               f"({rep.samples} samples)")

@@ -124,6 +124,45 @@ def test_write_snapshots_text_and_roundtrip(tmp_path):
     assert np.array_equal(np.signbit(back[:2, 1]), [True, False])
 
 
+def _snapshot_text(state):
+    """A snapshot file's text as the per-row formatting writes it."""
+    return "x,u,v\n" + "".join(
+        f"{_fmt(x)},{_fmt(a)},{_fmt(b)}\n" for x, a, b in zip(state.grid.centers, *state.w))
+
+
+def _random_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2, grid.n_cells)  # mantissas in [0.1, 3) over 18 decades
+    w = rng.uniform(0.1, 3.0, shape) * 10.0 ** rng.integers(-9, 9, shape)
+    return State.trusted(0.0, grid, w)
+
+
+def _assert_snapshots(out_dir, states):
+    for i, s in enumerate(states):
+        assert _read(os.path.join(out_dir, "snapshots", f"state_{i:05d}.csv")) == _snapshot_text(s)
+
+
+# below, at and across the writer's 1024-row block edge, and a non-dyadic domain
+@pytest.mark.parametrize("grid", [Grid1D(0.0, 1.0, n) for n in (8, 1024, 1025, 2500)]
+                         + [Grid1D(-0.3, 2.7, 2500)],
+                         ids=lambda g: f"{g.x_left:g}-{g.x_right:g}-n{g.n_cells}")
+def test_write_snapshots_matches_per_row_text(tmp_path, grid):
+    states = [_random_state(grid, seed) for seed in range(3)]
+    write_snapshots(str(tmp_path), states)
+    _assert_snapshots(tmp_path, states)
+
+
+def test_write_snapshots_formats_each_grid_own_x(tmp_path):
+    # no x column carries over from one call, or one state, to the next
+    g1, g2 = Grid1D(0.0, 1.0, 1100), Grid1D(-0.3, 2.7, 1100)
+    first = [_random_state(g1, 0)]
+    write_snapshots(str(tmp_path / "a"), first)
+    second = [_random_state(g2, 1), _random_state(g1, 2), _random_state(Grid1D(0.0, 1.0, 9), 3)]
+    write_snapshots(str(tmp_path / "b"), second)
+    _assert_snapshots(tmp_path / "a", first)
+    _assert_snapshots(tmp_path / "b", second)
+
+
 @pytest.mark.parametrize("scheme", ["imex", "fully_implicit"])
 @pytest.mark.parametrize("model", ["limit", "regularized"])
 @pytest.mark.parametrize("ic", ["ic.kind = perturbed", "ic.kind = random-trig\nic.mode = 6"],
@@ -213,6 +252,34 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out}\n")
     assert main(command[:1] + [cfg] + command[1:]) == 1
     assert "out.dir" in capsys.readouterr().err
+
+
+# an output path taken by the wrong kind of file: a run reports it under its
+# key, with no traceback, after the run instead of dying in the writer
+@pytest.mark.parametrize("command, blocked, kind", [
+    (["simulate"], "snapshots", "file"),
+    (["simulate"], "timeseries.csv", "dir"),
+    (["experiment", "--which", "coexistence"], "verdicts.json", "dir"),
+    (["verify", "--suite", "bernis"], "bernis.json", "dir"),
+], ids=["simulate-snapshots-file", "simulate-timeseries-dir", "experiment-verdicts-dir",
+        "verify-report-dir"])
+def test_blocked_output_path_exit_1(tmp_path, capsys, command, blocked, kind):
+    out = tmp_path / "out"
+    out.mkdir()
+    if kind == "dir":
+        (out / blocked).mkdir()
+    else:
+        (out / blocked).write_text("")
+    if command[0] == "verify":
+        assert main(command + ["--out", str(out)]) == 1
+        key = "--out"
+    else:
+        cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out}\n")
+        assert main(command[:1] + [cfg] + command[1:]) == 1
+        key = "out.dir"
+    err = capsys.readouterr().err
+    assert err.startswith(f"pesim: {key}: cannot write ") and blocked in err
+    assert "Traceback" not in err
 
 
 # one bad value per case; every one of them must be rejected under its own key
