@@ -143,15 +143,33 @@ def _remove_stale(out_dir, n_snapshots):
             os.remove(path)
 
 
+def _check_outputs(out_dir):
+    """A ConfigError naming out.dir for a path in it whose kind _write_run,
+    _remove_stale or the verdict writer would fail on: a snapshots that is
+    not a directory, or a directory in the place of an output file.  Found
+    before the run, so that no run is thrown away for it; permission and
+    disk errors still surface from the writers."""
+    snap_dir = os.path.join(out_dir, "snapshots")
+    if os.path.exists(snap_dir) and not os.path.isdir(snap_dir):
+        raise ConfigError("out.dir", f"cannot write {snap_dir!r}: Not a directory")
+    for name in ("timeseries.csv", "summary.json", "verdicts.json", "eps_distances.csv"):
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
+            raise ConfigError("out.dir", f"cannot write {path!r}: Is a directory")
+
+
 def _load_config(config_path, out_override) -> tuple[RunConfig, str | None]:
-    """The parsed config and _make_dir's result for its out.dir; raises
-    ConfigError or OSError (the config file unreadable or not UTF-8)."""
+    """The parsed config and _make_dir's result for its out.dir, whose
+    outputs _check_outputs has checked; raises ConfigError or OSError (the
+    config file unreadable or not UTF-8)."""
     try:
         cfg = parse_config(config_path, {"out.dir": out_override} if out_override else None)
     except UnicodeDecodeError as exc:
         raise OSError(f"cannot read {config_path!r}: not UTF-8 text "
                       f"({exc.reason} at byte {exc.start})") from None
-    return cfg, _make_dir(cfg.out_dir, "out.dir")
+    created = _make_dir(cfg.out_dir, "out.dir")
+    _check_outputs(cfg.out_dir)
+    return cfg, created
 
 
 def cmd_simulate(config_path, out_override=None) -> int:

@@ -115,7 +115,7 @@ class StepOutcome:
     newton_iters: int
     min_u: float
     min_v: float
-    err: float | None = None  # fully implicit with history: scaled local error
+    err: float | None = None  # fully implicit after an accepted step: scaled local error
     slopes: np.ndarray | None = None  # fully implicit: (w_new - w_old) / dt
 
 
@@ -345,17 +345,17 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg):
 # ---------------------------------------------------------------------------
 
 def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
-         kind: ModelKind, cfg: StepperConfig, history=None) -> StepOutcome:
+         kind: ModelKind, cfg: StepperConfig, prev: StepOutcome | None = None) -> StepOutcome:
     """Attempt one step of size dt; rejection is reported, retrying is the caller's job.
 
     The attempt is rejected if the solve fails, the result is not finite or
     not above positivity_floor, or a fully implicit step fails its BDF1 local
-    error test.  history is (dt_prev, slopes_prev) of the accepted step before,
-    or None (IMEX, the first fully implicit step), which gives err None.  The
-    estimate needs no extra solve: err = dt^2 / (dt + dt_prev) times the change
-    of slope, the BDF1 estimate of (dt^2 / 2) w'', against _TOL * (1 + |w_new|);
-    above 1 the step fails.  A fully implicit outcome past positivity carries
-    its slopes (w_new - w_old) / dt, the next step's history.
+    error test.  prev is the run's last accepted outcome, or None at the start
+    of a run; err is None when prev is None or carries no slopes (IMEX).  The
+    estimate needs no extra solve: err = dt^2 / (dt + prev.dt_used) times the
+    change of slope from prev.slopes, the BDF1 estimate of (dt^2 / 2) w'',
+    against _TOL * (1 + |w_new|); above 1 the step fails.  A fully implicit
+    outcome past positivity carries its slopes (w_new - w_old) / dt.
     """
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")
@@ -376,10 +376,9 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     err = slopes = None
     if cfg.scheme is Scheme.FULLY_IMPLICIT:
         slopes = (wn - w) / dt
-        if history is not None:
-            dt_prev, slopes_prev = history
-            c = dt * dt / (dt + dt_prev)
-            err = float((np.abs(c * (slopes - slopes_prev)) / (_TOL * (1.0 + np.abs(wn)))).max())
+        if prev is not None and prev.slopes is not None:
+            c = dt * dt / (dt + prev.dt_used)
+            err = float((np.abs(c * (slopes - prev.slopes)) / (_TOL * (1.0 + np.abs(wn)))).max())
             if err > 1.0:
                 return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes)
     # wn is a fresh array, proven finite and positive just above
@@ -392,10 +391,11 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
     """Advance to t_end with adaptive dt; returns the sample log, which ends
     with the final state.
 
-    step() alone accepts or rejects an attempt; run_until passes it history
-    and sizes dt.  A rejection without an error estimate is retried at half
-    the dt.  IMEX grows dt by _GROWTH after each accepted step, and so does
-    the fully implicit scheme after its first step, which has no history.
+    step() alone accepts or rejects an attempt; run_until passes it the last
+    accepted outcome and sizes dt.  A rejection without an error estimate is
+    retried at half the dt.  IMEX grows dt by _GROWTH after each accepted
+    step, and so does the fully implicit scheme after its first step, which
+    has no outcome before it.
     After that, the next dt is the step just taken times the standard
     controller factor 0.9 / sqrt(err) of step()'s error estimate, bounded
     to [0.2, 2].  dt never exceeds dt_max.
@@ -415,20 +415,19 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
 
     next_sample = state.t + sample_every
     dt = cfg.dt_init
-    history = None  # fully implicit: (dt, slopes) of the last accepted step
+    prev = None  # the last accepted StepOutcome
     while state.t < t_end - tol_t:
         dt_try = min(dt, t_end - state.t)
         if state.t + dt_try >= next_sample + sample_every - tol_t:
             dt_try = next_sample - state.t
-        out = step(state, dt_try, kp, rp, kind, cfg, history)
+        out = step(state, dt_try, kp, rp, kind, cfg, prev)
         if out.err is None:
             dt = min(dt * _GROWTH, cfg.dt_max) if out.accepted else dt * _SAFETY
         else:
             factor = min(2.0, max(0.2, 0.9 / sqrt(out.err))) if out.err > 0.0 else 2.0
             dt = min(dt_try * factor, cfg.dt_max)
         if out.accepted:
-            if out.slopes is not None:
-                history = (dt_try, out.slopes)
+            prev = out
             state = out.state
             if state.t >= next_sample - tol_t:
                 samples.append(state)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -24,6 +27,23 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if here in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error"))
+
+
+def run_python_with_src(code, **env_changes):
+    """Run `python -c code` with this checkout's src first on PYTHONPATH; an
+    env_changes value of None removes that variable.  Returns stdout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from pesim.experiments import ExperimentSpec, InitialCondition
 from pesim.grid import Grid1D
 from pesim.model import KineticParams, RegParams, State
 from pesim.stepper import StepperConfig
+from conftest import run_python_with_src
 
 
 def _read(path):
@@ -254,16 +255,34 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     assert "out.dir" in capsys.readouterr().err
 
 
+def test_simulate_loads_neither_inequalities_nor_numpy_random(tmp_path):
+    # two measured peak-RSS choices: cmd_verify imports pesim.inequalities
+    # itself, and only a random initial condition loads numpy.random
+    cfg = _write(tmp_path, "run.cfg", "grid.n = 16\ntime.t_end = 0.01\n"
+                 f"time.sample_every = 0.005\nout.dir = {tmp_path / 'out'}\n")
+    code = ("import json, sys, pesim.cli; "
+            f"rc = pesim.cli.main(['simulate', {cfg!r}]); "
+            "print(json.dumps([rc, [m for m in ('pesim.inequalities', 'numpy.random') "
+            "if m in sys.modules]]))")
+    assert json.loads(run_python_with_src(code)) == [0, []]
+
+
 # an output path taken by the wrong kind of file: a run reports it under its
-# key, with no traceback, after the run instead of dying in the writer
+# key, with no traceback, before the solve instead of dying in the writer
 @pytest.mark.parametrize("command, blocked, kind", [
     (["simulate"], "snapshots", "file"),
     (["simulate"], "timeseries.csv", "dir"),
+    (["simulate"], "summary.json", "dir"),
+    (["simulate"], "eps_distances.csv", "dir"),  # _remove_stale's
     (["experiment", "--which", "coexistence"], "verdicts.json", "dir"),
     (["verify", "--suite", "bernis"], "bernis.json", "dir"),
-], ids=["simulate-snapshots-file", "simulate-timeseries-dir", "experiment-verdicts-dir",
-        "verify-report-dir"])
-def test_blocked_output_path_exit_1(tmp_path, capsys, command, blocked, kind):
+], ids=["simulate-snapshots-file", "simulate-timeseries-dir", "simulate-summary-dir",
+        "simulate-eps-distances-dir", "experiment-verdicts-dir", "verify-report-dir"])
+def test_blocked_output_path_exit_1(tmp_path, capsys, monkeypatch, command, blocked, kind):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the blocked output was not found before the solve")
+
+    monkeypatch.setattr("pesim.experiments.run_until", no_solve)
     out = tmp_path / "out"
     out.mkdir()
     if kind == "dir":

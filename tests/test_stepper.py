@@ -1,7 +1,6 @@
+import dataclasses
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from pesim.stepper import (
     run_until,
     step,
 )
-from conftest import positive_trig_state
+from conftest import positive_trig_state, run_python_with_src
 
 
 def _smooth_state(grid, t=0.0):
@@ -456,23 +455,27 @@ def test_newton_always_takes_a_correction(coex_params, reg_params):
 
 def test_step_applies_local_error_test(unit_grid, coex_params, reg_params):
     # step() itself judges a fully implicit attempt by the BDF1 estimate
-    # dt^2 / (dt + dt_prev) * |slopes - slopes_prev| / (_TOL * (1 + |w_new|))
+    # dt^2 / (dt + prev.dt_used) * |slopes - prev.slopes| / (_TOL * (1 + |w_new|))
     st = _smooth_state(unit_grid)
     dt, kind = 1e-2, ModelKind.REGULARIZED
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
-    first = step(st, dt, coex_params, reg_params, kind, cfg)  # no history: no estimate
+    first = step(st, dt, coex_params, reg_params, kind, cfg)  # no prev: no estimate
     assert first.accepted and first.err is None
     w_old = st.w
     w_new = first.state.w
     assert np.array_equal(first.slopes, (w_new - w_old) / dt)
 
-    sharp = (dt, first.slopes + 100.0)
+    sharp = dataclasses.replace(first, slopes=first.slopes + 100.0)
     out = step(st, dt, coex_params, reg_params, kind, cfg, sharp)
     assert not out.accepted and out.state is st
     expected = (0.5 * dt * 100.0 / (stp._TOL * (1.0 + np.abs(w_new)))).max()
     assert out.err > 1.0 and out.err == pytest.approx(expected, rel=1e-9)
-    same = step(st, dt, coex_params, reg_params, kind, cfg, (dt, first.slopes))
+    same = step(st, dt, coex_params, reg_params, kind, cfg, first)
     assert same.accepted and same.err == 0.0
+    # an outcome without slopes (IMEX) gives no estimate
+    blind = step(st, dt, coex_params, reg_params, kind, cfg,
+                 dataclasses.replace(first, slopes=None))
+    assert blind.accepted and blind.err is None
 
     imex = step(st, dt, coex_params, reg_params, kind, StepperConfig(), sharp)
     assert imex.accepted and imex.err is None and imex.slopes is None
@@ -498,10 +501,34 @@ def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkey
     rejected = [out for out in attempts if not out.accepted]
     assert rejected and all(out.err is not None and out.err > 1.0 for out in rejected)
     dts = [out.dt_used for out in attempts[:-1]]  # the last step is cut to t_end
-    assert dts[1] == pytest.approx(stp._GROWTH * dts[0])  # the first step has no history
+    assert dts[1] == pytest.approx(stp._GROWTH * dts[0])  # the first step has no prev
     assert min(dts) < 0.2 * dts[0]
     ratios = [b / a for a, b in zip(dts, dts[1:])]
     assert 0.2 * (1 - 1e-12) <= min(ratios) and max(ratios) <= 2.0 * (1 + 1e-12)
+
+
+def test_run_hands_step_the_last_accepted_outcome(coex_params, reg_params, monkeypatch):
+    # run_until's only memory between attempts is the last accepted
+    # StepOutcome: None until the first acceptance, then that very object,
+    # also for the attempt right after a rejection
+    calls = []
+
+    def spy(state, dt, kp, rp, kind, cfg, prev=None):
+        out = step(state, dt, kp, rp, kind, cfg, prev)
+        calls.append((prev, out))
+        return out
+
+    monkeypatch.setattr(stp, "step", spy)
+    st = InitialCondition("random-trig", mode=4, seed=1).build(Grid1D(0.0, 1.0, 64))
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    run_until(st, 0.002, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 0.002)
+    last = None
+    for prev, out in calls:
+        assert prev is last
+        if out.accepted:
+            last = out
+    flags = [out.accepted for _, out in calls]
+    assert (True, False) in zip(flags, flags[1:])  # a rejection after an acceptance
 
 
 # ---------------------------------------------------------------------------
@@ -540,29 +567,12 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
         assert np.array_equal(x, lapack.dgbsv(kl, kl, np.array(ab, order="F"), b)[2])
 
 
-def _run_python_with_src(code, **env_changes):
-    """Run `python -c code` with this checkout's src first on PYTHONPATH; an
-    env_changes value of None removes that variable.  Returns stdout."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    for key, value in env_changes.items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    return res.stdout
-
-
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # the extension module itself registers as scipy.linalg._flapack; any
     # import through scipy.linalg would also load the package
     code = ("import json, pesim.cli, sys; "
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))")
-    loaded = json.loads(_run_python_with_src(code))
+    loaded = json.loads(run_python_with_src(code))
     assert "scipy.linalg" not in loaded, loaded
 
 
@@ -571,10 +581,10 @@ def test_cli_import_starts_no_blas_threads():
     code = ("import json, os, pesim.cli; "
             "print(json.dumps([len(os.listdir('/proc/self/task')), "
             "os.environ.get('OPENBLAS_NUM_THREADS')]))")
-    threads, value = json.loads(_run_python_with_src(code, OPENBLAS_NUM_THREADS=None))
+    threads, value = json.loads(run_python_with_src(code, OPENBLAS_NUM_THREADS=None))
     assert (threads, value) == (1, "1")
     # a value set by the user is kept; its thread count depends on the cores
-    _, value = json.loads(_run_python_with_src(code, OPENBLAS_NUM_THREADS="2"))
+    _, value = json.loads(run_python_with_src(code, OPENBLAS_NUM_THREADS="2"))
     assert value == "2"
 
 
