@@ -18,6 +18,7 @@ from dataclasses import asdict
 
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
+    EPS_COLUMNS,
     _run,
     check_eps_list,
     run_absorbing_set,
@@ -41,7 +42,6 @@ _EXPERIMENTS = {
 
 _DEFAULT_EPS_LIST = (1e-2, 2.5e-3, 6.25e-4)
 
-_EPS_COLUMNS = ("eps_hi", "eps_lo", "dist_u", "dist_v")  # eps_distances.csv
 _SNAPSHOT_COLUMNS = ("x", "u", "v")  # each snapshot file
 _SNAPSHOT_BLOCK = 1024  # rows per row template and per write in write_snapshots
 
@@ -127,13 +127,15 @@ def _make_dir(path, key) -> str | None:
 
 
 _SNAPSHOT = re.compile(r"state_(\d{5,})\.csv")  # write_snapshots' file names
+# the files _write_run may leave in out.dir, besides the snapshots
+_RUN_FILES = ("timeseries.csv", "summary.json", "verdicts.json", "eps_distances.csv")
 
 
 def _remove_stale(out_dir, n_snapshots):
-    """Remove the outputs of an earlier run in out_dir that this run does not
-    overwrite: snapshots numbered n_snapshots and up, verdicts.json and
-    eps_distances.csv (an experiment writes those after _write_run)."""
-    stale = [os.path.join(out_dir, name) for name in ("verdicts.json", "eps_distances.csv")]
+    """Remove what an earlier run left in out_dir before this run writes its
+    own: every file of _RUN_FILES (a run writes only some of them) and the
+    snapshots numbered n_snapshots and up, which this run does not overwrite."""
+    stale = [os.path.join(out_dir, name) for name in _RUN_FILES]
     snap_dir = os.path.join(out_dir, "snapshots")
     if os.path.isdir(snap_dir):
         stale += [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
@@ -143,32 +145,34 @@ def _remove_stale(out_dir, n_snapshots):
             os.remove(path)
 
 
-def _check_outputs(out_dir):
-    """A ConfigError naming out.dir for a path in it whose kind _write_run,
-    _remove_stale or the verdict writer would fail on: a snapshots that is
-    not a directory, or a directory in the place of an output file.  Found
-    before the run, so that no run is thrown away for it; permission and
-    disk errors still surface from the writers."""
+def _check_outputs(out_dir, key):
+    """A ConfigError naming key for a path in out_dir whose kind _write_run
+    or _remove_stale would fail on: a snapshots that is not a directory, or
+    a directory in the place of a run file.  Found before the run, so that
+    no run is thrown away for it; permission and disk errors still surface
+    from the writers."""
     snap_dir = os.path.join(out_dir, "snapshots")
     if os.path.exists(snap_dir) and not os.path.isdir(snap_dir):
-        raise ConfigError("out.dir", f"cannot write {snap_dir!r}: Not a directory")
-    for name in ("timeseries.csv", "summary.json", "verdicts.json", "eps_distances.csv"):
+        raise ConfigError(key, f"cannot write {snap_dir!r}: Not a directory")
+    for name in _RUN_FILES:
         path = os.path.join(out_dir, name)
         if os.path.isdir(path):
-            raise ConfigError("out.dir", f"cannot write {path!r}: Is a directory")
+            raise ConfigError(key, f"cannot write {path!r}: Is a directory")
 
 
 def _load_config(config_path, out_override) -> tuple[RunConfig, str | None]:
-    """The parsed config and _make_dir's result for its out.dir, whose
-    outputs _check_outputs has checked; raises ConfigError or OSError (the
-    config file unreadable or not UTF-8)."""
+    """The parsed config and _make_dir's result for its out.dir (out_override
+    if not None), whose outputs _check_outputs has checked; raises
+    ConfigError, naming --out for out_override, or OSError (the config file
+    unreadable or not UTF-8)."""
+    key = "out.dir" if out_override is None else "--out"
     try:
-        cfg = parse_config(config_path, {"out.dir": out_override} if out_override else None)
+        cfg = parse_config(config_path, None if key == "out.dir" else {"out.dir": out_override})
     except UnicodeDecodeError as exc:
         raise OSError(f"cannot read {config_path!r}: not UTF-8 text "
                       f"({exc.reason} at byte {exc.start})") from None
-    created = _make_dir(cfg.out_dir, "out.dir")
-    _check_outputs(cfg.out_dir)
+    created = _make_dir(cfg.out_dir, key)
+    _check_outputs(cfg.out_dir, key)
     return cfg, created
 
 
@@ -196,7 +200,6 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    out_dir = cfg.out_dir
     args = (cfg.spec, eps_list or _DEFAULT_EPS_LIST) if which == "eps" else (cfg.spec,)
     try:
         result = _EXPERIMENTS[which](*args)
@@ -206,56 +209,48 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
         return _fail(str(exc), 1)
     except StepperFailure as exc:
         return _write_run(cfg, exc.samples, exc.records, exc, which)
-
-    rc = _write_run(cfg, result.states, result.records, experiment=which)
-    if rc:
-        return rc
-    verdicts = {name: _json_fields(v) for name, v in result.verdicts.items()}
-    try:
-        if "distances" in result.extras:
-            with open(os.path.join(out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
-                fh.write(",".join(_EPS_COLUMNS) + "\n")
-                for row in result.extras["distances"]:
-                    fh.write(",".join(_fmt(row[c]) for c in _EPS_COLUMNS) + "\n")
-        with open(os.path.join(out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
-            json.dump({"experiment": which, "verdicts": verdicts, "extras": result.extras},
-                      fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        return _cannot_write("out.dir", exc, out_dir)
-    if not all(v["pass"] for v in verdicts.values()):
-        return _fail("one or more verdicts failed (see verdicts.json)", 3)
-    return 0
+    return _write_run(cfg, result.states, result.records, experiment=which, result=result)
 
 
 def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
-               failure: StepperFailure | None = None, experiment=None) -> int:
+               failure: StepperFailure | None = None, experiment=None, result=None) -> int:
     """Write timeseries.csv, the snapshots (if any states) and summary.json of
-    one run, complete or cut short by failure, after removing what an earlier
-    run left that this one does not overwrite; returns the exit code, 1 when
-    an output cannot be written, else 2 after a failure and 0 otherwise."""
+    one run, complete or cut short by failure, and the verdicts.json and
+    eps_distances.csv (eps study only) of a finished experiment's result,
+    after removing what an earlier run left that this one does not overwrite.
+    Returns the exit code: 1 when an output cannot be written, else 2 after
+    a failure, 3 when a verdict failed and 0 otherwise."""
     run_info = {"status": "ok" if failure is None else "solver_failure",
                 "failure": None if failure is None else str(failure)}
     if experiment is not None:
         run_info["experiment"] = experiment
     ss = steady_states(cfg.spec.kp)
+    run_info.update(final_time=records[-1].t if records else None,
+                    sample_times=[r.t for r in records], u_star=ss.u_star,
+                    v_star=ss.v_star, regime=ss.regime.value)
     try:
         _remove_stale(cfg.out_dir, len(states))
         write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
         if states:
             write_snapshots(cfg.out_dir, states)
-        write_summary(cfg.out_dir, cfg, {
-            **run_info,
-            "final_time": records[-1].t if records else None,
-            "sample_times": [r.t for r in records],
-            "u_star": ss.u_star,
-            "v_star": ss.v_star,
-            "regime": ss.regime.value,
-        })
+        write_summary(cfg.out_dir, cfg, run_info)
+        if result is not None and "distances" in result.extras:
+            with open(os.path.join(cfg.out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
+                fh.write(",".join(EPS_COLUMNS) + "\n")
+                for row in result.extras["distances"]:
+                    fh.write(",".join(_fmt(row[c]) for c in EPS_COLUMNS) + "\n")
+        if result is not None:
+            verdicts = {name: _json_fields(v) for name, v in result.verdicts.items()}
+            with open(os.path.join(cfg.out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
+                json.dump({"experiment": experiment, "verdicts": verdicts,
+                           "extras": result.extras}, fh, indent=2)
+                fh.write("\n")
     except OSError as exc:
         return _cannot_write("out.dir", exc, cfg.out_dir)
     if failure is not None:
         return _fail(f"solver failure: {failure}", 2)
+    if result is not None and not all(v.passed for v in result.verdicts.values()):
+        return _fail("one or more verdicts failed (see verdicts.json)", 3)
     return 0
 
 
@@ -360,7 +355,7 @@ def cmd_plot(out_dir) -> int:
     if os.path.isfile(os.path.join(out_dir, "eps_distances.csv")):
         section("eps_distances", "set title 'consecutive-eps L2 distances of final profiles'",
                 "set logscale xy",
-                plot("eps_distances.csv", _numbered(_EPS_COLUMNS), "eps_hi", "linespoints",
+                plot("eps_distances.csv", _numbered(EPS_COLUMNS), "eps_hi", "linespoints",
                      ("dist_u", "u"), ("dist_v", "v")),
                 "unset logscale xy")
     if not sections:
@@ -371,8 +366,11 @@ def cmd_plot(out_dir) -> int:
         "set key autotitle columnhead",
         "set terminal pngcairo size 900,600",
     ])
-    with open(os.path.join(out_dir, "plot.gp"), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n\n" + "\n\n".join(sections) + "\n")
+    try:
+        with open(os.path.join(out_dir, "plot.gp"), "w", encoding="utf-8") as fh:
+            fh.write(header + "\n\n" + "\n\n".join(sections) + "\n")
+    except OSError as exc:
+        return _cannot_write("out_dir", exc, out_dir)
     return 0
 
 

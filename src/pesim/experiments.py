@@ -36,6 +36,7 @@ __all__ = [
     "run_coexistence_study",
     "run_extinction_study",
     "check_eps_list",
+    "EPS_COLUMNS",
     "run_eps_convergence",
     "run_absorbing_set",
     "run_ode_consistency",
@@ -252,6 +253,10 @@ def check_eps_list(eps_list) -> list[float]:
     return eps_list
 
 
+# the keys of each row of the eps study's extras["distances"], in order
+EPS_COLUMNS = ("eps_hi", "eps_lo", "dist_u", "dist_v")
+
+
 def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult:
     """Cauchy-in-eps study: identical runs varying only eps, reporting the
     L2 distances of the final profiles between consecutive eps values.
@@ -267,8 +272,8 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult
     finals = [samples[-1].w for samples, _ in runs]
     rows = []
     for e1, e2, f1, f2 in zip(eps_list, eps_list[1:], finals, finals[1:]):
-        dist_u, dist_v = np.sqrt(integrate_values((f1 - f2) ** 2, base_spec.grid)).tolist()
-        rows.append({"eps_hi": e1, "eps_lo": e2, "dist_u": dist_u, "dist_v": dist_v})
+        dists = np.sqrt(integrate_values((f1 - f2) ** 2, base_spec.grid)).tolist()
+        rows.append(dict(zip(EPS_COLUMNS, (e1, e2, *dists))))
     verdicts = {}
     for c in "uv":
         dist = [r["dist_" + c] for r in rows]

@@ -255,6 +255,16 @@ def test_unusable_out_dir_exit_1(tmp_path, capsys, command):
     assert "out.dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["experiment", "--which", "coexistence"]],
+                         ids=["simulate", "experiment"])
+def test_empty_out_exit_1(tmp_path, capsys, command):
+    # an empty --out is rejected as an empty out.dir line is, not ignored
+    cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {tmp_path / 'cfg_out'}\n")
+    assert main(command[:1] + [cfg] + command[1:] + ["--out", ""]) == 1
+    assert "pesim: --out: " in capsys.readouterr().err
+    assert not (tmp_path / "cfg_out").exists()
+
+
 def test_simulate_loads_neither_inequalities_nor_numpy_random(tmp_path):
     # two measured peak-RSS choices: cmd_verify imports pesim.inequalities
     # itself, and only a random initial condition loads numpy.random
@@ -443,6 +453,27 @@ def test_experiment_eps_writes_distances(tmp_path):
     lines = _read(os.path.join(out, "eps_distances.csv")).splitlines()
     assert lines[0] == "eps_hi,eps_lo,dist_u,dist_v"
     assert len(lines) == 3
+    # verdicts.json holds the same table: its rows carry the CSV's columns in
+    # order, and each CSV row is its JSON row at 17 significant digits
+    header = lines[0].split(",")
+    rows = json.loads(_read(os.path.join(out, "verdicts.json")))["extras"]["distances"]
+    assert [list(row) for row in rows] == [header] * 2
+    assert lines[1:] == [",".join(format(row[c], ".17g") for c in header) for row in rows]
+
+
+def test_failed_eps_study_leaves_no_table(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    text = BASE.replace("time.t_end = 2.0", "time.t_end = 0.5")
+    assert main(["experiment", _write(tmp_path, "eps.cfg", text), "--which", "eps",
+                 "--out", out]) == 0
+    stiff = _write(tmp_path, "stiff.cfg", STIFF)
+    assert main(["experiment", stiff, "--which", "eps", "--out", out]) == 2
+    run = json.loads(_read(os.path.join(out, "summary.json")))["run"]
+    assert list(run)[:3] == ["status", "failure", "experiment"]
+    assert run["experiment"] == "eps"
+    # the earlier run's table and verdicts do not outlive the failed run
+    assert not os.path.exists(os.path.join(out, "verdicts.json"))
+    assert not os.path.exists(os.path.join(out, "eps_distances.csv"))
 
 
 def test_experiment_solver_failure_keeps_partial_output(tmp_path, capsys):
@@ -643,6 +674,16 @@ def test_rerun_removes_other_commands_outputs(tmp_path):
     assert not os.path.exists(os.path.join(out, "eps_distances.csv"))
     _plotted_profile(out)
     assert "eps_distances.csv" not in _read(os.path.join(out, "plot.gp"))
+
+
+def test_plot_unwritable_script_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["simulate", _write(tmp_path, "run.cfg", BASE), "--out", out]) == 0
+    os.mkdir(os.path.join(out, "plot.gp"))
+    assert main(["plot", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pesim: ") and "plot.gp" in err
+    assert "Traceback" not in err
 
 
 def test_plot_empty_dir_exit_1(tmp_path):
