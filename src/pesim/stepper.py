@@ -11,13 +11,22 @@ in rows [0, n) and v in [n, 2n): the stacked array's own memory order.
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
 (u0, v0, u1, v1, ...), the transpose of the stacked pair, by damped
-simplified Newton.  The Jacobian freezes the nonlinear flux coefficients and
-differentiates through the derivative factors and the reactions, which keeps
-the matrix banded with half-bandwidth 4.  It is built once per step, at
-w_old, and factored once by banded LU with partial pivoting (LAPACK gbtrf;
-the matrices are not symmetric); every Newton iteration then solves with that
-factorization (gbtrs).  Only when the line search finds no decrease is it
-rebuilt, at the current iterate.
+simplified Newton.  The Jacobian J freezes the nonlinear flux coefficients
+and differentiates through the derivative factors and the reactions, which
+keeps the matrix banded with half-bandwidth 4.  I - dt*J is factored once
+per step by banded LU with partial pivoting (LAPACK gbtrf; the matrices are
+not symmetric), and every Newton iteration solves with that factorization
+(gbtrs).  J itself is kept across steps, the stiff-solver practice of
+Hairer & Wanner (Solving ODEs II, IV.8): a step builds it at w_old only when
+it has none from the run's last accepted step, or when that step took more
+than _JAC_KEEP_ITERS iterations; and whenever the line search finds no
+decrease with a J built before the current iteration, or a carried J has not
+converged within _JAC_KEEP_ITERS iterations, J is rebuilt at the current
+iterate.  Newton stops when the residual or the increment reaches
+newton_tol or, on fine grids where that lies below roundoff, the floor
+eps * max(w_old) * (1 + dt * ||J||_1).  An accepted step also hands on
+rhs(w_new) when its last line search evaluated it there, so the next
+attempt from w_new starts without evaluating it again.
 
 Positivity is enforced by step rejection, never by clamping: clamped values
 would silently break the entropy identities the diagnostics monitor.
@@ -117,6 +126,11 @@ class StepOutcome:
     min_v: float
     err: float | None = None  # fully implicit after an accepted step: scaled local error
     slopes: np.ndarray | None = None  # fully implicit: (w_new - w_old) / dt
+    jac_builds: int = 0  # fully implicit: Jacobians built in this attempt
+    # fully implicit, accepted: the last Jacobian factored, as (J, ||J||_1)
+    # with J unscaled in band storage, and compute_rhs at state.w or None
+    jac: tuple[np.ndarray, float] | None = None
+    rhs: np.ndarray | None = None
 
 
 class StepperFailure(RuntimeError):
@@ -255,10 +269,12 @@ def _imex_advance(w, dx, dt, kp, rp, kind):
 # ---------------------------------------------------------------------------
 
 _HALFWIDTH = 4  # interleaved stencil: radius 2 per field, two fields
+_EPS = float(np.finfo(float).eps)  # machine epsilon, for the Newton roundoff floor
+_JAC_KEEP_ITERS = 3  # Newton iterations past which a carried Jacobian is rebuilt
 
 
-def _jacobian_ab(w, dx, dt, kp, rp, kind):
-    """-dt * J at the stacked pair w, in band storage for the unknowns (u0, v0, u1, ...)."""
+def _jacobian_ab(w, dx, kp, rp, kind):
+    """J at the stacked pair w, in band storage for the unknowns (u0, v0, u1, ...)."""
     c = _columns(kp, rp)
     n = w.shape[1]
     r = 2 if kind is ModelKind.REGULARIZED else 1
@@ -271,73 +287,97 @@ def _jacobian_ab(w, dx, dt, kp, rp, kind):
     jac = reaction_jacobian(w, kp, rp, kind)
     own[r] += jac[::3]
     cross[1] += jac[1:3]
-    ab *= -dt
     return ab
 
 
-def _newton_advance(w, dx, dt, kp, rp, kind, cfg):
-    """Backward-Euler solve of the stacked pair w by damped simplified Newton;
-    returns (w_new, iters), or (None, iters) on failure, where iters counts
-    the iterations taken.
+def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
+    """Backward-Euler solve of the stacked pair w by damped simplified Newton.
 
-    The Jacobian is built and factored once, at the start state, and each
-    iteration solves with that factorization.  When the line search finds no
-    decrease with a factorization built at an earlier iterate, it is rebuilt
-    at the current iterate and the iteration retried; a failure with a fresh
-    factorization rejects the step.  Every solve takes at least one
-    correction.  It has converged once the residual, or the increment with a
-    positive result, is at most newton_tol in max norm: on fine grids the
-    residual stalls at a roundoff floor, machine epsilon times dt / dx^4,
-    while the increment keeps falling.
+    jac, if given, is a Jacobian (J, ||J||_1) carried from an earlier step,
+    and rhs, if given, is compute_rhs at w.  Returns (w_new, iters, jac,
+    builds, rhs_new): w_new is None on failure, iters counts the iterations
+    taken, jac is the last Jacobian factored, builds counts the Jacobians
+    built here, and rhs_new is compute_rhs at w_new when the last line search
+    evaluated it there, else None.
+
+    Without a carried Jacobian, J is built at the start state; I - dt*J is
+    factored once, and each iteration solves with that factorization.  When
+    the line search finds no decrease with a Jacobian built before the
+    current iteration (a carried one included), or a carried Jacobian has
+    taken _JAC_KEEP_ITERS iterations without converging, J is rebuilt at
+    the current iterate and the iteration retried; a failure with a fresh
+    Jacobian rejects the step.  Every solve takes at least one correction.
+    It has converged once the residual, or the increment with a positive
+    result, is at most tol = max(newton_tol, eps * max(w) * (1 + dt *
+    ||J||_1)) in max norm, eps being machine epsilon and ||J||_1 the largest
+    column sum of |J|: on fine grids the residual and the increment stall at
+    that roundoff floor, of order eps * dt / dx^4, above newton_tol.
     """
 
-    def residual(wc):  # interleaved (u0, v0, u1, ...) like the unknowns
-        return (wc - w - dt * compute_rhs(wc, dx, kp, rp, kind)).T.ravel()
+    def residual(wc, f):  # interleaved (u0, v0, u1, ...) like the unknowns
+        return (wc - w - dt * f).T.ravel()
 
-    def factor(wc):
-        return _factor_shifted(_jacobian_ab(wc, dx, dt, kp, rp, kind), _HALFWIDTH)
+    def build(wc):
+        ab = _jacobian_ab(wc, dx, kp, rp, kind)
+        return ab, float(np.abs(ab[:, _HALFWIDTH:-_HALFWIDTH]).sum(axis=0).max())
 
-    def correct(lu):
+    def factor(j):
+        """The LU of I - dt*J and the convergence tolerance, for j = (J, ||J||_1)."""
+        tol = max(cfg.newton_tol, _EPS * w_max * (1.0 + dt * j[1]))
+        return _factor_shifted(j[0] * -dt, _HALFWIDTH), tol
+
+    def correct(lu, tol):
         """One damped correction of wc with the factorization lu:
-        (w, residual, norm), with norm 0 when the increment test has
-        converged; None when lu is singular, the increment is not finite or
-        no damping lowers the residual."""
+        (w, residual, norm, rhs), with norm 0 and rhs None when the increment
+        test has converged; None when lu is singular, the increment is not
+        finite or no damping lowers the residual."""
         if lu is None:
             return None
         delta = dgbtrs(lu[0], _HALFWIDTH, _HALFWIDTH, res, lu[1])[0]
         if not np.all(np.isfinite(delta)):
             return None
         w_step = delta.reshape(-1, 2).T
-        if float(np.abs(delta).max()) <= cfg.newton_tol:
+        if float(np.abs(delta).max()) <= tol:
             wt = wc - w_step
             if wt.min() > 0.0:
-                return wt, None, 0.0
+                return wt, None, 0.0, None
         lam = 1.0
         for _ in range(10):
             wt = wc - lam * w_step
             if wt.min() > 0.0:
-                res_t = residual(wt)
+                f_t = compute_rhs(wt, dx, kp, rp, kind)
+                res_t = residual(wt, f_t)
                 norm_t = float(np.abs(res_t).max())
                 if np.isfinite(norm_t) and norm_t < norm:
-                    return wt, res_t, norm_t
+                    return wt, res_t, norm_t, f_t
             lam *= 0.5
         return None
 
+    w_max = float(w.max())
     wc = w
-    res = residual(wc)
+    res = residual(wc, compute_rhs(wc, dx, kp, rp, kind) if rhs is None else rhs)
     norm = float(np.abs(res).max())
-    lu, built = factor(wc), 1  # built: the iteration whose start iterate lu is at
+    # built: the iteration whose start iterate jac is at, 0 for a carried one
+    if jac is None:
+        jac, built, builds = build(wc), 1, 1
+    else:
+        built = builds = 0
+    lu, tol = factor(jac)
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        new = correct(lu)
+        # a carried J that has not converged in _JAC_KEEP_ITERS iterations is
+        # replaced as if its line search had failed
+        new = None if built == 0 and it > _JAC_KEEP_ITERS else correct(lu, tol)
         if new is None and built < it:
-            lu, built = factor(wc), it
-            new = correct(lu)
+            jac, built = build(wc), it
+            builds += 1
+            lu, tol = factor(jac)
+            new = correct(lu, tol)
         if new is None:
-            return None, it
-        wc, res, norm = new
-        if norm <= cfg.newton_tol:
-            return wc, it
-    return None, _NEWTON_MAX_ITER
+            return None, it, jac, builds, None
+        wc, res, norm, f = new
+        if norm <= tol:
+            return wc, it, jac, builds, f
+    return None, _NEWTON_MAX_ITER, jac, builds, None
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +396,35 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     change of slope from prev.slopes, the BDF1 estimate of (dt^2 / 2) w'',
     against _TOL * (1 + |w_new|); above 1 the step fails.  A fully implicit
     outcome past positivity carries its slopes (w_new - w_old) / dt.
+
+    A fully implicit attempt also reuses prev.jac unless prev took more than
+    _JAC_KEEP_ITERS Newton iterations, and starts from prev.rhs when
+    prev.state is state; every fully implicit outcome counts its Jacobian
+    builds in jac_builds.
     """
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")
     w = state.w
+    builds, jac, rhs = 0, None, None
     if cfg.scheme is Scheme.IMEX:
         wn, iters = _imex_advance(w, state.grid.dx, dt, kp, rp, kind), 0
     else:
-        wn, iters = _newton_advance(w, state.grid.dx, dt, kp, rp, kind, cfg)
-    if wn is None:
-        return StepOutcome(state, dt, False, iters, np.nan, np.nan)
+        wn, iters, jac, builds, rhs = _newton_advance(
+            w, state.grid.dx, dt, kp, rp, kind, cfg,
+            prev.jac if prev is not None and prev.newton_iters <= _JAC_KEEP_ITERS else None,
+            prev.rhs if prev is not None and prev.state is state else None)
 
+    def rejected(min_u=np.nan, min_v=np.nan, err=None, slopes=None):
+        return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes, builds)
+
+    if wn is None:
+        return rejected()
     min_u, min_v = wn.min(axis=1).tolist()
     # min propagates NaN, so the extremes are finite exactly when the arrays are
     if not (isfinite(min_u) and isfinite(min_v) and isfinite(wn.max())):
-        return StepOutcome(state, dt, False, iters, np.nan, np.nan)
+        return rejected()
     if min(min_u, min_v) <= cfg.positivity_floor:
-        return StepOutcome(state, dt, False, iters, min_u, min_v)
+        return rejected(min_u, min_v)
     err = slopes = None
     if cfg.scheme is Scheme.FULLY_IMPLICIT:
         slopes = (wn - w) / dt
@@ -380,10 +432,10 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
             c = dt * dt / (dt + prev.dt_used)
             err = float((np.abs(c * (slopes - prev.slopes)) / (_TOL * (1.0 + np.abs(wn)))).max())
             if err > 1.0:
-                return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes)
+                return rejected(min_u, min_v, err, slopes)
     # wn is a fresh array, proven finite and positive just above
     new_state = State.trusted(state.t + dt, state.grid, wn)
-    return StepOutcome(new_state, dt, True, iters, min_u, min_v, err, slopes)
+    return StepOutcome(new_state, dt, True, iters, min_u, min_v, err, slopes, builds, jac, rhs)
 
 
 def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,

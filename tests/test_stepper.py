@@ -334,9 +334,9 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
     def zero_operator(out, *args):
         out[out.shape[0] // 2] = 1.0 / dt
 
-    def zero_jacobian(w, *args):
+    def zero_jacobian(w, *args):  # J = I / dt
         ab = stp._band_storage(stp._HALFWIDTH, w.size)
-        ab[2 * stp._HALFWIDTH] = -1.0
+        ab[2 * stp._HALFWIDTH] = 1.0 / dt
         return ab
 
     monkeypatch.setattr(stp, "_stiff_bands", zero_operator)
@@ -352,7 +352,7 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_jacobian_matches_finite_differences(kind, coex_params):
-    # -dt * J from _jacobian_ab against central differences of the interleaved
+    # J from _jacobian_ab against central differences of the interleaved
     # right-hand side, block by block.  The cross blocks are exact; the
     # diagonal blocks freeze the diffusion, thin-film and taxis coefficients
     # at the iterate, which drops lower-order terms of relative size about dx
@@ -369,7 +369,7 @@ def test_jacobian_matches_finite_differences(kind, coex_params):
         out[0::2], out[1::2] = du, dv
         return out
 
-    jac = -_dense(stp._jacobian_ab(st.w, dx, 1.0, coex_params, rp, kind), stp._HALFWIDTH)
+    jac = _dense(stp._jacobian_ab(st.w, dx, coex_params, rp, kind), stp._HALFWIDTH)
     jac_fd = np.empty_like(jac)
     for j in range(2 * n):
         e = np.zeros(2 * n)
@@ -442,6 +442,104 @@ def test_wrong_first_jacobian_is_rebuilt(coex_params, reg_params, monkeypatch):
         assert np.abs(diff).max() <= 10 * cfg.newton_tol
 
 
+def _record_attempts(monkeypatch):
+    """Record every StepOutcome that run_until gets from step()."""
+    attempts = []
+
+    def counted(*args):
+        out = step(*args)
+        attempts.append(out)
+        return out
+
+    monkeypatch.setattr(stp, "step", counted)
+    return attempts
+
+
+def test_implicit_run_carries_the_jacobian(coex_params, reg_params, monkeypatch):
+    # a fully implicit run keeps its Jacobian across steps, so it builds far
+    # fewer Jacobians than it makes attempts, and each attempt reports its own
+    builds = _count_jacobian_builds(monkeypatch)
+    attempts = _record_attempts(monkeypatch)
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    run_until(_implicit_n1024_state(), 0.01, coex_params, reg_params,
+              ModelKind.REGULARIZED, cfg, 0.005)
+    assert sum(out.jac_builds for out in attempts) == len(builds)
+    assert attempts[0].jac_builds == 1  # the first step has nothing to carry
+    assert 10 * len(builds) <= len(attempts)
+
+
+@pytest.mark.parametrize("factor", [-100.0, 100.0])
+def test_wrong_carried_jacobian_is_rebuilt(factor, coex_params, reg_params):
+    # a carried Jacobian planted as -100 * J fails the first line search, and
+    # one planted as 100 * J converges too slowly to finish in the iteration
+    # cap; either way the step rebuilds once and converges to the step a
+    # fresh Jacobian gives.  A good carried Jacobian is used as it is
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    kind = ModelKind.REGULARIZED
+    first = step(_implicit_n1024_state(), cfg.dt_init, coex_params, reg_params, kind, cfg)
+    assert first.accepted and first.newton_iters <= stp._JAC_KEEP_ITERS
+    prev = dataclasses.replace(first, slopes=None)  # no error test: Newton alone decides
+    args = (first.state, cfg.dt_init, coex_params, reg_params, kind, cfg)
+    expected = step(*args)
+    assert expected.accepted and expected.jac_builds == 1
+    carried = step(*args, prev)
+    assert carried.accepted and carried.jac_builds == 0 and carried.jac is first.jac
+    jac, norm = first.jac
+    out = step(*args, dataclasses.replace(prev, jac=(factor * jac, norm)))
+    assert out.accepted and out.jac_builds == 1
+    for field in ("u", "v"):
+        for o in (carried, out):
+            diff = getattr(o.state, field) - getattr(expected.state, field)
+            assert np.abs(diff).max() <= 10 * cfg.newton_tol
+
+
+def test_carried_rhs_changes_no_bit(coex_params, reg_params, monkeypatch):
+    # an accepted outcome hands on compute_rhs at its state; an attempt from
+    # that very state object starts from it instead of evaluating it again,
+    # bitwise as if it had, and an attempt from any other state object
+    # ignores it
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    kind = ModelKind.REGULARIZED
+    first = step(_implicit_n1024_state(), cfg.dt_init, coex_params, reg_params, kind, cfg)
+    st = first.state
+    assert first.accepted and first.rhs is not None
+    assert np.array_equal(first.rhs, compute_rhs(st.w, st.grid.dx, coex_params, reg_params, kind))
+    calls = []
+    monkeypatch.setattr(stp, "compute_rhs", lambda *args: calls.append(1) or compute_rhs(*args))
+
+    def attempt(state, dt, prev):
+        calls.clear()
+        return step(state, dt, coex_params, reg_params, kind, cfg, prev), len(calls)
+
+    wrong = dataclasses.replace(first, rhs=first.rhs + 1.0)
+    twin = State(st.t, st.grid, st.w)
+    accepted = 0
+    for dt in (1e-5, 1e-4, 1e-3):
+        out, n_out = attempt(st, dt, first)
+        plain, n_plain = attempt(st, dt, dataclasses.replace(first, rhs=None))
+        other, n_other = attempt(twin, dt, wrong)
+        assert n_out == n_plain - 1 and n_other == n_plain
+        for o in (plain, other):
+            assert (o.accepted, o.newton_iters, o.err) == (out.accepted, out.newton_iters, out.err)
+            assert np.array_equal(o.state.w, out.state.w)
+        accepted += out.accepted
+    assert accepted >= 2
+
+
+def test_fine_grid_newton_stops_at_roundoff_floor(coex_params, monkeypatch):
+    # at eps = 1e-2, n = 729 the residual and the increment bottom out at a
+    # roundoff floor above newton_tol (||dt * J|| is of order dt * eps / dx^4);
+    # Newton must stop there, so that only the error test rejects attempts
+    grid = Grid1D(0.0, 1.0, 729)
+    x = grid.centers
+    st = State(0.0, grid, np.array((1.5 + 0.3 * np.cos(np.pi * x),
+                                    0.5 + 0.3 * np.cos(2 * np.pi * x))))
+    attempts = _record_attempts(monkeypatch)
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    run_until(st, 0.05, coex_params, RegParams(1e-2), ModelKind.REGULARIZED, cfg, 0.05)
+    assert attempts and not [out for out in attempts if not out.accepted and out.err is None]
+
+
 def test_newton_always_takes_a_correction(coex_params, reg_params):
     # a newton_tol that every residual meets must still move the solution
     st = _smooth_state(Grid1D(0.0, 1.0, 16))
@@ -486,14 +584,7 @@ def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkey
     # positivity, yet dt falls well below its first value: only the local
     # error estimate rejects attempts and shrinks dt, by a factor in [0.2, 2]
     # per attempt
-    attempts = []
-
-    def counted(*args):
-        out = step(*args)
-        attempts.append(out)
-        return out
-
-    monkeypatch.setattr(stp, "step", counted)
+    attempts = _record_attempts(monkeypatch)
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
     samples = run_until(_implicit_n1024_state(), 0.01, coex_params, reg_params,
                         ModelKind.REGULARIZED, cfg, 0.005)
@@ -681,14 +772,21 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
         res[0::2], res[1::2] = uc - u - dt * du, vc - v - dt * dv
         return res
 
+    def tolerance(jac):  # newton_tol, or the floor eps * max(w) * (1 + ||dt * J||_1)
+        dt_jac = jac.copy()
+        dt_jac[5] -= 1.0  # jac holds I - dt * J
+        floor = np.finfo(float).eps * max(u.max(), v.max())
+        return max(cfg.newton_tol, floor * (1.0 + np.abs(dt_jac).sum(axis=0).max()))
+
     uc, vc = u, v
     res = residual(uc, vc)
     norm = float(np.abs(res).max())
     jac, built = _ref_jacobian_ab(u, v, dx, dt, kp, rp, kind), 1  # frozen at the start
+    tol = tolerance(jac)
     for it in range(1, stp._NEWTON_MAX_ITER + 1):
         while True:
             delta = solve_banded((5, 5), jac, res)
-            if np.abs(delta).max() <= cfg.newton_tol:  # converged on the increment
+            if np.abs(delta).max() <= tol:  # converged on the increment
                 ut, vt = uc - delta[0::2], vc - delta[1::2]
                 if ut.min() > 0.0 and vt.min() > 0.0:
                     return ut, vt, it
@@ -707,8 +805,9 @@ def _ref_newton(u, v, dx, dt, kp, rp, kind, cfg):
             if built == it:  # no decrease with a fresh Jacobian either
                 return None
             jac, built = _ref_jacobian_ab(uc, vc, dx, dt, kp, rp, kind), it
+            tol = tolerance(jac)
         uc, vc, res, norm = ut, vt, res_t, norm_t
-        if norm <= cfg.newton_tol:
+        if norm <= tol:
             return uc, vc, it
     return None
 
