@@ -79,27 +79,45 @@ def write_timeseries(path, records: list[DiagnosticsRecord]):
             fh.write(",".join(_fmt(getattr(r, c)) for c in DiagnosticsRecord.CSV_COLUMNS) + "\n")
 
 
-def write_snapshots(out_dir, states):
-    """Write each state to snapshots/state_NNNNN.csv as x,u,v rows in %.17g,
-    the text _fmt gives.  The x column is formatted once per call (again only
-    where a state's grid differs from the one before it), into one row
-    template per _SNAPSHOT_BLOCK rows; each state then costs one % and one
-    write per block.  Blocks are streamed, never joined into a whole file:
-    a joined file's text raised peak RSS by about 1.5 MB at 8192 rows."""
-    snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-    k, grid = _SNAPSHOT_BLOCK, None
-    for i, s in enumerate(states):
-        if s.grid != grid:
-            grid, centers = s.grid, s.grid.centers
+def write_snapshots(out_dir, index, state, rows):
+    """Write state to snapshots/state_{index:05d}.csv in out_dir, whose
+    snapshots directory must exist, as x,u,v rows in %.17g, the text _fmt
+    gives.  rows holds (j, template) for each block of _SNAPSHOT_BLOCK rows
+    from row j, the template holding each row's x and a %.17g field for its
+    u and v; _SnapshotWriter builds them once per run, so that a state costs
+    one % and one write per block.  Blocks are streamed, never joined into a
+    whole file: a joined file's text raised peak RSS by about 1.5 MB at 8192
+    rows."""
+    k = _SNAPSHOT_BLOCK
+    path = os.path.join(out_dir, "snapshots", f"state_{index:05d}.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(_SNAPSHOT_COLUMNS) + "\n")
+        for j, tpl in rows:
+            fh.write(tpl % tuple(state.w[:, j:j + k].T.ravel().tolist()))
+
+
+class _SnapshotWriter:
+    """The on_sample of one CLI run: writes each sample's snapshot as the run
+    takes it, so that no sampled state outlives its sample.  At the first, it
+    removes the run files an earlier run left, which would otherwise describe
+    the snapshots of another run, creates the snapshots directory and builds
+    the row templates of the run's grid.  count is the number of snapshots
+    written."""
+
+    def __init__(self, out_dir):
+        self.out_dir, self.count = out_dir, 0
+
+    def __call__(self, index, state):
+        if self.count == 0:
+            _remove_stale(self.out_dir)
+            os.makedirs(os.path.join(self.out_dir, "snapshots"), exist_ok=True)
+            k, centers = _SNAPSHOT_BLOCK, state.grid.centers
             # %.17g text holds no %, so each template keeps only the u and v fields
-            templates = [(j, "".join("%.17g,%%.17g,%%.17g\n" % x
+            self.rows = [(j, "".join("%.17g,%%.17g,%%.17g\n" % x
                                      for x in centers[j:j + k].tolist()))
-                         for j in range(0, grid.n_cells, k)]
-        with open(os.path.join(snap_dir, f"state_{i:05d}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(",".join(_SNAPSHOT_COLUMNS) + "\n")
-            for j, tpl in templates:
-                fh.write(tpl % tuple(s.w[:, j:j + k].T.ravel().tolist()))
+                         for j in range(0, len(centers), k)]
+        write_snapshots(self.out_dir, index, state, self.rows)
+        self.count = index + 1
 
 
 def write_summary(out_dir, cfg: RunConfig, run_info: dict):
@@ -131,13 +149,14 @@ _SNAPSHOT = re.compile(r"state_(\d{5,})\.csv")  # write_snapshots' file names
 _RUN_FILES = ("timeseries.csv", "summary.json", "verdicts.json", "eps_distances.csv")
 
 
-def _remove_stale(out_dir, n_snapshots):
+def _remove_stale(out_dir, n_snapshots=None):
     """Remove what an earlier run left in out_dir before this run writes its
-    own: every file of _RUN_FILES (a run writes only some of them) and the
-    snapshots numbered n_snapshots and up, which this run does not overwrite."""
+    own: every file of _RUN_FILES (a run writes only some of them) and,
+    unless n_snapshots is None, the snapshots numbered n_snapshots and up,
+    which this run did not overwrite."""
     stale = [os.path.join(out_dir, name) for name in _RUN_FILES]
     snap_dir = os.path.join(out_dir, "snapshots")
-    if os.path.isdir(snap_dir):
+    if n_snapshots is not None and os.path.isdir(snap_dir):
         stale += [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
                   if (m := _SNAPSHOT.fullmatch(name)) and int(m[1]) >= n_snapshots]
     for path in stale:
@@ -182,11 +201,14 @@ def cmd_simulate(config_path, out_override=None) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
+    snapshots = _SnapshotWriter(cfg.out_dir)
     try:
-        states, records = _run(cfg.spec)
+        _, records = _run(cfg.spec, snapshots)
     except StepperFailure as exc:
-        return _write_run(cfg, exc.samples, exc.records, exc)
-    return _write_run(cfg, states, records)
+        return _write_run(cfg, exc.records, snapshots.count, exc)
+    except OSError as exc:
+        return _cannot_write("out.dir", exc, cfg.out_dir)
+    return _write_run(cfg, records, snapshots.count)
 
 
 def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
@@ -200,26 +222,33 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    args = (cfg.spec, eps_list or _DEFAULT_EPS_LIST) if which == "eps" else (cfg.spec,)
+    snapshots = _SnapshotWriter(cfg.out_dir)
     try:
-        result = _EXPERIMENTS[which](*args)
-    except ValueError as exc:  # RegimeMismatch included; nothing written yet
+        if which == "eps":  # the one study that writes no snapshots
+            result = _EXPERIMENTS[which](cfg.spec, eps_list or _DEFAULT_EPS_LIST)
+        else:
+            result = _EXPERIMENTS[which](cfg.spec, on_sample=snapshots)
+    except ValueError as exc:  # RegimeMismatch included; raised before the first sample
         if created:
             shutil.rmtree(created)
         return _fail(str(exc), 1)
     except StepperFailure as exc:
-        return _write_run(cfg, exc.samples, exc.records, exc, which)
-    return _write_run(cfg, result.states, result.records, experiment=which, result=result)
+        return _write_run(cfg, exc.records, snapshots.count, exc, which)
+    except OSError as exc:
+        return _cannot_write("out.dir", exc, cfg.out_dir)
+    return _write_run(cfg, result.records, snapshots.count,
+                      experiment=which, result=result)
 
 
-def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
+def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord], n_snapshots,
                failure: StepperFailure | None = None, experiment=None, result=None) -> int:
-    """Write timeseries.csv, the snapshots (if any states) and summary.json of
-    one run, complete or cut short by failure, and the verdicts.json and
-    eps_distances.csv (eps study only) of a finished experiment's result,
-    after removing what an earlier run left that this one does not overwrite.
-    Returns the exit code: 1 when an output cannot be written, else 2 after
-    a failure, 3 when a verdict failed and 0 otherwise."""
+    """Write timeseries.csv and summary.json of one run, complete or cut
+    short by failure, and the verdicts.json and eps_distances.csv (eps study
+    only) of a finished experiment's result, after removing what an earlier
+    run left that this one does not overwrite: the run files and the
+    snapshots numbered n_snapshots and up, n_snapshots being the number the
+    run wrote.  Returns the exit code: 1 when an output cannot be written,
+    else 2 after a failure, 3 when a verdict failed and 0 otherwise."""
     run_info = {"status": "ok" if failure is None else "solver_failure",
                 "failure": None if failure is None else str(failure)}
     if experiment is not None:
@@ -229,10 +258,8 @@ def _write_run(cfg: RunConfig, states, records: list[DiagnosticsRecord],
                     sample_times=[r.t for r in records], u_star=ss.u_star,
                     v_star=ss.v_star, regime=ss.regime.value)
     try:
-        _remove_stale(cfg.out_dir, len(states))
+        _remove_stale(cfg.out_dir, n_snapshots)
         write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
-        if states:
-            write_snapshots(cfg.out_dir, states)
         write_summary(cfg.out_dir, cfg, run_info)
         if result is not None and "distances" in result.extras:
             with open(os.path.join(cfg.out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:

@@ -4,7 +4,10 @@ the L1 absorbing set, consistency of the regularization as eps -> 0, and a
 cross-check of the kinetics against the spatially homogeneous ODE reduction.
 
 Each study returns an ExperimentResult holding the sampled diagnostics and a
-map of named verdicts (boolean plus the measured value).  Stabilization
+map of named verdicts (boolean plus the measured value).  The sampled states
+are not kept: a study scores the final state, and a caller that wants every
+sample (the CLI writes each one to a snapshot) passes on_sample, which gets
+(index, state) as each sample is taken.  Stabilization
 horizons and tolerances are empirical choices; the underlying statements are
 asymptotic and carry no rates.
 """
@@ -145,29 +148,33 @@ class ExperimentResult:
     spec: ExperimentSpec
     records: list[DiagnosticsRecord]
     verdicts: dict[str, Verdict]
-    states: list[State] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
 
-def _run(spec: ExperimentSpec):
-    """Run one simulation from spec's initial condition; returns the sample
-    log and one diagnostics record per sample.
+def _run(spec: ExperimentSpec, on_sample=None) -> tuple[State, list[DiagnosticsRecord]]:
+    """Run one simulation from spec's initial condition; returns the final
+    state and one diagnostics record per sample.
 
-    A StepperFailure propagates with the records of its partial log attached
-    as `records`.
+    Each sample's record is computed as run_until takes the sample, and then
+    on_sample, if given, gets (index, state), the index counting samples from
+    0; no sampled state is kept.  A StepperFailure propagates with the
+    records of the samples taken attached as `records`.
     """
+    records = []
+
+    def sample(state):
+        records.append(diagnostics_record(state, spec.kp, spec.rp, spec.gamma))
+        if on_sample is not None:
+            on_sample(len(records) - 1, state)
+
     state0 = spec.ic.build(spec.grid)
     try:
-        samples = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
-                            spec.stepper, spec.sample_every)
+        final = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
+                          spec.stepper, spec.sample_every, sample)
     except StepperFailure as exc:
-        exc.records = _records(spec, exc.samples)
+        exc.records = records
         raise
-    return samples, _records(spec, samples)
-
-
-def _records(spec: ExperimentSpec, samples) -> list[DiagnosticsRecord]:
-    return [diagnostics_record(s, spec.kp, spec.rp, spec.gamma) for s in samples]
+    return final, records
 
 
 def _tail_slope(records, attr) -> float:
@@ -186,7 +193,7 @@ def _tail_slope(records, attr) -> float:
 # ---------------------------------------------------------------------------
 
 def _stabilization_study(spec, regime: Regime, n2: float, entropy: str,
-                         v_verdict: str, mismatch: str) -> ExperimentResult:
+                         v_verdict: str, mismatch: str, on_sample) -> ExperimentResult:
     """Shared body of the stabilization studies: pin n1 = 2 and n2, run, and
     score the final sup-deviations of u and v from the regime's steady state
     against 1e-2 (1e-1 on the extinction boundary) and the tail slope of its
@@ -195,13 +202,13 @@ def _stabilization_study(spec, regime: Regime, n2: float, entropy: str,
     if ss.regime is not regime:
         raise RegimeMismatch(mismatch)
     spec = replace(spec, rp=replace(spec.rp, n1=2.0, n2=n2))
-    samples, records = _run(spec)
+    final, records = _run(spec, on_sample)
 
     boundary = spec.kp.lambda2 == spec.kp.a2 * spec.kp.lambda1  # extinction regime only
     extras = {"boundary_case": boundary} if regime is Regime.EXTINCTION else {}
     tol = 1e-2 * (10.0 if boundary else 1.0)
     star = np.array([[ss.u_star], [ss.v_star]])
-    dev_u, dev_v = np.abs(samples[-1].w - star).max(axis=1).tolist()
+    dev_u, dev_v = np.abs(final.w - star).max(axis=1).tolist()
     slope = _tail_slope(records, entropy)
     allowance = 10.0 * math.sqrt(spec.rp.eps)
     verdicts = {
@@ -210,10 +217,10 @@ def _stabilization_study(spec, regime: Regime, n2: float, entropy: str,
         "entropy_tail_slope": Verdict(slope <= allowance, slope, allowance),
     }
     extras["slope_constant"] = max(0.0, slope) / math.sqrt(spec.rp.eps)
-    return ExperimentResult(spec, records, verdicts, samples, extras)
+    return ExperimentResult(spec, records, verdicts, extras)
 
 
-def run_coexistence_study(spec: ExperimentSpec) -> ExperimentResult:
+def run_coexistence_study(spec: ExperimentSpec, on_sample=None) -> ExperimentResult:
     """Stabilization toward the coexistence state; requires lambda2 > a2*lambda1.
 
     The regularization exponents are pinned to n1 = n2 = 2, the structural
@@ -223,10 +230,11 @@ def run_coexistence_study(spec: ExperimentSpec) -> ExperimentResult:
     """
     return _stabilization_study(
         spec, Regime.COEXISTENCE, n2=2.0, entropy="E1",
-        v_verdict="v_deviation", mismatch="coexistence study needs lambda2 > a2*lambda1")
+        v_verdict="v_deviation", mismatch="coexistence study needs lambda2 > a2*lambda1",
+        on_sample=on_sample)
 
 
-def run_extinction_study(spec: ExperimentSpec) -> ExperimentResult:
+def run_extinction_study(spec: ExperimentSpec, on_sample=None) -> ExperimentResult:
     """Stabilization toward the prey-extinction state (lambda1, 0);
     requires lambda2 <= a2*lambda1 and pins n1 = 2, n2 = 1.  Verdicts: final
     sup-deviations of u from lambda1 and of v from 0 below 1e-2, and the tail
@@ -237,7 +245,8 @@ def run_extinction_study(spec: ExperimentSpec) -> ExperimentResult:
     """
     return _stabilization_study(
         spec, Regime.EXTINCTION, n2=1.0, entropy="E2",
-        v_verdict="v_sup", mismatch="extinction study needs lambda2 <= a2*lambda1")
+        v_verdict="v_sup", mismatch="extinction study needs lambda2 <= a2*lambda1",
+        on_sample=on_sample)
 
 
 def check_eps_list(eps_list) -> list[float]:
@@ -269,7 +278,7 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult
              for e in eps_list]
     runs = [_run(s) for s in specs]
 
-    finals = [samples[-1].w for samples, _ in runs]
+    finals = [final.w for final, _ in runs]
     rows = []
     for e1, e2, f1, f2 in zip(eps_list, eps_list[1:], finals, finals[1:]):
         dists = np.sqrt(integrate_values((f1 - f2) ** 2, base_spec.grid)).tolist()
@@ -282,13 +291,13 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult
     return ExperimentResult(specs[-1], runs[-1][1], verdicts, extras={"distances": rows})
 
 
-def run_absorbing_set(spec: ExperimentSpec) -> ExperimentResult:
+def run_absorbing_set(spec: ExperimentSpec, on_sample=None) -> ExperimentResult:
     """Mass absorbing set: by the end of the run, the combined mass must sit
     below 1.05 times the closed-form asymptotic bound."""
     if spec.kind is not ModelKind.REGULARIZED:
         raise ValueError("model.kind must be regularized: the absorbing-set study "
                          "runs the regularized system")
-    samples, records = _run(spec)
+    _, records = _run(spec, on_sample)
     bound = m_infinity(spec.kp, spec.grid.length)
     final_mass = records[-1].mass_u + records[-1].mass_v
     max_mass = max(r.mass_u + r.mass_v for r in records)
@@ -296,7 +305,7 @@ def run_absorbing_set(spec: ExperimentSpec) -> ExperimentResult:
     verdicts = {"final_mass_within_bound": Verdict(final_mass <= limit, final_mass, limit)}
     extras = {"m_infinity": bound, "max_mass": max_mass,
               "initial_mass": records[0].mass_u + records[0].mass_v}
-    return ExperimentResult(spec, records, verdicts, samples, extras)
+    return ExperimentResult(spec, records, verdicts, extras)
 
 
 def lv_rk4_oracle(u0: float, v0: float, kp: KineticParams, t_end: float,
@@ -325,7 +334,7 @@ def lv_rk4_oracle(u0: float, v0: float, kp: KineticParams, t_end: float,
 
 
 def run_ode_consistency(spec: ExperimentSpec, dev_tol: float = 1e-6,
-                        oracle_dt: float = 1e-5) -> ExperimentResult:
+                        oracle_dt: float = 1e-5, on_sample=None) -> ExperimentResult:
     """Homogeneous-run cross-check against the RK4 kinetics oracle.
 
     Requires a constant initial condition.  The verdict is the deviation of
@@ -339,10 +348,10 @@ def run_ode_consistency(spec: ExperimentSpec, dev_tol: float = 1e-6,
     if spec.ic.kind != "constant":
         raise ValueError("ic.kind must be constant: the ode-consistency study needs "
                          "a homogeneous initial condition")
-    samples, records = _run(spec)
+    final, records = _run(spec, on_sample)
     uo, vo = lv_rk4_oracle(spec.ic.base_u, spec.ic.base_v, spec.kp,
                            spec.t_end, oracle_dt)
-    dev = float(np.abs(samples[-1].w - np.array([[uo], [vo]])).max())
+    dev = float(np.abs(final.w - np.array([[uo], [vo]])).max())
     verdicts = {"oracle_deviation": Verdict(dev <= dev_tol, dev, dev_tol)}
     extras = {"oracle_u": uo, "oracle_v": vo}
-    return ExperimentResult(spec, records, verdicts, samples, extras)
+    return ExperimentResult(spec, records, verdicts, extras)

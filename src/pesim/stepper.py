@@ -24,12 +24,17 @@ decrease with a J built before the current iteration, or a carried J has not
 converged within _JAC_KEEP_ITERS iterations, J is rebuilt at the current
 iterate.  Newton stops when the residual or the increment reaches
 newton_tol or, on fine grids where that lies below roundoff, the floor
-eps * max(w_old) * (1 + dt * ||J||_1).  An accepted step also hands on
+eps * max(w_old) * (1 + dt * ||J||_1); a step on which that floor exceeds
+the local error tolerance is rejected.  An accepted step also hands on
 rhs(w_new) when its last line search evaluated it there, so the next
 attempt from w_new starts without evaluating it again.
 
 Positivity is enforced by step rejection, never by clamping: clamped values
 would silently break the entropy identities the diagnostics monitor.
+
+run_until streams its samples: it hands each one to the caller's on_sample
+as it is taken and keeps only the current state and the last accepted
+outcome, so a run's memory does not grow with its sample count.
 """
 
 from __future__ import annotations
@@ -136,10 +141,9 @@ class StepOutcome:
 class StepperFailure(RuntimeError):
     """dt underflowed dt_min after repeated rejections; carries the last valid state."""
 
-    def __init__(self, message, last_state: State, samples=None):
+    def __init__(self, message, last_state: State):
         super().__init__(message)
         self.last_state = last_state
-        self.samples = list(samples) if samples is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +275,10 @@ def _imex_advance(w, dx, dt, kp, rp, kind):
 _HALFWIDTH = 4  # interleaved stencil: radius 2 per field, two fields
 _EPS = float(np.finfo(float).eps)  # machine epsilon, for the Newton roundoff floor
 _JAC_KEEP_ITERS = 3  # Newton iterations past which a carried Jacobian is rebuilt
+# largest roundoff floor relative to max(w), eps * (1 + dt * ||J||_1), that
+# Newton may stop at: above the local error tolerance the floor swamps what
+# the error test measures, so the attempt is rejected instead
+_FLOOR_MAX = _TOL
 
 
 def _jacobian_ab(w, dx, kp, rp, kind):
@@ -311,7 +319,10 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
     result, is at most tol = max(newton_tol, eps * max(w) * (1 + dt *
     ||J||_1)) in max norm, eps being machine epsilon and ||J||_1 the largest
     column sum of |J|: on fine grids the residual and the increment stall at
-    that roundoff floor, of order eps * dt / dx^4, above newton_tol.
+    that roundoff floor, of order eps * dt / dx^4, above newton_tol.  A
+    Jacobian whose floor relative to max(w), eps * (1 + dt * ||J||_1),
+    exceeds _FLOOR_MAX cannot resolve the step: it is treated as singular, so
+    the step is rejected and retried at a smaller dt.
     """
 
     def residual(wc, f):  # interleaved (u0, v0, u1, ...) like the unknowns
@@ -322,8 +333,11 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
         return ab, float(np.abs(ab[:, _HALFWIDTH:-_HALFWIDTH]).sum(axis=0).max())
 
     def factor(j):
-        """The LU of I - dt*J and the convergence tolerance, for j = (J, ||J||_1)."""
+        """The LU of I - dt*J and the convergence tolerance, for j = (J, ||J||_1);
+        the LU is None when the relative floor exceeds _FLOOR_MAX."""
         tol = max(cfg.newton_tol, _EPS * w_max * (1.0 + dt * j[1]))
+        if _EPS * (1.0 + dt * j[1]) > _FLOOR_MAX:
+            return None, tol
         return _factor_shifted(j[0] * -dt, _HALFWIDTH), tol
 
     def correct(lu, tol):
@@ -439,9 +453,10 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
 
 
 def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
-              kind: ModelKind, cfg: StepperConfig, sample_every: float):
-    """Advance to t_end with adaptive dt; returns the sample log, which ends
-    with the final state.
+              kind: ModelKind, cfg: StepperConfig, sample_every: float,
+              on_sample) -> State:
+    """Advance to t_end with adaptive dt, handing each sample to on_sample as
+    it is taken; returns the final state.
 
     step() alone accepts or rejects an attempt; run_until passes it the last
     accepted outcome and sizes dt.  A rejection without an error estimate is
@@ -454,17 +469,19 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
 
     Samples are taken at the start and at the first step boundary after each
     multiple of sample_every; a step that would pass two pending multiples is
-    cut short to land on the first.  A dt underflow below dt_min raises
-    StepperFailure carrying the partial log.
+    cut short to land on the first.  The final state is the last sample.
+    on_sample(state) is called once per sample, in time order, and run_until
+    keeps none of them: a caller that wants the log collects it, for example
+    with a list's append.  A dt underflow below dt_min raises StepperFailure
+    carrying the last accepted state, which on_sample has not seen unless it
+    was a sample.
     """
     if t_end < state.t:
         raise ValueError("t_end must not precede state.t")
 
-    samples: list[State] = [state]
+    on_sample(state)
+    sampled_t = state.t  # time of the last sample handed to on_sample
     tol_t = _time_tol(t_end)
-    if t_end <= state.t + tol_t:
-        return samples
-
     next_sample = state.t + sample_every
     dt = cfg.dt_init
     prev = None  # the last accepted StepOutcome
@@ -482,14 +499,13 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
             prev = out
             state = out.state
             if state.t >= next_sample - tol_t:
-                samples.append(state)
+                on_sample(state)
+                sampled_t = state.t
                 while next_sample <= state.t + tol_t:
                     next_sample += sample_every
         elif dt < cfg.dt_min:
-            raise StepperFailure(
-                f"dt underflow below dt_min={cfg.dt_min} at t={state.t}",
-                last_state=state, samples=samples,
-            )
-    if samples[-1].t < state.t:
-        samples.append(state)
-    return samples
+            raise StepperFailure(f"dt underflow below dt_min={cfg.dt_min} at t={state.t}",
+                                 last_state=state)
+    if sampled_t < state.t:
+        on_sample(state)
+    return state

@@ -87,8 +87,8 @@ def weak_residual_pair():
                                0.5 + 0.3 * np.cos(np.pi * s)])
         cfg = StepperConfig(dt_init=dt, dt_min=dt * 0.5, dt_max=dt,
                             scheme=Scheme.IMEX)
-        samples = run_until(st, t_end, COEX_KP, RegParams(1e-4),
-                            ModelKind.LIMIT, cfg, sample_every=dt)
+        samples = []
+        run_until(st, t_end, COEX_KP, RegParams(1e-4), ModelKind.LIMIT, cfg, dt, samples.append)
         return weak_residual(samples, COEX_KP, CosineBumpTestFunction(1, t_end))
 
     return residuals(16, 1e-4), residuals(32, 5e-5)

@@ -57,8 +57,10 @@ def test_criterion_1_steady_state_exactness():
     ic = State(0.0, GRID, np.full((2, GRID.n_cells), [[1.5], [0.5]]))
     worst = 0.0
     for kind in (ModelKind.LIMIT, ModelKind.REGULARIZED):
+        samples = []
         final = run_until(ic, 10.0, COEX_KP, RegParams(1e-4), kind,
-                          StepperConfig(), sample_every=5.0)[-1]
+                          StepperConfig(), 5.0, samples.append)
+        assert final is samples[-1]
         worst = max(worst,
                     np.abs(final.u - 1.5).max(),
                     np.abs(final.v - 0.5).max())

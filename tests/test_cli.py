@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import MISSING, fields
 from enum import Enum
@@ -8,10 +10,11 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from pesim import config, inequalities
-from pesim.cli import _fmt, main, write_snapshots
+from pesim import cli, config, inequalities, stepper
+from pesim.cli import _fmt, _SnapshotWriter, main
 from pesim.config import DEFAULTS, ConfigError, parse_config, parse_config_text
 from pesim.experiments import ExperimentSpec, InitialCondition
+from pesim.functionals import diagnostics_record
 from pesim.grid import Grid1D
 from pesim.model import KineticParams, RegParams, State
 from pesim.stepper import StepperConfig
@@ -114,7 +117,7 @@ def test_write_snapshots_text_and_roundtrip(tmp_path):
     u[:6] = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0 / 3.0]
     v = np.geomspace(1e-17, 1e17, 64)
     v[:3] = [np.inf, -np.inf, np.nan]
-    write_snapshots(str(tmp_path), [State.trusted(0.0, g, np.array((u, v)))])
+    _SnapshotWriter(str(tmp_path))(0, State.trusted(0.0, g, np.array((u, v))))
     with open(tmp_path / "snapshots" / "state_00000.csv", encoding="utf-8") as fh:
         text = fh.read()
     expected = "x,u,v\n" + "".join(
@@ -138,6 +141,14 @@ def _random_state(grid, seed):
     return State.trusted(0.0, grid, w)
 
 
+def _write_states(out_dir, states):
+    """Write states' snapshots as a CLI run on their grid does, one sample at
+    a time."""
+    sink = _SnapshotWriter(str(out_dir))
+    for i, s in enumerate(states):
+        sink(i, s)
+
+
 def _assert_snapshots(out_dir, states):
     for i, s in enumerate(states):
         assert _read(os.path.join(out_dir, "snapshots", f"state_{i:05d}.csv")) == _snapshot_text(s)
@@ -149,19 +160,19 @@ def _assert_snapshots(out_dir, states):
                          ids=lambda g: f"{g.x_left:g}-{g.x_right:g}-n{g.n_cells}")
 def test_write_snapshots_matches_per_row_text(tmp_path, grid):
     states = [_random_state(grid, seed) for seed in range(3)]
-    write_snapshots(str(tmp_path), states)
+    _write_states(tmp_path, states)
     _assert_snapshots(tmp_path, states)
 
 
 def test_write_snapshots_formats_each_grid_own_x(tmp_path):
-    # no x column carries over from one call, or one state, to the next
+    # no x column carries over from one run to the next
     g1, g2 = Grid1D(0.0, 1.0, 1100), Grid1D(-0.3, 2.7, 1100)
-    first = [_random_state(g1, 0)]
-    write_snapshots(str(tmp_path / "a"), first)
-    second = [_random_state(g2, 1), _random_state(g1, 2), _random_state(Grid1D(0.0, 1.0, 9), 3)]
-    write_snapshots(str(tmp_path / "b"), second)
-    _assert_snapshots(tmp_path / "a", first)
-    _assert_snapshots(tmp_path / "b", second)
+    runs = [[_random_state(g1, 0), _random_state(g1, 1)], [_random_state(g2, 2)],
+            [_random_state(g1, 3)], [_random_state(Grid1D(0.0, 1.0, 9), 4)]]
+    for k, states in enumerate(runs):
+        _write_states(tmp_path / str(k), states)
+    for k, states in enumerate(runs):
+        _assert_snapshots(tmp_path / str(k), states)
 
 
 @pytest.mark.parametrize("scheme", ["imex", "fully_implicit"])
@@ -411,6 +422,81 @@ def test_simulate_solver_failure_exit_2(tmp_path, capsys):
     assert len(os.listdir(os.path.join(out, "snapshots"))) == len(lines) - 1
     summary = json.loads(_read(os.path.join(out, "summary.json")))
     assert summary["run"]["status"] == "solver_failure"
+
+
+def test_snapshot_write_error_ends_the_run_exit_1(tmp_path, capsys, monkeypatch):
+    # snapshots are written as the run goes: one that cannot be written ends
+    # the run there, with exit 1 and no traceback
+    steps = []
+    real_step, real_write = stepper.step, cli.write_snapshots
+
+    def counted(*args):
+        steps.append(args[0].t)
+        return real_step(*args)
+
+    def full_disk(out_dir, index, state, rows):
+        if index == 2:
+            raise OSError(errno.ENOSPC, "No space left on device",
+                          os.path.join(out_dir, "snapshots", f"state_{index:05d}.csv"))
+        real_write(out_dir, index, state, rows)
+
+    monkeypatch.setattr(stepper, "step", counted)
+    monkeypatch.setattr(cli, "write_snapshots", full_disk)
+    cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pesim: out.dir: cannot write ") and "state_00002.csv" in err
+    assert "Traceback" not in err
+    cut_short = len(steps)
+    steps.clear()
+    monkeypatch.setattr(cli, "write_snapshots", real_write)
+    assert main(["simulate", cfg]) == 0
+    assert 0 < cut_short < len(steps)
+
+
+def test_simulate_memory_does_not_grow_with_samples(tmp_path):
+    # no sampled state outlives its snapshot: 201 samples instead of 11 raise
+    # the traced peak of a run at n = 2048 by less than one state beyond the
+    # diagnostics records that the extra samples keep
+    n = 2048
+    rec_state = State.trusted(0.0, Grid1D(0.0, 1.0, n), np.full((2, n), 1.5))
+    kp = KineticParams(1.0, 1.0, 0.05, 0.05, 1.0, 1.0, 1.0, 2.0)
+    tracemalloc.start()
+    try:
+        records = [diagnostics_record(rec_state, kp, RegParams(1e-4)) for _ in range(100)]
+        record_bytes = tracemalloc.get_traced_memory()[0] / len(records)
+        del records
+
+        def peak(sample_every):
+            cfg = _write(tmp_path, "run.cfg", f"grid.n = {n}\ntime.t_end = 1.0\n"
+                         f"time.sample_every = {sample_every}\n")
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli.cmd_simulate(cfg, str(tmp_path / "out")) == 0
+            return tracemalloc.get_traced_memory()[1] - base
+
+        peak(0.1)  # first-call allocations
+        few, many = peak(0.1), peak(0.005)
+    finally:
+        tracemalloc.stop()
+    assert many - few < rec_state.w.nbytes + (201 - 11) * record_bytes
+
+
+@pytest.mark.parametrize("right", ["1e-3", "1e-4", "1e-5", "1e-6"])
+def test_fully_implicit_short_domain_fails_or_conserves_mass(tmp_path, right):
+    # the flux form conserves mass and the reactions move mass_u by far less
+    # than 1e-6 of it in 0.01, so a larger change is a wrong answer; on these
+    # domains the Newton roundoff floor can swamp the step, which must then be
+    # rejected (exit 2 once dt passes dt_min) rather than taken
+    text = ("grid.n = 128\nmodel.kind = regularized\nstepper.scheme = fully_implicit\n"
+            f"domain.right = {right}\ntime.t_end = 0.01\ntime.sample_every = 0.005\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", _write(tmp_path, "short.cfg", text), "--out", str(out)])
+    assert rc in (0, 2)
+    if rc == 0:
+        rows = _read(out / "timeseries.csv").splitlines()[1:]
+        mass = [float(row.split(",")[1]) for row in rows]
+        assert abs(mass[-1] - mass[0]) <= 1e-6 * mass[0]
 
 
 # ---------------------------------------------------------------------------

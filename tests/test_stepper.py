@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +46,15 @@ def _smooth_state(grid, t=0.0):
         grid,
         [1.5 + 0.3 * np.cos(np.pi * s), 0.8 + 0.2 * np.cos(2 * np.pi * s)],
     )
+
+
+def _samples(*args):
+    """run_until(*args)'s samples, collected by its on_sample; the run must
+    return the last of them."""
+    samples = []
+    final = run_until(*args, samples.append)
+    assert final is samples[-1]
+    return samples
 
 
 def test_config_validation():
@@ -135,8 +146,8 @@ def test_schemes_agree_for_small_dt(unit_grid, coex_params, reg_params):
 
 def test_run_until_zero_span(unit_grid, coex_params, reg_params):
     st = _smooth_state(unit_grid, t=2.0)
-    samples = run_until(st, 2.0, coex_params, reg_params,
-                        ModelKind.REGULARIZED, StepperConfig(), 1.0)
+    samples = _samples(st, 2.0, coex_params, reg_params,
+                       ModelKind.REGULARIZED, StepperConfig(), 1.0)
     assert len(samples) == 1 and samples[0] is st
 
 
@@ -145,18 +156,39 @@ def test_run_until_samples_every_multiple(coex_params, reg_params):
     # land on the next one, so no multiple of sample_every is skipped
     grid = Grid1D(0.0, 1.0, 32)
     cfg = StepperConfig(dt_init=0.05, dt_max=0.05)
-    samples = run_until(_smooth_state(grid), 0.5, coex_params, reg_params,
-                        ModelKind.LIMIT, cfg, 0.01)
+    samples = _samples(_smooth_state(grid), 0.5, coex_params, reg_params,
+                       ModelKind.LIMIT, cfg, 0.01)
     assert len(samples) == 51
     for k, s in enumerate(samples):
         assert abs(s.t - k * 0.01) < 1e-12
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_run_until_keeps_no_sample(scheme, coex_params, reg_params):
+    # run_until hands each sample to on_sample and keeps none of them: when
+    # it hands on a sample, every earlier one is gone, and once the run has
+    # returned, the final state is the only sample still alive
+    refs = []
+
+    def sink(state):
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
+        refs.append(weakref.ref(state))
+
+    final = run_until(_smooth_state(Grid1D(0.0, 1.0, 64)), 0.2, coex_params, reg_params,
+                      ModelKind.REGULARIZED, StepperConfig(scheme=scheme), 0.05, sink)
+    gc.collect()
+    assert len(refs) == 5 and refs[-1]() is final
+    assert [r() for r in refs[:-1]] == [None] * 4
+
+
 def test_homogeneous_run_matches_rk4_oracle(homogeneous_ode_run):
-    final = homogeneous_ode_run.states[-1]
+    # the final record's extremes bound every cell of the final state
+    final = homogeneous_ode_run.records[-1]
     uo, vo = homogeneous_ode_run.extras["oracle_u"], homogeneous_ode_run.extras["oracle_v"]
-    assert abs(final.u[0] - uo) < 1e-6
-    assert abs(final.v[0] - vo) < 1e-6
+    assert final.t == pytest.approx(10.0)
+    assert abs(final.min_u - uo) < 1e-6 and abs(final.max_u - uo) < 1e-6
+    assert abs(final.min_v - vo) < 1e-6 and abs(final.max_v - vo) < 1e-6
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -244,8 +276,8 @@ def test_determinism(unit_grid, coex_params, reg_params):
     def run():
         st = _smooth_state(unit_grid)
         cfg = StepperConfig()
-        return run_until(st, 1.0, coex_params, reg_params,
-                         ModelKind.REGULARIZED, cfg, 0.25)
+        return _samples(st, 1.0, coex_params, reg_params,
+                        ModelKind.REGULARIZED, cfg, 0.25)
 
     s1 = run()
     s2 = run()
@@ -273,10 +305,11 @@ def test_dt_underflow_raises_with_partial_log(unit_grid):
     rp = RegParams(1e-4)
     st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[30.0], [30.0]]))
     cfg = StepperConfig(dt_init=10.0, dt_min=10.0, dt_max=10.0)
+    samples = []
     with pytest.raises(StepperFailure) as exc:
-        run_until(st, 50.0, kp, rp, ModelKind.REGULARIZED, cfg, 1.0)
+        run_until(st, 50.0, kp, rp, ModelKind.REGULARIZED, cfg, 1.0, samples.append)
     assert exc.value.last_state.t == 0.0
-    assert len(exc.value.samples) == 1
+    assert samples == [st]
 
 
 def test_adaptive_run_recovers_from_rejections(unit_grid):
@@ -286,7 +319,7 @@ def test_adaptive_run_recovers_from_rejections(unit_grid):
     rp = RegParams(1e-4)
     st = State(0.0, unit_grid, np.full((2, unit_grid.n_cells), [[30.0], [30.0]]))
     cfg = StepperConfig(dt_init=0.05, dt_min=1e-10, dt_max=0.05)
-    samples = run_until(st, 5.0, kp, rp, ModelKind.REGULARIZED, cfg, 0.5)
+    samples = _samples(st, 5.0, kp, rp, ModelKind.REGULARIZED, cfg, 0.5)
     assert samples[-1].t == pytest.approx(5.0, abs=1e-6)
     for s in samples:
         assert s.u.min() > cfg.positivity_floor
@@ -299,8 +332,8 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
     # must be read-only and must not change while later steps run
     kind = ModelKind.REGULARIZED
     cfg = StepperConfig(scheme=scheme)
-    samples = run_until(_smooth_state(unit_grid), 0.2, coex_params, reg_params,
-                        kind, cfg, 0.05)
+    samples = _samples(_smooth_state(unit_grid), 0.2, coex_params, reg_params,
+                       kind, cfg, 0.05)
     out = step(samples[-1], 1e-3, coex_params, reg_params, kind, cfg)
     assert out.accepted
     states = samples + [out.state]
@@ -461,8 +494,8 @@ def test_implicit_run_carries_the_jacobian(coex_params, reg_params, monkeypatch)
     builds = _count_jacobian_builds(monkeypatch)
     attempts = _record_attempts(monkeypatch)
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
-    run_until(_implicit_n1024_state(), 0.01, coex_params, reg_params,
-              ModelKind.REGULARIZED, cfg, 0.005)
+    _samples(_implicit_n1024_state(), 0.01, coex_params, reg_params,
+             ModelKind.REGULARIZED, cfg, 0.005)
     assert sum(out.jac_builds for out in attempts) == len(builds)
     assert attempts[0].jac_builds == 1  # the first step has nothing to carry
     assert 10 * len(builds) <= len(attempts)
@@ -536,15 +569,33 @@ def test_fine_grid_newton_stops_at_roundoff_floor(coex_params, monkeypatch):
                                     0.5 + 0.3 * np.cos(2 * np.pi * x))))
     attempts = _record_attempts(monkeypatch)
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
-    run_until(st, 0.05, coex_params, RegParams(1e-2), ModelKind.REGULARIZED, cfg, 0.05)
+    _samples(st, 0.05, coex_params, RegParams(1e-2), ModelKind.REGULARIZED, cfg, 0.05)
     assert attempts and not [out for out in attempts if not out.accepted and out.err is None]
+
+
+def test_newton_rejects_a_floor_above_the_error_tolerance(coex_params, reg_params):
+    # on a domain of length 1e-3 the thin-film Jacobian is so large that the
+    # Newton floor eps * (1 + dt * ||J||_1), relative to max(w), reaches the
+    # local error tolerance near dt = 1e-8: a step above that dt is rejected,
+    # one below it is taken
+    grid = Grid1D(0.0, 1e-3, 128)
+    st, kind = _smooth_state(grid), ModelKind.REGULARIZED
+    jac = stp._jacobian_ab(st.w, grid.dx, coex_params, reg_params, kind)
+    norm = float(np.abs(jac[:, stp._HALFWIDTH:-stp._HALFWIDTH]).sum(axis=0).max())
+    dt_cap = (stp._FLOOR_MAX / stp._EPS - 1.0) / norm  # the floor equals _FLOOR_MAX
+    assert stp._FLOOR_MAX == stp._TOL and 1e-9 < dt_cap < 1e-7
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT, dt_init=1e-9, dt_min=1e-12)
+    over = step(st, 2.0 * dt_cap, coex_params, reg_params, kind, cfg)
+    assert not over.accepted and over.state is st
+    under = step(st, 0.5 * dt_cap, coex_params, reg_params, kind, cfg)
+    assert under.accepted
 
 
 def test_newton_always_takes_a_correction(coex_params, reg_params):
     # a newton_tol that every residual meets must still move the solution
     st = _smooth_state(Grid1D(0.0, 1.0, 16))
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT, newton_tol=1e300)
-    samples = run_until(st, 0.1, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 0.1)
+    samples = _samples(st, 0.1, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 0.1)
     final = samples[-1]
     assert final.t == pytest.approx(0.1)
     assert not np.array_equal(final.u, st.u)
@@ -586,8 +637,8 @@ def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkey
     # per attempt
     attempts = _record_attempts(monkeypatch)
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
-    samples = run_until(_implicit_n1024_state(), 0.01, coex_params, reg_params,
-                        ModelKind.REGULARIZED, cfg, 0.005)
+    samples = _samples(_implicit_n1024_state(), 0.01, coex_params, reg_params,
+                       ModelKind.REGULARIZED, cfg, 0.005)
     assert len(samples) == 3 and samples[-1].t == pytest.approx(0.01)
     rejected = [out for out in attempts if not out.accepted]
     assert rejected and all(out.err is not None and out.err > 1.0 for out in rejected)
@@ -612,7 +663,7 @@ def test_run_hands_step_the_last_accepted_outcome(coex_params, reg_params, monke
     monkeypatch.setattr(stp, "step", spy)
     st = InitialCondition("random-trig", mode=4, seed=1).build(Grid1D(0.0, 1.0, 64))
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
-    run_until(st, 0.002, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 0.002)
+    _samples(st, 0.002, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 0.002)
     last = None
     for prev, out in calls:
         assert prev is last
