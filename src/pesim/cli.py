@@ -98,17 +98,17 @@ def write_snapshots(out_dir, index, state, rows):
 
 class _SnapshotWriter:
     """The on_sample of one CLI run: writes each sample's snapshot as the run
-    takes it, so that no sampled state outlives its sample.  At the first, it
-    removes the run files an earlier run left, which would otherwise describe
-    the snapshots of another run, creates the snapshots directory and builds
-    the row templates of the run's grid.  count is the number of snapshots
-    written."""
+    takes it, so that no sampled state outlives its sample.  At index 0, the
+    first sample of a run (of each run, in the eps study), it removes what an
+    earlier run left in out_dir, which would otherwise mix with this run's
+    output, creates the snapshots directory and builds the row templates of
+    the run's grid."""
 
     def __init__(self, out_dir):
-        self.out_dir, self.count = out_dir, 0
+        self.out_dir = out_dir
 
     def __call__(self, index, state):
-        if self.count == 0:
+        if index == 0:
             _remove_stale(self.out_dir)
             os.makedirs(os.path.join(self.out_dir, "snapshots"), exist_ok=True)
             k, centers = _SNAPSHOT_BLOCK, state.grid.centers
@@ -117,7 +117,6 @@ class _SnapshotWriter:
                                      for x in centers[j:j + k].tolist()))
                          for j in range(0, len(centers), k)]
         write_snapshots(self.out_dir, index, state, self.rows)
-        self.count = index + 1
 
 
 def write_summary(out_dir, cfg: RunConfig, run_info: dict):
@@ -149,16 +148,14 @@ _SNAPSHOT = re.compile(r"state_(\d{5,})\.csv")  # write_snapshots' file names
 _RUN_FILES = ("timeseries.csv", "summary.json", "verdicts.json", "eps_distances.csv")
 
 
-def _remove_stale(out_dir, n_snapshots=None):
-    """Remove what an earlier run left in out_dir before this run writes its
-    own: every file of _RUN_FILES (a run writes only some of them) and,
-    unless n_snapshots is None, the snapshots numbered n_snapshots and up,
-    which this run did not overwrite."""
+def _remove_stale(out_dir):
+    """Remove what an earlier run left in out_dir: every file of _RUN_FILES
+    (a run writes only some of them) and every snapshot."""
     stale = [os.path.join(out_dir, name) for name in _RUN_FILES]
     snap_dir = os.path.join(out_dir, "snapshots")
-    if n_snapshots is not None and os.path.isdir(snap_dir):
+    if os.path.isdir(snap_dir):
         stale += [os.path.join(snap_dir, name) for name in os.listdir(snap_dir)
-                  if (m := _SNAPSHOT.fullmatch(name)) and int(m[1]) >= n_snapshots]
+                  if _SNAPSHOT.fullmatch(name)]
     for path in stale:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
@@ -201,14 +198,13 @@ def cmd_simulate(config_path, out_override=None) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    snapshots = _SnapshotWriter(cfg.out_dir)
     try:
-        _, records = _run(cfg.spec, snapshots)
+        _, records = _run(cfg.spec, _SnapshotWriter(cfg.out_dir))
     except StepperFailure as exc:
-        return _write_run(cfg, exc.records, snapshots.count, exc)
+        return _write_run(cfg, exc.records, exc)
     except OSError as exc:
         return _cannot_write("out.dir", exc, cfg.out_dir)
-    return _write_run(cfg, records, snapshots.count)
+    return _write_run(cfg, records)
 
 
 def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
@@ -222,33 +218,30 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    snapshots = _SnapshotWriter(cfg.out_dir)
+    args = (eps_list or _DEFAULT_EPS_LIST,) if which == "eps" else ()
     try:
-        if which == "eps":  # the one study that writes no snapshots
-            result = _EXPERIMENTS[which](cfg.spec, eps_list or _DEFAULT_EPS_LIST)
-        else:
-            result = _EXPERIMENTS[which](cfg.spec, on_sample=snapshots)
+        result = _EXPERIMENTS[which](cfg.spec, *args, on_sample=_SnapshotWriter(cfg.out_dir))
     except ValueError as exc:  # RegimeMismatch included; raised before the first sample
         if created:
             shutil.rmtree(created)
         return _fail(str(exc), 1)
     except StepperFailure as exc:
-        return _write_run(cfg, exc.records, snapshots.count, exc, which)
+        return _write_run(cfg, exc.records, exc, which)
     except OSError as exc:
         return _cannot_write("out.dir", exc, cfg.out_dir)
-    return _write_run(cfg, result.records, snapshots.count,
-                      experiment=which, result=result)
+    return _write_run(cfg, result.records, experiment=which, result=result)
 
 
-def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord], n_snapshots,
+def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord],
                failure: StepperFailure | None = None, experiment=None, result=None) -> int:
     """Write timeseries.csv and summary.json of one run, complete or cut
     short by failure, and the verdicts.json and eps_distances.csv (eps study
-    only) of a finished experiment's result, after removing what an earlier
-    run left that this one does not overwrite: the run files and the
-    snapshots numbered n_snapshots and up, n_snapshots being the number the
-    run wrote.  Returns the exit code: 1 when an output cannot be written,
-    else 2 after a failure, 3 when a verdict failed and 0 otherwise."""
+    only) of a finished experiment's result.  The run's _SnapshotWriter has
+    written its snapshots, one per record, after removing what an earlier run
+    left; a finished eps study writes no snapshots, so here the earlier
+    run's files are removed.  Returns the exit code: 1 when an output cannot
+    be written, else 2 after a failure, 3 when a verdict failed and 0
+    otherwise."""
     run_info = {"status": "ok" if failure is None else "solver_failure",
                 "failure": None if failure is None else str(failure)}
     if experiment is not None:
@@ -258,7 +251,8 @@ def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord], n_snapshots,
                     sample_times=[r.t for r in records], u_star=ss.u_star,
                     v_star=ss.v_star, regime=ss.regime.value)
     try:
-        _remove_stale(cfg.out_dir, n_snapshots)
+        if experiment == "eps" and result is not None:
+            _remove_stale(cfg.out_dir)
         write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
         write_summary(cfg.out_dir, cfg, run_info)
         if result is not None and "distances" in result.extras:

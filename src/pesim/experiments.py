@@ -266,9 +266,13 @@ def check_eps_list(eps_list) -> list[float]:
 EPS_COLUMNS = ("eps_hi", "eps_lo", "dist_u", "dist_v")
 
 
-def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult:
+def run_eps_convergence(base_spec: ExperimentSpec, eps_list, on_sample=None) -> ExperimentResult:
     """Cauchy-in-eps study: identical runs varying only eps, reporting the
     L2 distances of the final profiles between consecutive eps values.
+    The study keeps nothing of a run but its final state and records, so
+    on_sample gets the samples of the run that fails, if one does: that run
+    is run again with on_sample, and fails at the same step, a run being a
+    function of its spec.
 
     Verdict: the distances decrease strictly along the (strictly decreasing)
     eps list, for u and for v.
@@ -276,7 +280,14 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list) -> ExperimentResult
     eps_list = check_eps_list(eps_list)
     specs = [replace(base_spec, rp=replace(base_spec.rp, eps=e), kind=ModelKind.REGULARIZED)
              for e in eps_list]
-    runs = [_run(s) for s in specs]
+    runs = []
+    for s in specs:
+        try:
+            runs.append(_run(s))
+        except StepperFailure:
+            if on_sample is not None:
+                _run(s, on_sample)
+            raise
 
     finals = [final.w for final, _ in runs]
     rows = []

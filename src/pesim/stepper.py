@@ -25,7 +25,8 @@ converged within _JAC_KEEP_ITERS iterations, J is rebuilt at the current
 iterate.  Newton stops when the residual or the increment reaches
 newton_tol or, on fine grids where that lies below roundoff, the floor
 eps * max(w_old) * (1 + dt * ||J||_1); a step on which that floor exceeds
-the local error tolerance is rejected.  An accepted step also hands on
+the local error tolerance is rejected, and run_until keeps dt below the
+largest dt the floor allows.  An accepted step also hands on
 rhs(w_new) when its last line search evaluated it there, so the next
 attempt from w_new starts without evaluating it again.
 
@@ -132,8 +133,9 @@ class StepOutcome:
     err: float | None = None  # fully implicit after an accepted step: scaled local error
     slopes: np.ndarray | None = None  # fully implicit: (w_new - w_old) / dt
     jac_builds: int = 0  # fully implicit: Jacobians built in this attempt
-    # fully implicit, accepted: the last Jacobian factored, as (J, ||J||_1)
-    # with J unscaled in band storage, and compute_rhs at state.w or None
+    # fully implicit: the last Jacobian factored or found above the Newton
+    # floor, as (J, ||J||_1) with J unscaled in band storage, and, accepted,
+    # compute_rhs at state.w or None
     jac: tuple[np.ndarray, float] | None = None
     rhs: np.ndarray | None = None
 
@@ -281,6 +283,12 @@ _JAC_KEEP_ITERS = 3  # Newton iterations past which a carried Jacobian is rebuil
 _FLOOR_MAX = _TOL
 
 
+def _floor_dt(j_norm):
+    """The largest dt at which a Jacobian with ||J||_1 = j_norm keeps the
+    relative Newton floor eps * (1 + dt * ||J||_1) within _FLOOR_MAX."""
+    return (_FLOOR_MAX / _EPS - 1.0) / j_norm
+
+
 def _jacobian_ab(w, dx, kp, rp, kind):
     """J at the stacked pair w, in band storage for the unknowns (u0, v0, u1, ...)."""
     c = _columns(kp, rp)
@@ -321,8 +329,9 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
     column sum of |J|: on fine grids the residual and the increment stall at
     that roundoff floor, of order eps * dt / dx^4, above newton_tol.  A
     Jacobian whose floor relative to max(w), eps * (1 + dt * ||J||_1),
-    exceeds _FLOOR_MAX cannot resolve the step: it is treated as singular, so
-    the step is rejected and retried at a smaller dt.
+    exceeds _FLOOR_MAX, dt being above _floor_dt, cannot resolve the step:
+    the step is rejected at once, without rebuilding J, and retried at a
+    smaller dt.
     """
 
     def residual(wc, f):  # interleaved (u0, v0, u1, ...) like the unknowns
@@ -334,11 +343,11 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
 
     def factor(j):
         """The LU of I - dt*J and the convergence tolerance, for j = (J, ||J||_1);
-        the LU is None when the relative floor exceeds _FLOOR_MAX."""
-        tol = max(cfg.newton_tol, _EPS * w_max * (1.0 + dt * j[1]))
-        if _EPS * (1.0 + dt * j[1]) > _FLOOR_MAX:
-            return None, tol
-        return _factor_shifted(j[0] * -dt, _HALFWIDTH), tol
+        None when dt is above _floor_dt(||J||_1)."""
+        if dt > _floor_dt(j[1]):
+            return None
+        return (_factor_shifted(j[0] * -dt, _HALFWIDTH),
+                max(cfg.newton_tol, _EPS * w_max * (1.0 + dt * j[1])))
 
     def correct(lu, tol):
         """One damped correction of wc with the factorization lu:
@@ -376,20 +385,22 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
         jac, built, builds = build(wc), 1, 1
     else:
         built = builds = 0
-    lu, tol = factor(jac)
+    fac = factor(jac)
+    if fac is None:
+        return None, 0, jac, builds, None
     for it in range(1, _NEWTON_MAX_ITER + 1):
         # a carried J that has not converged in _JAC_KEEP_ITERS iterations is
         # replaced as if its line search had failed
-        new = None if built == 0 and it > _JAC_KEEP_ITERS else correct(lu, tol)
+        new = None if built == 0 and it > _JAC_KEEP_ITERS else correct(*fac)
         if new is None and built < it:
             jac, built = build(wc), it
             builds += 1
-            lu, tol = factor(jac)
-            new = correct(lu, tol)
+            fac = factor(jac)
+            new = None if fac is None else correct(*fac)
         if new is None:
             return None, it, jac, builds, None
         wc, res, norm, f = new
-        if norm <= tol:
+        if norm <= fac[1]:
             return wc, it, jac, builds, f
     return None, _NEWTON_MAX_ITER, jac, builds, None
 
@@ -429,7 +440,7 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
             prev.rhs if prev is not None and prev.state is state else None)
 
     def rejected(min_u=np.nan, min_v=np.nan, err=None, slopes=None):
-        return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes, builds)
+        return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes, builds, jac)
 
     if wn is None:
         return rejected()
@@ -465,7 +476,9 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
     has no outcome before it.
     After that, the next dt is the step just taken times the standard
     controller factor 0.9 / sqrt(err) of step()'s error estimate, bounded
-    to [0.2, 2].  dt never exceeds dt_max.
+    to [0.2, 2].  dt never exceeds dt_max, nor, after a fully implicit
+    attempt, _floor_dt of the Jacobian it hands on, above which Newton's
+    roundoff floor rejects the step.
 
     Samples are taken at the start and at the first step boundary after each
     multiple of sample_every; a step that would pass two pending multiples is
@@ -495,6 +508,8 @@ def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,
         else:
             factor = min(2.0, max(0.2, 0.9 / sqrt(out.err))) if out.err > 0.0 else 2.0
             dt = min(dt_try * factor, cfg.dt_max)
+        if out.jac is not None:  # fully implicit: the largest dt Newton's floor allows
+            dt = min(dt, _floor_dt(out.jac[1]))
         if out.accepted:
             prev = out
             state = out.state

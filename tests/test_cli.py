@@ -550,8 +550,11 @@ def test_experiment_eps_writes_distances(tmp_path):
 def test_failed_eps_study_leaves_no_table(tmp_path, capsys):
     out = str(tmp_path / "out")
     text = BASE.replace("time.t_end = 2.0", "time.t_end = 0.5")
+    assert main(["simulate", _write(tmp_path, "sim.cfg", text), "--out", out]) == 0
     assert main(["experiment", _write(tmp_path, "eps.cfg", text), "--which", "eps",
                  "--out", out]) == 0
+    # a finished study writes no snapshots and removes the earlier run's
+    assert os.listdir(os.path.join(out, "snapshots")) == []
     stiff = _write(tmp_path, "stiff.cfg", STIFF)
     assert main(["experiment", stiff, "--which", "eps", "--out", out]) == 2
     run = json.loads(_read(os.path.join(out, "summary.json")))["run"]
@@ -560,6 +563,11 @@ def test_failed_eps_study_leaves_no_table(tmp_path, capsys):
     # the earlier run's table and verdicts do not outlive the failed run
     assert not os.path.exists(os.path.join(out, "verdicts.json"))
     assert not os.path.exists(os.path.join(out, "eps_distances.csv"))
+    # the failed run keeps one snapshot per timeseries row, up to the failure
+    rows = _read(os.path.join(out, "timeseries.csv")).splitlines()[1:]
+    assert len(rows) >= 1
+    assert sorted(os.listdir(os.path.join(out, "snapshots"))) == [
+        f"state_{i:05d}.csv" for i in range(len(rows))]
 
 
 def test_experiment_solver_failure_keeps_partial_output(tmp_path, capsys):

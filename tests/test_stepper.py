@@ -591,6 +591,27 @@ def test_newton_rejects_a_floor_above_the_error_tolerance(coex_params, reg_param
     assert under.accepted
 
 
+def test_run_keeps_dt_within_the_newton_floor(coex_params, reg_params, monkeypatch):
+    # on a domain of length 3e-3 the Newton floor, not the error test, bounds
+    # dt; run_until caps dt at _floor_dt of the Jacobian each attempt hands
+    # on, so only the first attempt, which has no Jacobian before it, meets
+    # the floor, and the run does not alternate acceptance and rejection
+    outs = []
+
+    def spy(*args):
+        outs.append(step(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(stp, "step", spy)
+    st = _smooth_state(Grid1D(0.0, 3e-3, 128))
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    _samples(st, 1e-4, coex_params, reg_params, ModelKind.REGULARIZED, cfg, 1e-4)
+    assert len(outs) > 20  # dt is bounded far below t_end
+    assert not outs[0].accepted and outs[0].newton_iters == 0
+    assert all(out.accepted for out in outs[1:])
+    assert all(out.dt_used <= stp._floor_dt(out.jac[1]) for out in outs[1:])
+
+
 def test_newton_always_takes_a_correction(coex_params, reg_params):
     # a newton_tol that every residual meets must still move the solution
     st = _smooth_state(Grid1D(0.0, 1.0, 16))
