@@ -40,8 +40,6 @@ _EXPERIMENTS = {
     "ode": run_ode_consistency,
 }
 
-_DEFAULT_EPS_LIST = (1e-2, 2.5e-3, 6.25e-4)
-
 _SNAPSHOT_COLUMNS = ("x", "u", "v")  # each snapshot file
 _SNAPSHOT_BLOCK = 1024  # rows per row template and per write in write_snapshots
 
@@ -98,17 +96,17 @@ def write_snapshots(out_dir, index, state, rows):
 
 class _SnapshotWriter:
     """The on_sample of one CLI run: writes each sample's snapshot as the run
-    takes it, so that no sampled state outlives its sample.  At index 0, the
-    first sample of a run (of each run, in the eps study), it removes what an
-    earlier run left in out_dir, which would otherwise mix with this run's
-    output, creates the snapshots directory and builds the row templates of
-    the run's grid."""
+    takes it, so that no sampled state outlives its sample.  At its first
+    sample it removes what an earlier run left in out_dir, which would
+    otherwise mix with this run's output, creates the snapshots directory
+    and builds the row templates of the run's grid; rows stays None while
+    the writer has written nothing."""
 
     def __init__(self, out_dir):
-        self.out_dir = out_dir
+        self.out_dir, self.rows = out_dir, None
 
     def __call__(self, index, state):
-        if index == 0:
+        if self.rows is None:
             _remove_stale(self.out_dir)
             os.makedirs(os.path.join(self.out_dir, "snapshots"), exist_ok=True)
             k, centers = _SNAPSHOT_BLOCK, state.grid.centers
@@ -176,35 +174,8 @@ def _check_outputs(out_dir, key):
             raise ConfigError(key, f"cannot write {path!r}: Is a directory")
 
 
-def _load_config(config_path, out_override) -> tuple[RunConfig, str | None]:
-    """The parsed config and _make_dir's result for its out.dir (out_override
-    if not None), whose outputs _check_outputs has checked; raises
-    ConfigError, naming --out for out_override, or OSError (the config file
-    unreadable or not UTF-8)."""
-    key = "out.dir" if out_override is None else "--out"
-    try:
-        cfg = parse_config(config_path, None if key == "out.dir" else {"out.dir": out_override})
-    except UnicodeDecodeError as exc:
-        raise OSError(f"cannot read {config_path!r}: not UTF-8 text "
-                      f"({exc.reason} at byte {exc.start})") from None
-    created = _make_dir(cfg.out_dir, key)
-    _check_outputs(cfg.out_dir, key)
-    return cfg, created
-
-
 def cmd_simulate(config_path, out_override=None) -> int:
-    try:
-        cfg, _ = _load_config(config_path, out_override)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc), 1)
-
-    try:
-        _, records = _run(cfg.spec, _SnapshotWriter(cfg.out_dir))
-    except StepperFailure as exc:
-        return _write_run(cfg, exc.records, exc)
-    except OSError as exc:
-        return _cannot_write("out.dir", exc, cfg.out_dir)
-    return _write_run(cfg, records)
+    return _run_command(config_path, out_override)
 
 
 def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
@@ -213,35 +184,59 @@ def cmd_experiment(config_path, which, out_override=None, eps_list=None) -> int:
                      f"(choose from {', '.join(sorted(_EXPERIMENTS))})", 1)
     if eps_list is not None and which != "eps":
         return _fail(f"--eps-list: experiment {which!r} has no eps sweep", 1)
+    # an empty list, like None, runs the study's default sweep
+    return _run_command(config_path, out_override, which, (eps_list,) if eps_list else ())
+
+
+def _run_command(config_path, out_override, which=None, study_args=()) -> int:
+    """Run simulate (which None) or the experiment which from the config at
+    config_path, its snapshots written as the run goes, then _write_run;
+    returns the exit code.  Every message about the output directory names
+    the key that set it: --out when out_override is not None, else out.dir.
+    A config error, a study's ValueError (raised before the first sample;
+    the directories made for the run are removed) and an output that cannot
+    be written exit 1; a StepperFailure keeps what the run wrote."""
+    key = "out.dir" if out_override is None else "--out"
     try:
-        cfg, created = _load_config(config_path, out_override)
+        cfg = parse_config(config_path, None if out_override is None else {"out.dir": out_override})
+        created = _make_dir(cfg.out_dir, key)
+        _check_outputs(cfg.out_dir, key)
+    except UnicodeDecodeError as exc:
+        return _fail(f"cannot read {config_path!r}: not UTF-8 text "
+                     f"({exc.reason} at byte {exc.start})", 1)
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), 1)
 
-    args = (eps_list or _DEFAULT_EPS_LIST,) if which == "eps" else ()
+    writer = _SnapshotWriter(cfg.out_dir)
+    result = failure = None
     try:
-        result = _EXPERIMENTS[which](cfg.spec, *args, on_sample=_SnapshotWriter(cfg.out_dir))
-    except ValueError as exc:  # RegimeMismatch included; raised before the first sample
-        if created:
-            shutil.rmtree(created)
-        return _fail(str(exc), 1)
-    except StepperFailure as exc:
-        return _write_run(cfg, exc.records, exc, which)
+        try:
+            if which is None:
+                records = _run(cfg.spec, writer)[1]
+            else:
+                result = _EXPERIMENTS[which](cfg.spec, *study_args, on_sample=writer)
+                records = result.records
+        except ValueError as exc:  # RegimeMismatch included
+            if created:
+                shutil.rmtree(created)
+            return _fail(str(exc), 1)
+        except StepperFailure as exc:
+            records, failure = exc.records, exc
+        return _write_run(cfg, records, writer, failure, which, result)
     except OSError as exc:
-        return _cannot_write("out.dir", exc, cfg.out_dir)
-    return _write_run(cfg, result.records, experiment=which, result=result)
+        return _cannot_write(key, exc, cfg.out_dir)
 
 
-def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord],
-               failure: StepperFailure | None = None, experiment=None, result=None) -> int:
+def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord], writer: _SnapshotWriter,
+               failure: StepperFailure | None, experiment, result) -> int:
     """Write timeseries.csv and summary.json of one run, complete or cut
     short by failure, and the verdicts.json and eps_distances.csv (eps study
-    only) of a finished experiment's result.  The run's _SnapshotWriter has
-    written its snapshots, one per record, after removing what an earlier run
-    left; a finished eps study writes no snapshots, so here the earlier
-    run's files are removed.  Returns the exit code: 1 when an output cannot
-    be written, else 2 after a failure, 3 when a verdict failed and 0
-    otherwise."""
+    only) of a finished experiment's result.  The run's writer has written
+    its snapshots, one per record, after removing what an earlier run left;
+    a run whose writer wrote nothing (a finished eps study) removes the
+    earlier run's files here.  Returns the exit code: 2 after a failure, 3
+    when a verdict failed and 0 otherwise; an OSError when an output cannot
+    be written."""
     run_info = {"status": "ok" if failure is None else "solver_failure",
                 "failure": None if failure is None else str(failure)}
     if experiment is not None:
@@ -250,24 +245,21 @@ def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord],
     run_info.update(final_time=records[-1].t if records else None,
                     sample_times=[r.t for r in records], u_star=ss.u_star,
                     v_star=ss.v_star, regime=ss.regime.value)
-    try:
-        if experiment == "eps" and result is not None:
-            _remove_stale(cfg.out_dir)
-        write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
-        write_summary(cfg.out_dir, cfg, run_info)
-        if result is not None and "distances" in result.extras:
-            with open(os.path.join(cfg.out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
-                fh.write(",".join(EPS_COLUMNS) + "\n")
-                for row in result.extras["distances"]:
-                    fh.write(",".join(_fmt(row[c]) for c in EPS_COLUMNS) + "\n")
-        if result is not None:
-            verdicts = {name: _json_fields(v) for name, v in result.verdicts.items()}
-            with open(os.path.join(cfg.out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
-                json.dump({"experiment": experiment, "verdicts": verdicts,
-                           "extras": result.extras}, fh, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        return _cannot_write("out.dir", exc, cfg.out_dir)
+    if writer.rows is None:
+        _remove_stale(cfg.out_dir)
+    write_timeseries(os.path.join(cfg.out_dir, "timeseries.csv"), records)
+    write_summary(cfg.out_dir, cfg, run_info)
+    if result is not None and "distances" in result.extras:
+        with open(os.path.join(cfg.out_dir, "eps_distances.csv"), "w", encoding="utf-8") as fh:
+            fh.write(",".join(EPS_COLUMNS) + "\n")
+            for row in result.extras["distances"]:
+                fh.write(",".join(_fmt(row[c]) for c in EPS_COLUMNS) + "\n")
+    if result is not None:
+        verdicts = {name: _json_fields(v) for name, v in result.verdicts.items()}
+        with open(os.path.join(cfg.out_dir, "verdicts.json"), "w", encoding="utf-8") as fh:
+            json.dump({"experiment": experiment, "verdicts": verdicts,
+                       "extras": result.extras}, fh, indent=2)
+            fh.write("\n")
     if failure is not None:
         return _fail(f"solver failure: {failure}", 2)
     if result is not None and not all(v.passed for v in result.verdicts.values()):

@@ -266,13 +266,15 @@ def check_eps_list(eps_list) -> list[float]:
 EPS_COLUMNS = ("eps_hi", "eps_lo", "dist_u", "dist_v")
 
 
-def run_eps_convergence(base_spec: ExperimentSpec, eps_list, on_sample=None) -> ExperimentResult:
+def run_eps_convergence(base_spec: ExperimentSpec, eps_list=(1e-2, 2.5e-3, 6.25e-4),
+                        on_sample=None) -> ExperimentResult:
     """Cauchy-in-eps study: identical runs varying only eps, reporting the
-    L2 distances of the final profiles between consecutive eps values.
-    The study keeps nothing of a run but its final state and records, so
-    on_sample gets the samples of the run that fails, if one does: that run
-    is run again with on_sample, and fails at the same step, a run being a
-    function of its spec.
+    L2 distances of the final profiles between consecutive eps values.  The
+    default sweep quarters eps twice from 1e-2.  The study keeps nothing of
+    a run but its final state and records, so a finished study hands
+    on_sample nothing, and on_sample gets the samples of the run that
+    fails, if one does: that run is run again with on_sample, and fails at
+    the same step, a run being a function of its spec.
 
     Verdict: the distances decrease strictly along the (strictly decreasing)
     eps list, for u and for v.

@@ -6,7 +6,9 @@ state (plain diffusion, the fourth-order thin-film term, and the singular
 fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
 Both fields are held as one (2, n) array, a State's w (see the model
 module).  The IMEX step is one banded solve of a block-diagonal system with u
-in rows [0, n) and v in [n, 2n): the stacked array's own memory order.
+in rows [0, n) and v in [n, 2n): the stacked array's own memory order.  It
+calls LAPACK itself: gtsv for the limit model's tridiagonal bands, gbtrf and
+gbtrs for the regularized model's five.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
@@ -28,7 +30,9 @@ eps * max(w_old) * (1 + dt * ||J||_1); a step on which that floor exceeds
 the local error tolerance is rejected, and run_until keeps dt below the
 largest dt the floor allows.  An accepted step also hands on
 rhs(w_new) when its last line search evaluated it there, so the next
-attempt from w_new starts without evaluating it again.
+attempt from w_new starts without evaluating it again.  step() passes the
+run's last accepted outcome on unchanged; _newton_advance alone decides
+what of its Jacobian and rhs to reuse.
 
 Positivity is enforced by step rejection, never by clamping: clamped values
 would silently break the entropy identities the diagnostics monitor.
@@ -178,23 +182,6 @@ def _band_slots(ab, kl, n, r, stride=1, col_off=0, *, pair):
     return np.ndarray((2 * r + 1, 2, n), ab.dtype, ab, row * s_row + col * s_col, strides)
 
 
-def _solve_shifted(ab, kl, b):
-    """Solve (I + B) x = b for B in band storage, overwriting ab and b: gtsv
-    for a tridiagonal B (kl = 1), else _factor_shifted and gbtrs.
-
-    Returns None when LAPACK reports an exactly singular pivot (info > 0).
-    """
-    if kl > 1:
-        lu = _factor_shifted(ab, kl)
-        return None if lu is None else dgbtrs(lu[0], kl, kl, b, lu[1], overwrite_b=1)[0]
-    a = ab[:, kl:-kl]
-    a[2 * kl] += 1.0
-    x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], b, 1, 1, 1, 1)[3:]
-    if info < 0:
-        raise ValueError(f"LAPACK: illegal value in argument {-info}")
-    return x if info == 0 else None
-
-
 def _factor_shifted(ab, kl):
     """Band LU of I + B for B in band storage, in place: (lu, pivots), or None
     when LAPACK reports an exactly singular pivot (info > 0).  Solve with
@@ -266,8 +253,20 @@ def _imex_advance(w, dx, dt, kp, rp, kind):
     # trimmed and faulted back in on every step of the eps study
     flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
     rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind))
-    x = _solve_shifted(ab, kl, rhs.reshape(2 * n))
-    return None if x is None else x.reshape(2, n)
+    if kl > 1:
+        lu = _factor_shifted(ab, kl)
+        if lu is None:
+            return None
+        x = dgbtrs(lu[0], kl, kl, rhs.reshape(2 * n), lu[1], overwrite_b=1)[0]
+    else:  # tridiagonal: gtsv factors and solves I - dt*L in place
+        a = ab[:, 1:-1]
+        a[2] += 1.0
+        x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], rhs.reshape(2 * n), 1, 1, 1, 1)[3:]
+        if info < 0:
+            raise ValueError(f"LAPACK: illegal value in argument {-info}")
+        if info > 0:
+            return None
+    return x.reshape(2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +305,17 @@ def _jacobian_ab(w, dx, kp, rp, kind):
     return ab
 
 
-def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
+def _newton_advance(w, dx, dt, kp, rp, kind, cfg, prev):
     """Backward-Euler solve of the stacked pair w by damped simplified Newton.
 
-    jac, if given, is a Jacobian (J, ||J||_1) carried from an earlier step,
-    and rhs, if given, is compute_rhs at w.  Returns (w_new, iters, jac,
-    builds, rhs_new): w_new is None on failure, iters counts the iterations
-    taken, jac is the last Jacobian factored, builds counts the Jacobians
-    built here, and rhs_new is compute_rhs at w_new when the last line search
-    evaluated it there, else None.
+    prev is the run's last accepted outcome, or None.  The solve starts from
+    its Jacobian prev.jac, (J, ||J||_1), unless prev took more than
+    _JAC_KEEP_ITERS Newton iterations, and from its prev.rhs, compute_rhs
+    at prev.state.w, when w is that very array.  Returns (w_new, iters,
+    jac, builds, rhs_new): w_new is None on failure, iters counts the
+    iterations taken, jac is the last Jacobian factored, builds counts the
+    Jacobians built here, and rhs_new is compute_rhs at w_new when the last
+    line search evaluated it there, else None.
 
     Without a carried Jacobian, J is built at the start state; I - dt*J is
     factored once, and each iteration solves with that factorization.  When
@@ -378,6 +379,10 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg, jac=None, rhs=None):
 
     w_max = float(w.max())
     wc = w
+    jac = rhs = None
+    if prev is not None:
+        jac = prev.jac if prev.newton_iters <= _JAC_KEEP_ITERS else None
+        rhs = prev.rhs if prev.state.w is w else None
     res = residual(wc, compute_rhs(wc, dx, kp, rp, kind) if rhs is None else rhs)
     norm = float(np.abs(res).max())
     # built: the iteration whose start iterate jac is at, 0 for a carried one
@@ -422,10 +427,9 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     against _TOL * (1 + |w_new|); above 1 the step fails.  A fully implicit
     outcome past positivity carries its slopes (w_new - w_old) / dt.
 
-    A fully implicit attempt also reuses prev.jac unless prev took more than
-    _JAC_KEEP_ITERS Newton iterations, and starts from prev.rhs when
-    prev.state is state; every fully implicit outcome counts its Jacobian
-    builds in jac_builds.
+    A fully implicit attempt hands prev to _newton_advance, which alone
+    decides what of prev.jac and prev.rhs to reuse; every fully implicit
+    outcome counts its Jacobian builds in jac_builds.
     """
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")
@@ -434,10 +438,7 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     if cfg.scheme is Scheme.IMEX:
         wn, iters = _imex_advance(w, state.grid.dx, dt, kp, rp, kind), 0
     else:
-        wn, iters, jac, builds, rhs = _newton_advance(
-            w, state.grid.dx, dt, kp, rp, kind, cfg,
-            prev.jac if prev is not None and prev.newton_iters <= _JAC_KEEP_ITERS else None,
-            prev.rhs if prev is not None and prev.state is state else None)
+        wn, iters, jac, builds, rhs = _newton_advance(w, state.grid.dx, dt, kp, rp, kind, cfg, prev)
 
     def rejected(min_u=np.nan, min_v=np.nan, err=None, slopes=None):
         return StepOutcome(state, dt, False, iters, min_u, min_v, err, slopes, builds, jac)

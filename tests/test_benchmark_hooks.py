@@ -35,9 +35,11 @@ def test_benchmark_child_setup_and_trace(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
 
-    res = _child("setup", "--", "simulate", str(cfg), "--out", str(tmp_path / "sim"))
-    assert res.returncode == 0, res.stderr
-    float(res.stdout.strip())  # the moment the workload was reached
+    # simulate reaches run_until, an experiment its study, through the CLI's runner
+    for args in (["simulate", str(cfg)], ["experiment", str(cfg), "--which", "coexistence"]):
+        res = _child("setup", "--", *args, "--out", str(tmp_path / args[0]))
+        assert res.returncode == 0, res.stderr
+        float(res.stdout.strip())  # the moment the workload was reached
 
     implicit = tmp_path / "implicit.cfg"
     implicit.write_text(CONFIG + "stepper.scheme = fully_implicit\n")

@@ -82,6 +82,25 @@ def test_parse_rejects_unknown_key():
     assert "model.gamma" in str(exc.value)
 
 
+def test_parse_rejects_line_without_equals(tmp_path, capsys):
+    # a line that is no assignment is named by its number, not read as a key
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("grid.n = 48\n# comment\ngrid.n 64\n")
+    assert exc.value.key == "line 3"
+    cfg = _write(tmp_path, "bad.cfg", BASE + f"out.dir = {tmp_path / 'out'}\ntime.t_end 1\n")
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == "pesim: line 8: expected `key = value`, got 'time.t_end 1'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_rejects_unknown_override_key():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(BASE, {"out.path": "elsewhere"})
+    assert exc.value.key == "out.path"
+    assert str(exc.value) == "out.path: unknown key"
+
+
 def test_parse_rejects_bad_value():
     with pytest.raises(ConfigError) as exc:
         parse_config_text("model.chi1 = -1\n")
@@ -452,6 +471,36 @@ def test_snapshot_write_error_ends_the_run_exit_1(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli, "write_snapshots", real_write)
     assert main(["simulate", cfg]) == 0
     assert 0 < cut_short < len(steps)
+
+
+def _full_disk(path, *args):
+    raise OSError(errno.ENOSPC, "No space left on device", path)
+
+
+def test_end_file_write_error_exit_1(tmp_path, capsys, monkeypatch):
+    # an end file that cannot be written after a finished run exits 1 with no
+    # traceback, and the snapshots written during the run stay
+    monkeypatch.setattr(cli, "write_timeseries", _full_disk)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "run.cfg", BASE + f"out.dir = {out}\n")
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    path = str(out / "timeseries.csv")
+    assert err == f"pesim: out.dir: cannot write {path!r}: No space left on device\n"
+    assert len(os.listdir(out / "snapshots")) == 5  # t = 0, 0.5, ..., 2
+    assert not (out / "summary.json").exists()
+
+
+# a write error during or after the run names the key that set the directory
+@pytest.mark.parametrize("writer", ["write_snapshots", "write_summary"])
+@pytest.mark.parametrize("key", ["out.dir", "--out"])
+def test_write_error_names_the_out_key(tmp_path, capsys, monkeypatch, writer, key):
+    monkeypatch.setattr(cli, writer, _full_disk)
+    out = str(tmp_path / "out")
+    text, flag = (BASE + f"out.dir = {out}\n", []) if key == "out.dir" else (BASE, ["--out", out])
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main(["experiment", cfg, "--which", "coexistence", *flag]) == 1
+    assert capsys.readouterr().err.startswith(f"pesim: {key}: cannot write ")
 
 
 def test_simulate_memory_does_not_grow_with_samples(tmp_path):

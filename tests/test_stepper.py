@@ -383,6 +383,56 @@ def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
     assert out.newton_iters <= 1  # the first factorization failed
 
 
+def test_newton_iteration_cap_rejects_step(unit_grid, coex_params, reg_params, monkeypatch):
+    # a solve that has not converged after _NEWTON_MAX_ITER corrections is
+    # given up, and the step is rejected with the cap as its iteration count
+    st = _smooth_state(unit_grid)
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    args = (st, 1e-2, coex_params, reg_params, ModelKind.REGULARIZED, cfg)
+    free = step(*args)
+    assert free.accepted and free.newton_iters >= 2
+    monkeypatch.setattr(stp, "_NEWTON_MAX_ITER", free.newton_iters - 1)
+    out = step(*args)
+    assert not out.accepted and out.state is st
+    assert out.newton_iters == free.newton_iters - 1
+    assert np.isnan(out.min_u) and np.isnan(out.min_v)
+
+
+def test_nonfinite_newton_increment_rejects_step(unit_grid, coex_params, reg_params,
+                                                 monkeypatch):
+    # an increment that is not finite ends the correction at once: no
+    # residual is evaluated at the non-finite iterate it would give, and a
+    # fresh Jacobian's failure rejects the step
+    calls = []
+    monkeypatch.setattr(stp, "compute_rhs", lambda *args: calls.append(1) or compute_rhs(*args))
+    monkeypatch.setattr(stp, "dgbtrs", lambda lu, kl, ku, b, piv: (np.full_like(b, -np.inf), 0))
+    st = _smooth_state(unit_grid)
+    cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    out = step(st, cfg.dt_init, coex_params, reg_params, ModelKind.REGULARIZED, cfg)
+    assert not out.accepted and out.newton_iters == 1 and out.jac_builds == 1
+    assert len(calls) == 1  # the residual at the start state only
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_result_rejects_step(scheme, bad, unit_grid, coex_params, reg_params,
+                                       monkeypatch):
+    # a solve that returns a non-finite value anywhere is rejected, even
+    # where the rest of the result is positive
+    def planted(w, *args):
+        wn = w.copy()
+        wn[1, 3] = bad
+        return wn
+
+    monkeypatch.setattr(stp, "_imex_advance", planted)
+    monkeypatch.setattr(stp, "_newton_advance", lambda w, *args: (planted(w), 1, None, 0, None))
+    st = _smooth_state(unit_grid)
+    cfg = StepperConfig(scheme=scheme)
+    out = step(st, cfg.dt_init, coex_params, reg_params, ModelKind.REGULARIZED, cfg)
+    assert not out.accepted and out.state is st
+    assert np.isnan(out.min_u) and np.isnan(out.min_v)
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_jacobian_matches_finite_differences(kind, coex_params):
     # J from _jacobian_ab against central differences of the interleaved
@@ -708,7 +758,7 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
     if singular:
         ab[:, m // 2] = 0.0  # a zero column: elimination meets a zero pivot there
     b = rng.standard_normal((m, 1))
-    if kl == 1:  # tridiagonal: gtsv, called in place as stepper._solve_shifted does
+    if kl == 1:  # tridiagonal: gtsv, called in place as stepper._imex_advance does
         def gtsv(routine):
             a, rhs = ab.copy(), b.copy()
             return routine(a[3, :-1], a[2], a[1, 1:], rhs, 1, 1, 1, 1)[3:]
