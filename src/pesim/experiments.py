@@ -58,7 +58,10 @@ class InitialCondition:
     kind 'constant':    u = base_u, v = base_v
     kind 'perturbed':   base + amp * cos(mode * pi * s(x))
     kind 'random-trig': base + sum_k c_k cos(k * pi * s(x)), k = 1..mode,
-                        with sum |c_k| = amp so positivity needs base > amp.
+                        with sum |c_k| = amp so positivity needs base > amp;
+                        the c_k are drawn from pesim.rng.DefaultRng(seed),
+                        numpy's default_rng(seed) stream: u's mode
+                        coefficients first, then v's.
     """
 
     kind: str = "perturbed"
@@ -96,8 +99,9 @@ class InitialCondition:
                 s = (grid.centers - grid.x_left) / grid.length
                 w = base + amp * np.cos(self.mode * math.pi * s)
             else:
-                # only here: loading numpy.random adds about 6 MB to a process
-                rng = np.random.default_rng(self.seed)
+                from .rng import DefaultRng
+
+                rng = DefaultRng(self.seed)
                 w = np.empty((2, grid.n_cells))
                 for row, b, a in zip(w, (self.base_u, self.base_v), (self.amp_u, self.amp_v)):
                     row[:] = random_cosine_series(grid, rng, b, a, self.mode)

@@ -89,10 +89,10 @@ def finite_positive(values: np.ndarray) -> bool:
     return bool(0.0 < values.min() <= values.max() < math.inf)
 
 
-def random_cosine_series(grid: Grid1D, rng: np.random.Generator, base: float,
-                         amp: float, n_modes: int) -> np.ndarray:
+def random_cosine_series(grid: Grid1D, rng, base: float, amp: float,
+                         n_modes: int) -> np.ndarray:
     """base + sum_k c_k cos(k pi s(x)), k = 1..n_modes, at the cell centers,
-    with s(x) in [0, 1] and c_k drawn uniform in [-1, 1] from rng, then scaled
+    with s(x) in [0, 1] and c_k drawn by rng.uniform(-1, 1, n_modes), then scaled
     to sum |c_k| = amp; strictly positive whenever base > amp."""
     c = rng.uniform(-1.0, 1.0, n_modes)
     c *= amp / np.abs(c).sum()

@@ -19,6 +19,7 @@ import numpy as np
 from .grid import (Grid1D, diff1_values, diff2_values, finite_positive, integrate_values,
                    random_cosine_series)
 from .model import h_flux, h_flux_deriv, h_flux_deriv2
+from .rng import DefaultRng
 
 __all__ = [
     "CheckReport",
@@ -309,8 +310,9 @@ def ode_comparison_bound(t0: float, a: float, b: float, beta: float,
 # random field family and shipped suites
 # ---------------------------------------------------------------------------
 
-def random_trig_field(grid: Grid1D, rng: np.random.Generator) -> np.ndarray:
+def random_trig_field(grid: Grid1D, rng) -> np.ndarray:
     """Positive trig polynomial base + sum c_k cos(k*pi*s(x)), k = 1..4,
+    with base, amp and the c_k drawn by rng.uniform in that order;
     bounded in [0.5, 3]; satisfies the continuum hypotheses (positivity,
     vanishing boundary derivative) exactly."""
     base = rng.uniform(1.0, 2.0)
@@ -320,9 +322,10 @@ def random_trig_field(grid: Grid1D, rng: np.random.Generator) -> np.ndarray:
 
 def _field_sweep(name, seed, check, cases) -> CheckReport:
     """check(f, grid, **case) for every case on each of 200 random_trig_field
-    draws f on a 400-cell unit grid, the fields drawn from default_rng(seed);
-    the payload is {"field": i, **case} and the tolerance 0.05 (quadrature)."""
-    rng = np.random.default_rng(seed)
+    draws f on a 400-cell unit grid, the fields drawn from DefaultRng(seed),
+    numpy's default_rng(seed) stream; the payload is {"field": i, **case} and
+    the tolerance 0.05 (quadrature)."""
+    rng = DefaultRng(seed)
     grid = Grid1D(0.0, 1.0, 400)
     results = []
     for i in range(200):
@@ -377,7 +380,7 @@ def elementary_report() -> CheckReport:
     x^2 ln(x) >= -1/(2e) on (0, 1], each at _ELEMENTARY_SAMPLES random points
     (seed 20243) plus its equality case; tolerance 1e-12.  Included for
     coverage."""
-    rng = np.random.default_rng(20243)
+    rng = DefaultRng(20243)
     xi_hi = np.exp(rng.uniform(0.0, 14.0, _ELEMENTARY_SAMPLES))
     xi_lo = np.concatenate([[math.exp(-0.5)], rng.uniform(1e-12, 1.0, _ELEMENTARY_SAMPLES)])
     r1 = max(float((np.log(xi_hi) / (2.0 * np.sqrt(xi_hi))).max()), 0.0)  # xi = 1: 0 <= 2
@@ -392,7 +395,7 @@ def ode_comparison_report() -> CheckReport:
     each integrated over [0, _ODE_T_SPAN] by the graded RK4 steps of
     _rk4_dense and compared at all _ODE_GRID_STEPS sample times; tolerance
     _ODE_FP_TOL."""
-    rng = np.random.default_rng(20244)
+    rng = DefaultRng(20244)
     # drawn column by column, in this order
     a, b, beta, y0 = (rng.uniform(lo, hi, _ODE_DRAWS)
                       for lo, hi in ((0.1, 10.0), (0.1, 10.0), (1.001, 3.0), (0.0, 1e6)))

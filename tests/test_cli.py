@@ -297,7 +297,7 @@ def test_empty_out_exit_1(tmp_path, capsys, command):
 
 def test_simulate_loads_neither_inequalities_nor_numpy_random(tmp_path):
     # two measured peak-RSS choices: cmd_verify imports pesim.inequalities
-    # itself, and only a random initial condition loads numpy.random
+    # itself, and pesim.rng draws numpy's stream without loading numpy.random
     cfg = _write(tmp_path, "run.cfg", "grid.n = 16\ntime.t_end = 0.01\n"
                  f"time.sample_every = 0.005\nout.dir = {tmp_path / 'out'}\n")
     code = ("import json, sys, pesim.cli; "
@@ -305,6 +305,19 @@ def test_simulate_loads_neither_inequalities_nor_numpy_random(tmp_path):
             "print(json.dumps([rc, [m for m in ('pesim.inequalities', 'numpy.random') "
             "if m in sys.modules]]))")
     assert json.loads(run_python_with_src(code)) == [0, []]
+
+
+def test_seeded_commands_do_not_load_numpy_random(tmp_path):
+    # a random-trig run, the eps study and the checkers all draw from
+    # pesim.rng; numpy.random would add about 6 MB of peak RSS
+    cfg = _write(tmp_path, "run.cfg", BASE.replace("time.t_end = 2.0", "time.t_end = 0.5")
+                 + f"ic.kind = random-trig\nic.mode = 2\nout.dir = {tmp_path / 'out'}\n")
+    commands = [["simulate", cfg], ["experiment", cfg, "--which", "eps"],
+                ["verify", "--suite", "all", "--out", str(tmp_path / "verify")]]
+    code = ("import json, sys, pesim.cli\n"
+            "print(json.dumps([[pesim.cli.main(c), 'numpy.random' in sys.modules] "
+            f"for c in {commands!r}]))")
+    assert json.loads(run_python_with_src(code).splitlines()[-1]) == [[0, False]] * 3
 
 
 # an output path taken by the wrong kind of file: a run reports it under its
