@@ -15,29 +15,28 @@ import re
 import shutil
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from .config import ConfigError, RunConfig, parse_config
-from .experiments import (
-    EPS_COLUMNS,
-    _run,
-    check_eps_list,
-    run_absorbing_set,
-    run_coexistence_study,
-    run_eps_convergence,
-    run_extinction_study,
-    run_ode_consistency,
-)
-from .functionals import DiagnosticsRecord, steady_states
-from .stepper import StepperFailure
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .functionals import DiagnosticsRecord
+    from .stepper import StepperFailure
+
+# The simulation modules are imported by the functions that use them, so that
+# `pesim verify`, which takes no step, loads neither them nor the stepper's
+# LAPACK extension (3.4 MB of peak RSS).  A function imported there is looked
+# up at each call, never kept, so that a wrapper that rebinds it in its
+# module is the one called.
 
 __all__ = ["main", "cmd_simulate", "cmd_experiment", "cmd_verify", "cmd_plot"]
 
+# each study's function in experiments, by its --which name
 _EXPERIMENTS = {
-    "coexistence": run_coexistence_study,
-    "extinction": run_extinction_study,
-    "eps": run_eps_convergence,
-    "absorbing": run_absorbing_set,
-    "ode": run_ode_consistency,
+    "coexistence": "run_coexistence_study",
+    "extinction": "run_extinction_study",
+    "eps": "run_eps_convergence",
+    "absorbing": "run_absorbing_set",
+    "ode": "run_ode_consistency",
 }
 
 _SNAPSHOT_COLUMNS = ("x", "u", "v")  # each snapshot file
@@ -71,6 +70,8 @@ def _cannot_write(key, exc: OSError, path) -> int:
 # ---------------------------------------------------------------------------
 
 def write_timeseries(path, records: list[DiagnosticsRecord]):
+    from .functionals import DiagnosticsRecord
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(DiagnosticsRecord.CSV_COLUMNS) + "\n")
         for r in records:
@@ -137,6 +138,8 @@ def _make_dir(path, key) -> str | None:
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
+        from .config import ConfigError
+
         raise ConfigError(key, f"cannot create {path!r}: {exc.strerror or exc}") from None
     return created
 
@@ -165,6 +168,8 @@ def _check_outputs(out_dir, key):
     a directory in the place of a run file.  Found before the run, so that
     no run is thrown away for it; permission and disk errors still surface
     from the writers."""
+    from .config import ConfigError
+
     snap_dir = os.path.join(out_dir, "snapshots")
     if os.path.exists(snap_dir) and not os.path.isdir(snap_dir):
         raise ConfigError(key, f"cannot write {snap_dir!r}: Not a directory")
@@ -196,6 +201,10 @@ def _run_command(config_path, out_override, which=None, study_args=()) -> int:
     A config error, a study's ValueError (raised before the first sample;
     the directories made for the run are removed) and an output that cannot
     be written exit 1; a StepperFailure keeps what the run wrote."""
+    from . import experiments
+    from .config import ConfigError, parse_config
+    from .stepper import StepperFailure
+
     key = "out.dir" if out_override is None else "--out"
     try:
         cfg = parse_config(config_path, None if out_override is None else {"out.dir": out_override})
@@ -212,9 +221,10 @@ def _run_command(config_path, out_override, which=None, study_args=()) -> int:
     try:
         try:
             if which is None:
-                records = _run(cfg.spec, writer)[1]
+                records = experiments._run(cfg.spec, writer)[1]
             else:
-                result = _EXPERIMENTS[which](cfg.spec, *study_args, on_sample=writer)
+                study = getattr(experiments, _EXPERIMENTS[which])
+                result = study(cfg.spec, *study_args, on_sample=writer)
                 records = result.records
         except ValueError as exc:  # RegimeMismatch included
             if created:
@@ -237,6 +247,9 @@ def _write_run(cfg: RunConfig, records: list[DiagnosticsRecord], writer: _Snapsh
     earlier run's files here.  Returns the exit code: 2 after a failure, 3
     when a verdict failed and 0 otherwise; an OSError when an output cannot
     be written."""
+    from .experiments import EPS_COLUMNS
+    from .functionals import steady_states
+
     run_info = {"status": "ok" if failure is None else "solver_failure",
                 "failure": None if failure is None else str(failure)}
     if experiment is not None:
@@ -334,6 +347,8 @@ def cmd_plot(out_dir) -> int:
             f"'{csv}' using {col[x]}:{col[y]} with {style} title '{title}'" for y, title in curves)
 
     if os.path.isfile(os.path.join(out_dir, "timeseries.csv")):
+        from .functionals import DiagnosticsRecord
+
         ts = _numbered(DiagnosticsRecord.CSV_COLUMNS)
         section("mass", "set title 'total masses'", "set xlabel 't'",
                 plot("timeseries.csv", ts, "t", "lines", ("mass_u", "mass_u"), ("mass_v", "mass_v")))
@@ -366,6 +381,8 @@ def cmd_plot(out_dir) -> int:
                     plot(f"snapshots/{snaps[max(snaps)]}", _numbered(_SNAPSHOT_COLUMNS), "x",
                          "lines", ("u", "u"), ("v", "v")))
     if os.path.isfile(os.path.join(out_dir, "eps_distances.csv")):
+        from .experiments import EPS_COLUMNS
+
         section("eps_distances", "set title 'consecutive-eps L2 distances of final profiles'",
                 "set logscale xy",
                 plot("eps_distances.csv", _numbered(EPS_COLUMNS), "eps_hi", "linespoints",
@@ -430,6 +447,8 @@ def main(argv=None) -> int:
     if args.command == "experiment":
         eps_list = args.eps_list  # cmd_experiment rejects any list for another experiment
         if eps_list is not None and args.which == "eps":
+            from .experiments import check_eps_list
+
             try:
                 eps_list = check_eps_list(float(tok) for tok in eps_list.split(","))
             except ValueError as exc:

@@ -155,14 +155,17 @@ class ExperimentResult:
     extras: dict = field(default_factory=dict)
 
 
-def _run(spec: ExperimentSpec, on_sample=None) -> tuple[State, list[DiagnosticsRecord]]:
+def _run(spec: ExperimentSpec, on_sample=None,
+         diagnose=True) -> tuple[State, list[DiagnosticsRecord]]:
     """Run one simulation from spec's initial condition; returns the final
     state and one diagnostics record per sample.
 
     Each sample's record is computed as run_until takes the sample, and then
     on_sample, if given, gets (index, state), the index counting samples from
     0; no sampled state is kept.  A StepperFailure propagates with the
-    records of the samples taken attached as `records`.
+    records of the samples taken attached as `records`.  With diagnose
+    False the run computes no record and hands on_sample nothing: the list
+    is empty, for a caller that wants only the final state.
     """
     records = []
 
@@ -174,7 +177,8 @@ def _run(spec: ExperimentSpec, on_sample=None) -> tuple[State, list[DiagnosticsR
     state0 = spec.ic.build(spec.grid)
     try:
         final = run_until(state0, spec.t_end, spec.kp, spec.rp, spec.kind,
-                          spec.stepper, spec.sample_every, sample)
+                          spec.stepper, spec.sample_every,
+                          sample if diagnose else (lambda state: None))
     except StepperFailure as exc:
         exc.records = records
         raise
@@ -275,10 +279,11 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list=(1e-2, 2.5e-3, 6.25e
     """Cauchy-in-eps study: identical runs varying only eps, reporting the
     L2 distances of the final profiles between consecutive eps values.  The
     default sweep quarters eps twice from 1e-2.  The study keeps nothing of
-    a run but its final state and records, so a finished study hands
-    on_sample nothing, and on_sample gets the samples of the run that
-    fails, if one does: that run is run again with on_sample, and fails at
-    the same step, a run being a function of its spec.
+    a run but its final state, and computes the records of its last run
+    only, the ones it returns.  So a finished study hands on_sample nothing,
+    and on_sample gets the samples of the run that fails, if one does: that
+    run is run again with its records and on_sample, and fails at the same
+    step, a run being a function of its spec.
 
     Verdict: the distances decrease strictly along the (strictly decreasing)
     eps list, for u and for v.
@@ -286,16 +291,15 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list=(1e-2, 2.5e-3, 6.25e
     eps_list = check_eps_list(eps_list)
     specs = [replace(base_spec, rp=replace(base_spec.rp, eps=e), kind=ModelKind.REGULARIZED)
              for e in eps_list]
-    runs = []
+    finals = []
     for s in specs:
-        try:
-            runs.append(_run(s))
+        try:  # the study keeps the records of its last run only
+            final, records = _run(s, diagnose=s is specs[-1])
         except StepperFailure:
-            if on_sample is not None:
-                _run(s, on_sample)
+            _run(s, on_sample)  # fails again, with the run's records
             raise
+        finals.append(final.w)
 
-    finals = [final.w for final, _ in runs]
     rows = []
     for e1, e2, f1, f2 in zip(eps_list, eps_list[1:], finals, finals[1:]):
         dists = np.sqrt(integrate_values((f1 - f2) ** 2, base_spec.grid)).tolist()
@@ -305,7 +309,7 @@ def run_eps_convergence(base_spec: ExperimentSpec, eps_list=(1e-2, 2.5e-3, 6.25e
         dist = [r["dist_" + c] for r in rows]
         verdicts["distances_decreasing_" + c] = Verdict(
             all(b < a for a, b in zip(dist, dist[1:])), dist[-1])
-    return ExperimentResult(specs[-1], runs[-1][1], verdicts, extras={"distances": rows})
+    return ExperimentResult(specs[-1], records, verdicts, extras={"distances": rows})
 
 
 def run_absorbing_set(spec: ExperimentSpec, on_sample=None) -> ExperimentResult:

@@ -320,6 +320,53 @@ def test_seeded_commands_do_not_load_numpy_random(tmp_path):
     assert json.loads(run_python_with_src(code).splitlines()[-1]) == [[0, False]] * 3
 
 
+# every name `import pesim` exported when it imported its submodules eagerly
+PESIM_EXPORTS = """Grid1D KineticParams ModelKind RegParams State fast_diffusion_coeff
+    g_mollifier h_flux m4_mobility Scheme StepOutcome StepperConfig StepperFailure run_until
+    step CosineBumpTestFunction DiagnosticsRecord Regime SteadyStates conditional_y
+    diagnostics_record dissipation_D dissipation_rate_D1 dissipation_rate_D2 entropy_E1
+    entropy_E2 m_infinity phi quasi_entropy_F steady_states weak_residual ExperimentResult
+    ExperimentSpec InitialCondition run_absorbing_set run_coexistence_study
+    run_eps_convergence run_extinction_study run_ode_consistency""".split()
+
+_LOADED = "sorted(m for m in sys.modules if m.startswith(('pesim.', 'scipy')))"
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # verify takes no step: loading the simulation modules and the stepper's
+    # LAPACK extension cost it 3.4 MB of peak RSS
+    code = ("import json, sys, pesim.cli\n"
+            f"rc = pesim.cli.main(['verify', '--suite', 'all', '--out', {str(tmp_path)!r}])\n"
+            f"print(json.dumps([rc, {_LOADED}]))")
+    assert json.loads(run_python_with_src(code).splitlines()[-1]) == [
+        0, ["pesim.cli", "pesim.grid", "pesim.inequalities", "pesim.model", "pesim.rng"]]
+    # import pesim loads no submodule, and each exported name, looked up on
+    # first access, is its module's own object
+    code = ("import json, sys, pesim\n"
+            f"loaded = {_LOADED}\n"
+            "names = [n for n in pesim.__all__ if getattr(pesim, n) is "
+            "getattr(sys.modules[getattr(pesim, n).__module__], n)]\n"
+            "from pesim import cli, stepper\n"
+            "print(json.dumps([loaded, names, cli is sys.modules['pesim.cli'], "
+            "stepper is sys.modules['pesim.stepper'], hasattr(pesim, 'no_such_name')]))")
+    loaded, names, *rest = json.loads(run_python_with_src(code))
+    assert loaded == [] and rest == [True, True, False]
+    assert sorted(names) == sorted(PESIM_EXPORTS)
+    # README's library imports, each in a fresh interpreter
+    readme = _read(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md"))
+    library = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    statements = re.findall(r"^from pesim import (?:\([^)]*\)|.*)$", library, re.M)
+    assert len(statements) == 3
+    for statement in statements:
+        names = re.findall(r"\w+", statement.split("import", 1)[1])
+        code = ("import json, sys, pesim\n"
+                f"loaded = {_LOADED}\n"
+                f"{statement}\n"
+                f"print(json.dumps([loaded, [n for n in {names!r} if globals()[n] is "
+                "getattr(sys.modules[globals()[n].__module__], n)]]))")
+        assert json.loads(run_python_with_src(code)) == [[], names], statement
+
+
 # an output path taken by the wrong kind of file: a run reports it under its
 # key, with no traceback, before the solve instead of dying in the writer
 @pytest.mark.parametrize("command, blocked, kind", [

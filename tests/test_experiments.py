@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pesim import experiments
 from pesim.experiments import (
     ExperimentSpec,
     InitialCondition,
@@ -118,6 +119,18 @@ def test_eps_convergence_decreasing():
     rows = res.extras["distances"]
     assert len(rows) == 2
     assert rows[0]["dist_u"] > rows[1]["dist_u"]
+
+
+def test_eps_study_diagnoses_only_the_run_it_returns(monkeypatch):
+    # the study returns its last run's records, so the runs before it
+    # compute none; the records are those of the last run made alone
+    calls = []
+    diagnose = experiments.diagnostics_record
+    monkeypatch.setattr(experiments, "diagnostics_record",
+                        lambda *args: calls.append(1) or diagnose(*args))
+    res = run_eps_convergence(_coex_spec(t_end=1.0), [1e-2, 2.5e-3, 6.25e-4])
+    assert len(calls) == len(res.records) == 3  # samples at t = 0, 0.5, 1
+    assert res.records == experiments._run(res.spec)[1]
 
 
 def test_eps_convergence_input_validation():
