@@ -4,7 +4,7 @@ diagnostics that monitor its quantitative structure.
 
 `import pesim` loads no submodule: each name below is imported from its
 module on first access, so that a process loads only the modules it uses
-(`pesim verify` never loads the stepper's LAPACK extension)."""
+(`pesim verify` never loads the stepper)."""
 
 import importlib
 import os

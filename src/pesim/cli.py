@@ -23,8 +23,8 @@ if TYPE_CHECKING:
     from .stepper import StepperFailure
 
 # The simulation modules are imported by the functions that use them, so that
-# `pesim verify`, which takes no step, loads neither them nor the stepper's
-# LAPACK extension (3.4 MB of peak RSS).  A function imported there is looked
+# `pesim verify`, which takes no step, does not load them (about 0.6 MB of
+# peak RSS).  A function imported there is looked
 # up at each call, never kept, so that a wrapper that rebinds it in its
 # module is the one called.
 

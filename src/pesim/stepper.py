@@ -7,8 +7,9 @@ fast-diffusion correction); cross-diffusion fluxes and reactions are explicit.
 Both fields are held as one (2, n) array, a State's w (see the model
 module).  The IMEX step is one banded solve of a block-diagonal system with u
 in rows [0, n) and v in [n, 2n): the stacked array's own memory order.  It
-calls LAPACK itself: gtsv for the limit model's tridiagonal bands, gbtrf and
-gbtrs for the regularized model's five.
+calls LAPACK itself, through ctypes, from the library that numpy already
+loads (see the LAPACK section below): gtsv for the limit model's tridiagonal
+bands, gbsv for the regularized model's five.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
@@ -44,14 +45,13 @@ outcome, so a run's memory does not grow with its sample count.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
+import ctypes
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, sqrt
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import (
     KineticParams,
@@ -67,19 +67,6 @@ from .model import (
     taxis_face_coeff,
     thinfilm_face_coeff,
 )
-
-# dgtsv, dgbtrf and dgbtrs come from scipy's f2py LAPACK extension,
-# loaded from its file: importing it as scipy.linalg.lapack would run
-# scipy.linalg's __init__, which loads about 300 more modules and costs about
-# 0.3 s per process.
-_FLAPACK = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                        "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-if not os.path.isfile(_FLAPACK):
-    raise ImportError(f"scipy's LAPACK extension {_FLAPACK} is missing")
-_loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", _FLAPACK)
-_flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(_loader.name, _loader))
-_loader.exec_module(_flapack)
-dgbtrf, dgbtrs, dgtsv = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dgtsv
 
 __all__ = [
     "Scheme",
@@ -153,20 +140,133 @@ class StepperFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# LAPACK
+#
+# The routines come from the LAPACK that numpy's own linalg extension links,
+# looked up through that extension's file, so no library path is named here.
+# numpy's PyPI wheels bundle it as scipy-openblas64, whose routines are named
+# scipy_<routine>_64_ and take 64-bit integers.  Each binding below solves
+# or factors in place, on contiguous float64 arrays (band storage
+# F-contiguous), raises ValueError on an illegal argument and returns
+# LAPACK's info, positive for an exactly singular pivot.  Pivots are LAPACK's
+# own, 1-based.  The integer arguments of each shape are built once; the
+# pivots and info are per call, so concurrent solves share no buffer.
+# ---------------------------------------------------------------------------
+
+_LAPACK = _umath_linalg.__file__
+
+
+def _lapack_routine(name):
+    """The ctypes function of LAPACK's routine name (e.g. "dgbsv")."""
+    symbol = f"scipy_{name}_64_"
+    try:
+        routine = getattr(ctypes.CDLL(_LAPACK), symbol)
+    except AttributeError:
+        raise ImportError(f"LAPACK routine {name} ({symbol}) is not in {_LAPACK} "
+                          "or the libraries it links") from None
+    # argtypes stay undeclared: their conversions would cost about 1.5 us a
+    # call, and every argument is already a pointer built below, to arrays
+    # whose dtype and length each binding checks
+    routine.restype = None
+    return routine
+
+
+_gbsv, _gbtrf, _gbtrs, _gtsv = map(_lapack_routine, ("dgbsv", "dgbtrf", "dgbtrs", "dgtsv"))
+_F64 = np.dtype(np.float64)
+_INT_ARGS = {}  # by-reference 64-bit integer arguments, by their values
+_CHAR_LEN = ctypes.c_size_t(1)  # the hidden length of a Fortran character argument
+_byref, _from_buffer = ctypes.byref, ctypes.c_char.from_buffer
+
+
+def _ints(*values):
+    args = _INT_ARGS.get(values)
+    if args is None:
+        args = _INT_ARGS[values] = tuple(_byref(ctypes.c_int64(v)) for v in values)
+    return args
+
+
+def _ptr(a):
+    """A pointer to the data of a, C-contiguous if 1-D and F-contiguous if
+    2-D (else TypeError), which keeps a alive."""
+    return _byref(_from_buffer(a.T))
+
+
+def _pivots(m):
+    """A zeroed ctypes array for m pivots: passed as a pointer, read as an int64 array."""
+    return (ctypes.c_int64 * m)()
+
+
+def _info(info):
+    if info.value < 0:
+        raise ValueError(f"LAPACK: illegal value in argument {-info.value}")
+    return info.value
+
+
+def _mismatch(routine):
+    return ValueError(f"{routine}: the arrays must be float64 and of matching lengths")
+
+
+def dgbsv(ab, kl, b):
+    """Solve A x = b for the band matrix A with kl sub- and superdiagonals in
+    the band storage ab, (ldab, m): b, of length m, becomes x and ab the LU."""
+    if ab.dtype is not _F64 or b.dtype is not _F64 or b.shape != ab.shape[1:]:
+        raise _mismatch("dgbsv")
+    n, kl_, one, ld = _ints(ab.shape[1], kl, 1, ab.shape[0])
+    info = ctypes.c_int64()
+    _gbsv(n, kl_, kl_, one, _ptr(ab), ld, _pivots(ab.shape[1]), _ptr(b), n, _byref(info))
+    return _info(info)
+
+
+def dgbtrf(ab, kl):
+    """Band LU of ab as in dgbsv, in place: (pivots, info)."""
+    if ab.dtype is not _F64:
+        raise _mismatch("dgbtrf")
+    n, kl_, ld = _ints(ab.shape[1], kl, ab.shape[0])
+    piv, info = _pivots(ab.shape[1]), ctypes.c_int64()
+    _gbtrf(n, n, kl_, kl_, _ptr(ab), ld, piv, _byref(info))
+    return piv, _info(info)
+
+
+def dgbtrs(lu, kl, piv, b):
+    """Solve A x = b in place in b with dgbtrf's LU and pivots of A: info."""
+    if (lu.dtype is not _F64 or b.dtype is not _F64 or b.shape != lu.shape[1:]
+            or len(piv) != b.shape[0]):
+        raise _mismatch("dgbtrs")
+    n, kl_, one, ld = _ints(lu.shape[1], kl, 1, lu.shape[0])
+    info = ctypes.c_int64()
+    _gbtrs(b"N", n, kl_, kl_, one, _ptr(lu), ld, piv, _ptr(b), n, _byref(info), _CHAR_LEN)
+    return _info(info)
+
+
+def dgtsv(dl, d, du, b):
+    """Solve the tridiagonal system with diagonals dl, d, du in place in b;
+    the diagonals are overwritten."""
+    n = d.shape[0]
+    if (d.dtype is not _F64 or dl.dtype is not _F64 or du.dtype is not _F64
+            or b.dtype is not _F64 or b.shape != d.shape or dl.shape != (n - 1,) or du.shape != (n - 1,)):
+        raise _mismatch("dgtsv")
+    n_, one = _ints(n, 1)
+    info = ctypes.c_int64()
+    _gtsv(n_, one, _ptr(dl), _ptr(d), _ptr(du), _ptr(b), n_, _byref(info))
+    return _info(info)
+
+
+# ---------------------------------------------------------------------------
 # banded assembly
 #
 # Matrices live in LAPACK band storage: ab[2kl + i - j, j] = A[i, j] with
-# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbtrf
-# works in place and gtsv reads its three diagonals from rows
-# kl..2kl + 1 (kl = 1).
+# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbtrf and
+# gbsv work in place.  The limit model's IMEX matrix is tridiagonal and
+# stored in C order instead, so that gtsv reads its three diagonals from
+# the contiguous rows kl..2kl + 1 (kl = 1).
 # The array carries kl spare columns on each side.  Operator bands are written
 # through a sheared view whose row r + k, index i, is the slot of L[i, i + k];
 # slots of entries outside the matrix fall into the spare columns.
 # ---------------------------------------------------------------------------
 
-def _band_storage(kl, m):
+def _band_storage(kl, m, order="F"):
     """Zeroed band storage of an m x m matrix; the matrix is ab[:, kl:-kl]."""
-    return np.zeros((3 * kl + 1, m + 2 * kl), order="F")
+    return np.zeros((3 * kl + 1, m + 2 * kl), order=order)
 
 
 def _band_slots(ab, kl, n, r, stride=1, col_off=0, *, pair):
@@ -185,13 +285,11 @@ def _band_slots(ab, kl, n, r, stride=1, col_off=0, *, pair):
 def _factor_shifted(ab, kl):
     """Band LU of I + B for B in band storage, in place: (lu, pivots), or None
     when LAPACK reports an exactly singular pivot (info > 0).  Solve with
-    dgbtrs(lu, kl, kl, b, pivots)."""
+    dgbtrs(lu, kl, pivots, b)."""
     a = ab[:, kl:-kl]
     a[2 * kl] += 1.0
-    lu, piv, info = dgbtrf(a, kl, kl, overwrite_ab=1)
-    if info < 0:
-        raise ValueError(f"LAPACK: illegal value in argument {-info}")
-    return (lu, piv) if info == 0 else None
+    piv, info = dgbtrf(a, kl)
+    return (a, piv) if info == 0 else None
 
 
 def _put_div_bands(out, sigma, c_face, dx):
@@ -245,7 +343,7 @@ def _imex_advance(w, dx, dt, kp, rp, kind):
     # system solves exactly as two separate systems would
     n = w.shape[1]
     kl = 2 if kind is ModelKind.REGULARIZED else 1
-    ab = _band_storage(kl, 2 * n)
+    ab = _band_storage(kl, 2 * n, "F" if kl > 1 else "C")
     _stiff_bands(_band_slots(ab, kl, n, kl, pair=(n, n)), w, dx, c.d, c.n, rp, kind)
     ab *= -dt
     # the explicit part only after the bands: held through the band assembly,
@@ -253,20 +351,14 @@ def _imex_advance(w, dx, dt, kp, rp, kind):
     # trimmed and faulted back in on every step of the eps study
     flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
     rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind))
+    # factor and solve I - dt*L in place, rhs becoming w_new
+    a = ab[:, kl:-kl]
+    a[2 * kl] += 1.0
     if kl > 1:
-        lu = _factor_shifted(ab, kl)
-        if lu is None:
-            return None
-        x = dgbtrs(lu[0], kl, kl, rhs.reshape(2 * n), lu[1], overwrite_b=1)[0]
-    else:  # tridiagonal: gtsv factors and solves I - dt*L in place
-        a = ab[:, 1:-1]
-        a[2] += 1.0
-        x, info = dgtsv(a[3, :-1], a[2], a[1, 1:], rhs.reshape(2 * n), 1, 1, 1, 1)[3:]
-        if info < 0:
-            raise ValueError(f"LAPACK: illegal value in argument {-info}")
-        if info > 0:
-            return None
-    return x.reshape(2, n)
+        info = dgbsv(a, kl, rhs.reshape(2 * n))
+    else:
+        info = dgtsv(a[3, :-1], a[2], a[1, 1:], rhs.reshape(2 * n))
+    return None if info else rhs
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +449,8 @@ def _newton_advance(w, dx, dt, kp, rp, kind, cfg, prev):
         finite or no damping lowers the residual."""
         if lu is None:
             return None
-        delta = dgbtrs(lu[0], _HALFWIDTH, _HALFWIDTH, res, lu[1])[0]
+        delta = res.copy()
+        dgbtrs(lu[0], _HALFWIDTH, lu[1], delta)
         if not np.all(np.isfinite(delta)):
             return None
         w_step = delta.reshape(-1, 2).T

@@ -332,14 +332,27 @@ PESIM_EXPORTS = """Grid1D KineticParams ModelKind RegParams State fast_diffusion
 _LOADED = "sorted(m for m in sys.modules if m.startswith(('pesim.', 'scipy')))"
 
 
+# a coexistence run long enough for the study's verdicts to pass
+COEX = BASE.replace("time.t_end = 2.0", "time.t_end = 30.0")
+
+
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # verify takes no step: loading the simulation modules and the stepper's
-    # LAPACK extension cost it 3.4 MB of peak RSS
+    # verify takes no step: loading the simulation modules cost it about
+    # 0.6 MB of peak RSS
     code = ("import json, sys, pesim.cli\n"
             f"rc = pesim.cli.main(['verify', '--suite', 'all', '--out', {str(tmp_path)!r}])\n"
             f"print(json.dumps([rc, {_LOADED}]))")
     assert json.loads(run_python_with_src(code).splitlines()[-1]) == [
         0, ["pesim.cli", "pesim.grid", "pesim.inequalities", "pesim.model", "pesim.rng"]]
+    # simulate and experiment take their LAPACK from numpy: no part of scipy
+    cfg = _write(tmp_path, "run.cfg", COEX)
+    for command in (["simulate", cfg], ["experiment", cfg, "--which", "coexistence"]):
+        code = ("import json, sys, pesim.cli\n"
+                f"rc = pesim.cli.main({command + ['--out', str(tmp_path / 'out')]!r})\n"
+                f"print(json.dumps([rc, {_LOADED}]))")
+        assert json.loads(run_python_with_src(code).splitlines()[-1]) == [
+            0, ["pesim.cli", "pesim.config", "pesim.experiments", "pesim.functionals",
+                "pesim.grid", "pesim.model", "pesim.stepper"]], command
     # import pesim loads no submodule, and each exported name, looked up on
     # first access, is its module's own object
     code = ("import json, sys, pesim\n"
@@ -365,6 +378,29 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                 f"print(json.dumps([loaded, [n for n in {names!r} if globals()[n] is "
                 "getattr(sys.modules[globals()[n].__module__], n)]]))")
         assert json.loads(run_python_with_src(code)) == [[], names], statement
+
+
+def test_runs_need_no_scipy(tmp_path):
+    # sys.modules["scipy"] = None makes every import of scipy raise: both
+    # models and both schemes run without it, to the same bytes
+    runs = {"imex": BASE, "limit": BASE + "model.kind = limit\n",
+            "implicit": BASE + "stepper.scheme = fully_implicit\n"}
+    commands = [["simulate", _write(tmp_path, f"{name}.cfg", text)] for name, text in runs.items()]
+    commands.append(["experiment", _write(tmp_path, "coex.cfg", COEX), "--which", "coexistence"])
+
+    def run(blocked):
+        outs = [str(tmp_path / f"{blocked}-{i}") for i in range(len(commands))]
+        code = ("import json, sys\n"
+                f"if {blocked}:\n    sys.modules['scipy'] = None\n"
+                "import pesim.cli\n"
+                f"print(json.dumps([pesim.cli.main(c + ['--out', o]) "
+                f"for c, o in zip({commands!r}, {outs!r})]))")
+        codes = json.loads(run_python_with_src(code).splitlines()[-1])
+        return codes, [_read(os.path.join(o, "timeseries.csv")) for o in outs]
+
+    codes, series = run(True)
+    assert codes == [0] * len(commands)
+    assert (codes, series) == run(False)
 
 
 # an output path taken by the wrong kind of file: a run reports it under its

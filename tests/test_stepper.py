@@ -405,7 +405,7 @@ def test_nonfinite_newton_increment_rejects_step(unit_grid, coex_params, reg_par
     # fresh Jacobian's failure rejects the step
     calls = []
     monkeypatch.setattr(stp, "compute_rhs", lambda *args: calls.append(1) or compute_rhs(*args))
-    monkeypatch.setattr(stp, "dgbtrs", lambda lu, kl, ku, b, piv: (np.full_like(b, -np.inf), 0))
+    monkeypatch.setattr(stp, "dgbtrs", lambda lu, kl, piv, b: b.fill(-np.inf))
     st = _smooth_state(unit_grid)
     cfg = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
     out = step(st, cfg.dt_init, coex_params, reg_params, ModelKind.REGULARIZED, cfg)
@@ -745,54 +745,106 @@ def test_run_hands_step_the_last_accepted_outcome(coex_params, reg_params, monke
 
 
 # ---------------------------------------------------------------------------
-# the LAPACK routines, loaded from scipy's extension file without scipy.linalg
+# the bindings to numpy's own LAPACK, against scipy.linalg.lapack
 # ---------------------------------------------------------------------------
+
+def _band_system(kl, singular, m=97):
+    """A random m x m band matrix in F-ordered band storage, and a right-hand side."""
+    rng = np.random.default_rng(10 * kl + singular)
+    ab = np.zeros((3 * kl + 1, m), order="F")
+    ab[kl:] = rng.standard_normal((2 * kl + 1, m))  # random entries: rows get swapped
+    if singular:
+        ab[:, m // 2] = 0.0  # a zero column: elimination meets a zero pivot there
+    return ab, rng.standard_normal(m)
+
 
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("kl", [1, 2, 4])
 def test_lapack_routines_match_scipy_linalg(kl, singular):
-    m = 97
-    rng = np.random.default_rng(10 * kl + singular)
-    ab = np.zeros((3 * kl + 1, m))
-    ab[kl:] = rng.standard_normal((2 * kl + 1, m))  # random entries: rows get swapped
-    if singular:
-        ab[:, m // 2] = 0.0  # a zero column: elimination meets a zero pivot there
-    b = rng.standard_normal((m, 1))
-    if kl == 1:  # tridiagonal: gtsv, called in place as stepper._imex_advance does
-        def gtsv(routine):
-            a, rhs = ab.copy(), b.copy()
-            return routine(a[3, :-1], a[2], a[1, 1:], rhs, 1, 1, 1, 1)[3:]
-        (x, info), (x_ref, info_ref) = gtsv(stp.dgtsv), gtsv(lapack.dgtsv)
-        assert info == info_ref and (info > 0) == singular
-        assert np.array_equal(x, x_ref)
-        return
-    # wider bands: factor once (gbtrf), then solve with the factors (gbtrs)
-    lu, piv, info = stp.dgbtrf(np.array(ab, order="F"), kl, kl)
-    lu_ref, piv_ref, info_ref = lapack.dgbtrf(np.array(ab, order="F"), kl, kl)
+    ab, b = _band_system(kl, singular)
+    # factor once (gbtrf), then solve with the factors (gbtrs); scipy's
+    # pivots are 0-based, the bindings' LAPACK's own, 1-based
+    lu = ab.copy(order="F")
+    piv, info = stp.dgbtrf(lu, kl)
+    lu_ref, piv_ref, info_ref = lapack.dgbtrf(ab, kl, kl)
     assert info == info_ref and (info > 0) == singular
-    assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
-    x, info = stp.dgbtrs(lu, kl, kl, b, piv)
+    assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref + 1)
+    x = b.copy()
+    assert stp.dgbtrs(lu, kl, piv, x) == 0
     x_ref, info_ref = lapack.dgbtrs(lu_ref, kl, kl, b, piv_ref)
-    assert info == info_ref == 0
+    assert info_ref == 0
     # past a zero pivot the solve divides by zero: same infs and nans
     assert np.array_equal(x, x_ref, equal_nan=True)
-    if not singular:  # bitwise the solution of the one-call driver gbsv
-        assert np.array_equal(x, lapack.dgbsv(kl, kl, np.array(ab, order="F"), b)[2])
+    # the one-call driver gbsv: the same LU, and the same solution bits
+    lu_sv, x_sv = ab.copy(order="F"), b.copy()
+    info = stp.dgbsv(lu_sv, kl, x_sv)
+    lu_ref, _, x_ref, info_ref = lapack.dgbsv(kl, kl, ab, b)
+    assert info == info_ref and (info > 0) == singular
+    assert np.array_equal(lu_sv, lu_ref) and np.array_equal(x_sv, x_ref)
+    assert np.array_equal(x_sv, b if singular else x)  # gbsv leaves b when singular
+    if kl == 1:  # tridiagonal: gtsv on the three diagonals, all overwritten in place
+        diags = [np.ascontiguousarray(d) for d in (ab[3, :-1], ab[2], ab[1, 1:])]
+        x = b.copy()
+        info = stp.dgtsv(*diags, x)
+        *diags_ref, x_ref, info_ref = lapack.dgtsv(ab[3, :-1], ab[2], ab[1, 1:], b)
+        assert info == info_ref and (info > 0) == singular
+        assert all(np.array_equal(d, d_ref) for d, d_ref in zip(diags, diags_ref))
+        assert np.array_equal(x, x_ref)
+
+
+# LAPACK's argument numbers of KL and LDAB in each banded routine
+@pytest.mark.parametrize("routine, kl_arg, ldab_arg",
+                         [("dgbsv", 2, 6), ("dgbtrf", 3, 6), ("dgbtrs", 3, 7)])
+def test_lapack_bindings_pass_64_bit_integers(routine, kl_arg, ldab_arg):
+    # kl = -1 reaches LAPACK whole, and so do the high bits of kl = 2^32,
+    # which makes the band storage too short for kl, where its low 32 bits
+    # would read as a valid 0
+    ab, b = _band_system(2, False)
+    piv = stp.dgbtrf(ab.copy(order="F"), 2)[0]
+    calls = {"dgbsv": lambda kl: stp.dgbsv(ab, kl, b),
+             "dgbtrf": lambda kl: stp.dgbtrf(ab, kl),
+             "dgbtrs": lambda kl: stp.dgbtrs(ab, kl, piv, b)}
+    for kl, arg in ((-1, kl_arg), (2 ** 32, ldab_arg)):
+        with pytest.raises(ValueError) as exc:
+            calls[routine](kl)
+        assert str(exc.value) == f"LAPACK: illegal value in argument {arg}"
+
+
+def test_lapack_bindings_reject_mismatched_arrays():
+    # checked before any pointer reaches LAPACK: a wrong dtype or length,
+    # and band storage that is not F-contiguous
+    ab, b = _band_system(2, False)
+    piv = stp.dgbtrf(ab.copy(order="F"), 2)[0]
+    d = np.ones(b.size)
+    bad = [lambda: stp.dgbsv(ab, 2, b[:-1]),
+           lambda: stp.dgbsv(ab, 2, b.astype(np.float32)),
+           lambda: stp.dgbtrf(ab.astype(np.float32), 2),
+           lambda: stp.dgbtrs(ab, 2, piv, np.append(b, 0.0)),
+           lambda: stp.dgbtrs(ab, 2, piv[:-1], b),
+           lambda: stp.dgtsv(d[1:], d, d, b),
+           lambda: stp.dgtsv(d[1:], d, d[1:], b[1:])]
+    for call in bad:
+        with pytest.raises(ValueError, match="float64 and of matching lengths"):
+            call()
+    with pytest.raises(TypeError, match="not C contiguous"):
+        stp.dgbsv(np.ascontiguousarray(ab), 2, b)
+
+
+def test_lapack_routine_lookup_failure_names_the_symbol():
+    with pytest.raises(ImportError, match="dnosuch.*scipy_dnosuch_64_.*_umath_linalg"):
+        stp._lapack_routine("dnosuch")
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # the extension module itself registers as scipy.linalg._flapack; any
-    # import through scipy.linalg would also load the package.  pesim.stepper
-    # is the module that loads it: pesim.cli no longer imports it at load
+    # the stepper's LAPACK is numpy's own: no run loads any part of scipy
     code = ("import json, pesim.stepper, sys; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))")
-    loaded = json.loads(run_python_with_src(code))
-    assert "scipy.linalg" not in loaded, loaded
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    assert json.loads(run_python_with_src(code)) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cli_import_starts_no_blas_threads():
-    # pesim.stepper loads OpenBLAS with the LAPACK extension
+    # numpy loads OpenBLAS, whose LAPACK pesim.stepper calls
     code = ("import json, os, pesim.stepper; "
             "print(json.dumps([len(os.listdir('/proc/self/task')), "
             "os.environ.get('OPENBLAS_NUM_THREADS')]))")
