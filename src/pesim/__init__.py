@@ -9,7 +9,8 @@ module on first access, so that a process loads only the modules it uses
 import importlib
 import os
 
-# pesim never calls BLAS, so the thread pools OpenBLAS starts on load only burn CPU
+# pesim's only BLAS work is inside OpenBLAS's banded LAPACK, on blocks far too
+# small for a thread pool, so the pools OpenBLAS starts on load only burn CPU
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # the names pesim exports, by the submodule that defines them; each of these

@@ -9,7 +9,8 @@ module).  The IMEX step is one banded solve of a block-diagonal system with u
 in rows [0, n) and v in [n, 2n): the stacked array's own memory order.  It
 calls LAPACK itself, through ctypes, from the library that numpy already
 loads (see the LAPACK section below): gtsv for the limit model's tridiagonal
-bands, gbsv for the regularized model's five.
+bands, and for the regularized model's five the band LU of gbtrf and the
+solve of gbtrs that Newton uses too.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
@@ -149,15 +150,15 @@ class StepperFailure(RuntimeError):
 # or factors in place, on contiguous float64 arrays (band storage
 # F-contiguous), raises ValueError on an illegal argument and returns
 # LAPACK's info, positive for an exactly singular pivot.  Pivots are LAPACK's
-# own, 1-based.  The integer arguments of each shape are built once; the
-# pivots and info are per call, so concurrent solves share no buffer.
+# own, 1-based.  The integer arguments of each shape are built once; info is
+# per call, and the pivots belong to the factorization that made them.
 # ---------------------------------------------------------------------------
 
 _LAPACK = _umath_linalg.__file__
 
 
 def _lapack_routine(name):
-    """The ctypes function of LAPACK's routine name (e.g. "dgbsv")."""
+    """The ctypes function of LAPACK's routine name (e.g. "dgbtrf")."""
     symbol = f"scipy_{name}_64_"
     try:
         routine = getattr(ctypes.CDLL(_LAPACK), symbol)
@@ -171,7 +172,7 @@ def _lapack_routine(name):
     return routine
 
 
-_gbsv, _gbtrf, _gbtrs, _gtsv = map(_lapack_routine, ("dgbsv", "dgbtrf", "dgbtrs", "dgtsv"))
+_gbtrf, _gbtrs, _gtsv = map(_lapack_routine, ("dgbtrf", "dgbtrs", "dgtsv"))
 _F64 = np.dtype(np.float64)
 _INT_ARGS = {}  # by-reference 64-bit integer arguments, by their values
 _CHAR_LEN = ctypes.c_size_t(1)  # the hidden length of a Fortran character argument
@@ -206,19 +207,9 @@ def _mismatch(routine):
     return ValueError(f"{routine}: the arrays must be float64 and of matching lengths")
 
 
-def dgbsv(ab, kl, b):
-    """Solve A x = b for the band matrix A with kl sub- and superdiagonals in
-    the band storage ab, (ldab, m): b, of length m, becomes x and ab the LU."""
-    if ab.dtype is not _F64 or b.dtype is not _F64 or b.shape != ab.shape[1:]:
-        raise _mismatch("dgbsv")
-    n, kl_, one, ld = _ints(ab.shape[1], kl, 1, ab.shape[0])
-    info = ctypes.c_int64()
-    _gbsv(n, kl_, kl_, one, _ptr(ab), ld, _pivots(ab.shape[1]), _ptr(b), n, _byref(info))
-    return _info(info)
-
-
 def dgbtrf(ab, kl):
-    """Band LU of ab as in dgbsv, in place: (pivots, info)."""
+    """Band LU, in place, of the band matrix A with kl sub- and superdiagonals
+    in the band storage ab, (ldab, m): (pivots, info)."""
     if ab.dtype is not _F64:
         raise _mismatch("dgbtrf")
     n, kl_, ld = _ints(ab.shape[1], kl, ab.shape[0])
@@ -255,8 +246,8 @@ def dgtsv(dl, d, du, b):
 # banded assembly
 #
 # Matrices live in LAPACK band storage: ab[2kl + i - j, j] = A[i, j] with
-# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbtrf and
-# gbsv work in place.  The limit model's IMEX matrix is tridiagonal and
+# 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbtrf
+# works in place.  The limit model's IMEX matrix is tridiagonal and
 # stored in C order instead, so that gtsv reads its three diagonals from
 # the contiguous rows kl..2kl + 1 (kl = 1).
 # The array carries kl spare columns on each side.  Operator bands are written
@@ -352,13 +343,19 @@ def _imex_advance(w, dx, dt, kp, rp, kind):
     flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
     rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind))
     # factor and solve I - dt*L in place, rhs becoming w_new
-    a = ab[:, kl:-kl]
-    a[2 * kl] += 1.0
-    if kl > 1:
-        info = dgbsv(a, kl, rhs.reshape(2 * n))
-    else:
-        info = dgtsv(a[3, :-1], a[2], a[1, 1:], rhs.reshape(2 * n))
-    return None if info else rhs
+    if kl == 1:
+        a = ab[:, 1:-1]
+        a[2] += 1.0
+        return None if dgtsv(a[3, :-1], a[2], a[1, 1:], rhs.reshape(2 * n)) else rhs
+    lu = _factor_shifted(ab, kl)
+    if lu is None:
+        return None
+    dgbtrs(lu[0], kl, lu[1], rhs.reshape(2 * n))
+    # free the pivots, then flux, and the band storage last, at the return:
+    # glibc trims the top of the heap on a free, so the order of the frees
+    # decides whether a step's arrays are faulted in again on the next step
+    del lu, flux
+    return rhs
 
 
 # ---------------------------------------------------------------------------

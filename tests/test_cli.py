@@ -76,6 +76,16 @@ def test_config_defaults_are_the_dataclass_defaults():
     assert checked == 18
 
 
+def test_empty_config_builds_the_library_defaults():
+    # DEFAULTS and the dataclasses state these 18 values each on their own
+    spec = parse_config_text("").spec
+    assert spec.stepper == StepperConfig()
+    assert spec.ic == InitialCondition()
+    assert spec.rp == RegParams(eps=DEFAULTS["reg.eps"])
+    own = {f.name: f.default for f in fields(ExperimentSpec)}
+    assert (spec.sample_every, spec.gamma) == (own["sample_every"], own["gamma"])
+
+
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError) as exc:
         parse_config_text("model.gamma = 1.0\n")
@@ -773,6 +783,14 @@ def test_experiment_unknown_name(tmp_path):
     assert main(["experiment", cfg, "--which", "bogus"]) == 1
 
 
+def test_cmd_experiment_unknown_study_exit_1(tmp_path, capsys):
+    # argparse's choices stop a bad --which first; cmd_experiment checks on its own
+    cfg = _write(tmp_path, "c.cfg", BASE)
+    assert cli.cmd_experiment(cfg, "bogus", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("pesim: unknown experiment 'bogus' (choose from ")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -929,6 +947,13 @@ def test_plot_empty_dir_exit_1(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["plot", str(empty)]) == 1
+
+
+def test_plot_not_a_directory_exit_1(tmp_path, capsys):
+    path = _write(tmp_path, "timeseries.csv", TIMESERIES_HEADER + "\n")
+    for target in (path, str(tmp_path / "missing")):
+        assert main(["plot", target]) == 1
+        assert capsys.readouterr().err == f"pesim: not a directory: {target}\n"
 
 
 @pytest.mark.parametrize("text", [

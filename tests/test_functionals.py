@@ -92,6 +92,20 @@ def test_m_infinity_monotonicity():
         assert hi > lo
 
 
+@pytest.mark.parametrize("omega_len", [0.0, -1.0, math.nan])
+def test_m_infinity_rejects_nonpositive_length(omega_len):
+    with pytest.raises(ValueError, match="^omega_len must be positive"):
+        m_infinity(_kp(), omega_len)
+
+
+def test_cosine_bump_rejects_bad_mode_and_end():
+    with pytest.raises(ValueError, match="^mode must be nonnegative"):
+        CosineBumpTestFunction(-1, 1.0)
+    for t_end in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^t_end must be positive"):
+            CosineBumpTestFunction(1, t_end)
+
+
 def test_phi():
     assert phi(2.0, 2.0) == 0.0
     assert phi(1.0, math.e) == pytest.approx(math.e - 2.0)

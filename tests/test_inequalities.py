@@ -134,6 +134,9 @@ def test_interp_rejects_nonpositive():
         check_interp_lower(bad, g, 1.0, 1.0)
     with pytest.raises(ValueError):
         check_interp_log(bad, g)
+    for p, q in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="^p and q must be positive"):
+            check_interp_lower(np.full(g.n_cells, 2.0), g, p, q)
 
 
 @pytest.mark.parametrize("check, args", [(check_bernis, (0.0,)), (check_interp_lower, (1.0, 1.0)),
@@ -176,6 +179,11 @@ def test_mollifier_bound_sweep():
 def test_mollifier_rejects_bad_nu():
     with pytest.raises(ValueError):
         check_mollifier_bound(2.5, 1e-2, [1.0])
+    for eps in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)"):
+            check_mollifier_bound(1.0, eps, [1.0])
+    with pytest.raises(ValueError, match="^samples must be nonnegative"):
+        check_mollifier_bound(1.0, 1e-2, [1.0, -1e-300])
 
 
 def test_hflux_bounds_sweep():
@@ -216,6 +224,19 @@ def test_ode_comparison_fractional_exponent():
 def test_ode_comparison_rejects_beta_below_one():
     with pytest.raises(ValueError):
         ode_comparison_bound(0.0, 1.0, 1.0, 0.9, 1.0, 5.0)
+
+
+
+@pytest.mark.parametrize("a, b, y0", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1e-3)])
+def test_ode_comparison_rejects_bad_coefficients(a, b, y0):
+    with pytest.raises(ValueError, match=r"^need a > 0, b > 0, y0 >= 0"):
+        ode_comparison_bound(0.0, a, b, 2.0, y0, 5.0)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan])
+def test_ode_comparison_rejects_end_not_after_start(t_end):
+    with pytest.raises(ValueError, match="^t_end must exceed t0"):
+        ode_comparison_bound(0.0, 1.0, 1.0, 2.0, 1.0, t_end)
 
 
 def test_ode_comparison_random_draws(shipped_reports):

@@ -172,6 +172,23 @@ def test_m4_mobility():
     assert np.all(m4_mobility(s, n, eps) <= s**n + 1e-15)
 
 
+@pytest.mark.parametrize("fn", [h_flux, h_flux_deriv, h_flux_deriv2])
+def test_h_flux_family_rejects_bad_exponent_and_eps(fn):
+    for n in (-0.5, 3.6):
+        with pytest.raises(ValueError, match=r"^n must lie in \[0, 7/2\]"):
+            fn(1.0, n, 0.1)
+    with pytest.raises(ValueError, match="^eps must be positive"):
+        fn(1.0, 2.0, 0.0)
+
+
+def test_m4_mobility_and_entropy_weight_reject_bad_input():
+    with pytest.raises(ValueError, match="^eps must be positive"):
+        m4_mobility(1.0, 2.0, -1e-3)
+    for s in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^s must be strictly positive"):
+            log_entropy_weight(np.array([1.0, s]), 2.0, 0.1)
+
+
 def test_fast_diffusion_coeff():
     assert fast_diffusion_coeff(1.0, 0.3, 0.2) == pytest.approx(0.2**0.15)
     assert fast_diffusion_coeff(4.0, 0.5, 1e-4) == pytest.approx(0.05)

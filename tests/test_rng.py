@@ -8,7 +8,9 @@ from pesim.experiments import InitialCondition
 from pesim.grid import Grid1D
 from pesim.rng import DefaultRng
 
-MULTI_WORD_SEEDS = [2**32 - 1, 2**32, 2**64 + 5, 10**30]
+# from 2^128 on, the seed has words past the fourth, mixed into the pool one by one
+MULTI_WORD_SEEDS = [2**32 - 1, 2**32, 2**64 + 5, 10**30,
+                    2**128, 2**128 + 5, 2**160 + 7, 3**200, 2**1000 + 1]
 CHECKER_SEEDS = [20240, 20241, 20242, 20243, 20244]  # inequalities' report seeds
 
 

@@ -144,6 +144,21 @@ def test_schemes_agree_for_small_dt(unit_grid, coex_params, reg_params):
     assert du < 1e-7 and dv < 1e-7
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nextafter(5e-2, 1.0), np.nan])
+def test_step_rejects_dt_outside_range(dt, unit_grid, coex_params, reg_params):
+    with pytest.raises(ValueError, match=r"^dt must lie in \(0, dt_max\]"):
+        step(_smooth_state(unit_grid), dt, coex_params, reg_params, ModelKind.REGULARIZED,
+             StepperConfig())
+
+
+def test_run_until_rejects_end_before_start(unit_grid, coex_params, reg_params):
+    samples = []
+    with pytest.raises(ValueError, match=r"^t_end must not precede state\.t"):
+        run_until(_smooth_state(unit_grid, t=2.0), 1.0, coex_params, reg_params,
+                  ModelKind.REGULARIZED, StepperConfig(), 1.0, samples.append)
+    assert samples == []  # rejected before the first sample
+
+
 def test_run_until_zero_span(unit_grid, coex_params, reg_params):
     st = _smooth_state(unit_grid, t=2.0)
     samples = _samples(st, 2.0, coex_params, reg_params,
@@ -355,7 +370,7 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
 
 @pytest.mark.parametrize("scheme, kind", [
     (Scheme.IMEX, ModelKind.LIMIT),             # gtsv
-    (Scheme.IMEX, ModelKind.REGULARIZED),       # gbsv, half-bandwidth 2
+    (Scheme.IMEX, ModelKind.REGULARIZED),       # gbtrf, half-bandwidth 2
     (Scheme.FULLY_IMPLICIT, ModelKind.REGULARIZED),  # gbtrf, half-bandwidth 4
 ])
 def test_singular_band_system_rejects_step(scheme, kind, unit_grid, coex_params,
@@ -775,12 +790,11 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
     assert info_ref == 0
     # past a zero pivot the solve divides by zero: same infs and nans
     assert np.array_equal(x, x_ref, equal_nan=True)
-    # the one-call driver gbsv: the same LU, and the same solution bits
-    lu_sv, x_sv = ab.copy(order="F"), b.copy()
-    info = stp.dgbsv(lu_sv, kl, x_sv)
-    lu_ref, _, x_ref, info_ref = lapack.dgbsv(kl, kl, ab, b)
-    assert info == info_ref and (info > 0) == singular
-    assert np.array_equal(lu_sv, lu_ref) and np.array_equal(x_sv, x_ref)
+    # the one-call driver gbsv is gbtrf then gbtrs, which the IMEX step
+    # calls in its place: the same LU, and the same solution bits
+    lu_sv, _, x_sv, info_sv = lapack.dgbsv(kl, kl, ab, b)
+    assert info_sv == info
+    assert np.array_equal(lu_sv, lu)
     assert np.array_equal(x_sv, b if singular else x)  # gbsv leaves b when singular
     if kl == 1:  # tridiagonal: gtsv on the three diagonals, all overwritten in place
         diags = [np.ascontiguousarray(d) for d in (ab[3, :-1], ab[2], ab[1, 1:])]
@@ -794,15 +808,14 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
 
 # LAPACK's argument numbers of KL and LDAB in each banded routine
 @pytest.mark.parametrize("routine, kl_arg, ldab_arg",
-                         [("dgbsv", 2, 6), ("dgbtrf", 3, 6), ("dgbtrs", 3, 7)])
+                         [("dgbtrf", 3, 6), ("dgbtrs", 3, 7)])
 def test_lapack_bindings_pass_64_bit_integers(routine, kl_arg, ldab_arg):
     # kl = -1 reaches LAPACK whole, and so do the high bits of kl = 2^32,
     # which makes the band storage too short for kl, where its low 32 bits
     # would read as a valid 0
     ab, b = _band_system(2, False)
     piv = stp.dgbtrf(ab.copy(order="F"), 2)[0]
-    calls = {"dgbsv": lambda kl: stp.dgbsv(ab, kl, b),
-             "dgbtrf": lambda kl: stp.dgbtrf(ab, kl),
+    calls = {"dgbtrf": lambda kl: stp.dgbtrf(ab, kl),
              "dgbtrs": lambda kl: stp.dgbtrs(ab, kl, piv, b)}
     for kl, arg in ((-1, kl_arg), (2 ** 32, ldab_arg)):
         with pytest.raises(ValueError) as exc:
@@ -816,18 +829,21 @@ def test_lapack_bindings_reject_mismatched_arrays():
     ab, b = _band_system(2, False)
     piv = stp.dgbtrf(ab.copy(order="F"), 2)[0]
     d = np.ones(b.size)
-    bad = [lambda: stp.dgbsv(ab, 2, b[:-1]),
-           lambda: stp.dgbsv(ab, 2, b.astype(np.float32)),
-           lambda: stp.dgbtrf(ab.astype(np.float32), 2),
+    bad = [lambda: stp.dgbtrf(ab.astype(np.float32), 2),
+           lambda: stp.dgbtrs(ab, 2, piv, b[:-1]),
            lambda: stp.dgbtrs(ab, 2, piv, np.append(b, 0.0)),
+           lambda: stp.dgbtrs(ab, 2, piv, b.astype(np.float32)),
+           lambda: stp.dgbtrs(ab.astype(np.float32), 2, piv, b),
            lambda: stp.dgbtrs(ab, 2, piv[:-1], b),
            lambda: stp.dgtsv(d[1:], d, d, b),
            lambda: stp.dgtsv(d[1:], d, d[1:], b[1:])]
     for call in bad:
         with pytest.raises(ValueError, match="float64 and of matching lengths"):
             call()
-    with pytest.raises(TypeError, match="not C contiguous"):
-        stp.dgbsv(np.ascontiguousarray(ab), 2, b)
+    for call in (lambda: stp.dgbtrf(np.ascontiguousarray(ab), 2),
+                 lambda: stp.dgbtrs(np.ascontiguousarray(ab), 2, piv, b)):
+        with pytest.raises(TypeError, match="not C contiguous"):
+            call()
 
 
 def test_lapack_routine_lookup_failure_names_the_symbol():
