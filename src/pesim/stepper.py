@@ -8,9 +8,12 @@ Both fields are held as one (2, n) array, a State's w (see the model
 module).  The IMEX step is one banded solve of a block-diagonal system with u
 in rows [0, n) and v in [n, 2n): the stacked array's own memory order.  It
 calls LAPACK itself, through ctypes, from the library that numpy already
-loads (see the LAPACK section below): gtsv for the limit model's tridiagonal
-bands, and for the regularized model's five the band LU of gbtrf and the
-solve of gbtrs that Newton uses too.
+loads (see the LAPACK section below): the band LU of gbtrf and the solve of
+gbtrs that Newton uses too, at half-bandwidth 1 for the limit model's
+tridiagonal bands and 2 for the regularized model's five.  The limit
+model's I - dt*L reads only the grid, D and dt, never the state, so an
+accepted limit step hands on its factorization, and the next step solves
+with it while dt, the grid and D are unchanged.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
@@ -33,8 +36,8 @@ the local error tolerance is rejected, and run_until keeps dt below the
 largest dt the floor allows.  An accepted step also hands on
 rhs(w_new) when its last line search evaluated it there, so the next
 attempt from w_new starts without evaluating it again.  step() passes the
-run's last accepted outcome on unchanged; _newton_advance alone decides
-what of its Jacobian and rhs to reuse.
+run's last accepted outcome on unchanged to either scheme's advance, which
+alone decides what of it to reuse.
 
 Positivity is enforced by step rejection, never by clamping: clamped values
 would silently break the entropy identities the diagnostics monitor.
@@ -130,6 +133,9 @@ class StepOutcome:
     # compute_rhs at state.w or None
     jac: tuple[np.ndarray, float] | None = None
     rhs: np.ndarray | None = None
+    # limit IMEX, accepted: the factorization of I - dt*L it solved with,
+    # keyed by what that matrix reads (see _imex_advance)
+    lu: tuple | None = None
 
 
 class StepperFailure(RuntimeError):
@@ -172,7 +178,7 @@ def _lapack_routine(name):
     return routine
 
 
-_gbtrf, _gbtrs, _gtsv = map(_lapack_routine, ("dgbtrf", "dgbtrs", "dgtsv"))
+_gbtrf, _gbtrs = map(_lapack_routine, ("dgbtrf", "dgbtrs"))
 _F64 = np.dtype(np.float64)
 _INT_ARGS = {}  # by-reference 64-bit integer arguments, by their values
 _CHAR_LEN = ctypes.c_size_t(1)  # the hidden length of a Fortran character argument
@@ -229,35 +235,20 @@ def dgbtrs(lu, kl, piv, b):
     return _info(info)
 
 
-def dgtsv(dl, d, du, b):
-    """Solve the tridiagonal system with diagonals dl, d, du in place in b;
-    the diagonals are overwritten."""
-    n = d.shape[0]
-    if (d.dtype is not _F64 or dl.dtype is not _F64 or du.dtype is not _F64
-            or b.dtype is not _F64 or b.shape != d.shape or dl.shape != (n - 1,) or du.shape != (n - 1,)):
-        raise _mismatch("dgtsv")
-    n_, one = _ints(n, 1)
-    info = ctypes.c_int64()
-    _gtsv(n_, one, _ptr(dl), _ptr(d), _ptr(du), _ptr(b), n_, _byref(info))
-    return _info(info)
-
-
 # ---------------------------------------------------------------------------
 # banded assembly
 #
 # Matrices live in LAPACK band storage: ab[2kl + i - j, j] = A[i, j] with
 # 3kl + 1 rows (the first kl are LU workspace), Fortran order, so gbtrf
-# works in place.  The limit model's IMEX matrix is tridiagonal and
-# stored in C order instead, so that gtsv reads its three diagonals from
-# the contiguous rows kl..2kl + 1 (kl = 1).
+# works in place.
 # The array carries kl spare columns on each side.  Operator bands are written
 # through a sheared view whose row r + k, index i, is the slot of L[i, i + k];
 # slots of entries outside the matrix fall into the spare columns.
 # ---------------------------------------------------------------------------
 
-def _band_storage(kl, m, order="F"):
+def _band_storage(kl, m):
     """Zeroed band storage of an m x m matrix; the matrix is ab[:, kl:-kl]."""
-    return np.zeros((3 * kl + 1, m + 2 * kl), order=order)
+    return np.zeros((3 * kl + 1, m + 2 * kl), order="F")
 
 
 def _band_slots(ab, kl, n, r, stride=1, col_off=0, *, pair):
@@ -326,36 +317,41 @@ def _stiff_bands(out, w, dx, d_coeff, n_exp, rp, kind):
 # IMEX scheme
 # ---------------------------------------------------------------------------
 
-def _imex_advance(w, dx, dt, kp, rp, kind):
-    """One IMEX step of the stacked pair w: w_new, or None if the solve is
-    singular."""
+def _imex_advance(w, dx, dt, kp, rp, kind, prev):
+    """One IMEX step of the stacked pair w: (w_new, lu), w_new None if the
+    solve is singular.  The limit model's I - dt*L reads only dt, dx, n and
+    D, never w: its lu is ((dt, dx, n, d1, d2), LU, pivots), and the step
+    solves with prev.lu, from the run's last accepted outcome prev, in place
+    of a fresh factorization when the keys are equal.  Regularized, lu is None."""
     c = _columns(kp, rp)
     # the bands vanish outside each field's block, so the block-diagonal
     # system solves exactly as two separate systems would
     n = w.shape[1]
     kl = 2 if kind is ModelKind.REGULARIZED else 1
-    ab = _band_storage(kl, 2 * n, "F" if kl > 1 else "C")
-    _stiff_bands(_band_slots(ab, kl, n, kl, pair=(n, n)), w, dx, c.d, c.n, rp, kind)
-    ab *= -dt
+    key = (dt, dx, n, kp.d1, kp.d2) if kl == 1 else None
+    lu = prev.lu[1:] if prev is not None and prev.lu and prev.lu[0] == key else None
+    if lu is None:
+        ab = _band_storage(kl, 2 * n)
+        _stiff_bands(_band_slots(ab, kl, n, kl, pair=(n, n)), w, dx, c.d, c.n, rp, kind)
+        ab *= -dt
     # the explicit part only after the bands: held through the band assembly,
     # it raised the step's peak memory enough that at n = 4096 the C heap was
     # trimmed and faulted back in on every step of the eps study
     flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
     rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind))
-    # factor and solve I - dt*L in place, rhs becoming w_new
-    if kl == 1:
-        a = ab[:, 1:-1]
-        a[2] += 1.0
-        return None if dgtsv(a[3, :-1], a[2], a[1, 1:], rhs.reshape(2 * n)) else rhs
-    lu = _factor_shifted(ab, kl)
+    # factor I - dt*L in place unless carried, and solve, rhs becoming w_new
     if lu is None:
-        return None
+        lu = _factor_shifted(ab, kl)
+        if lu is None:
+            return None, None
     dgbtrs(lu[0], kl, lu[1], rhs.reshape(2 * n))
+    if kl == 1:
+        return rhs, (key, *lu)
     # free the pivots, then flux, and the band storage last, at the return:
     # glibc trims the top of the heap on a free, so the order of the frees
     # decides whether a step's arrays are faulted in again on the next step
     del lu, flux
-    return rhs
+    return rhs, None
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +513,17 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     against _TOL * (1 + |w_new|); above 1 the step fails.  A fully implicit
     outcome past positivity carries its slopes (w_new - w_old) / dt.
 
-    A fully implicit attempt hands prev to _newton_advance, which alone
-    decides what of prev.jac and prev.rhs to reuse; every fully implicit
-    outcome counts its Jacobian builds in jac_builds.
+    An attempt hands prev to its scheme's advance, which alone decides what
+    of it to reuse: _imex_advance the limit model's prev.lu, _newton_advance
+    prev.jac and prev.rhs.  Every fully implicit outcome counts its Jacobian
+    builds in jac_builds.
     """
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")
     w = state.w
-    builds, jac, rhs = 0, None, None
+    builds, jac, rhs, lu = 0, None, None, None
     if cfg.scheme is Scheme.IMEX:
-        wn, iters = _imex_advance(w, state.grid.dx, dt, kp, rp, kind), 0
+        (wn, lu), iters = _imex_advance(w, state.grid.dx, dt, kp, rp, kind, prev), 0
     else:
         wn, iters, jac, builds, rhs = _newton_advance(w, state.grid.dx, dt, kp, rp, kind, cfg, prev)
 
@@ -551,7 +548,7 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
                 return rejected(min_u, min_v, err, slopes)
     # wn is a fresh array, proven finite and positive just above
     new_state = State.trusted(state.t + dt, state.grid, wn)
-    return StepOutcome(new_state, dt, True, iters, min_u, min_v, err, slopes, builds, jac, rhs)
+    return StepOutcome(new_state, dt, True, iters, min_u, min_v, err, slopes, builds, jac, rhs, lu)
 
 
 def run_until(state: State, t_end: float, kp: KineticParams, rp: RegParams,

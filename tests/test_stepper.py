@@ -33,6 +33,7 @@ from pesim.stepper import (
     Scheme,
     StepperConfig,
     StepperFailure,
+    dgbtrf,
     run_until,
     step,
 )
@@ -369,7 +370,7 @@ def test_returned_states_are_frozen(scheme, unit_grid, coex_params, reg_params):
 
 
 @pytest.mark.parametrize("scheme, kind", [
-    (Scheme.IMEX, ModelKind.LIMIT),             # gtsv
+    (Scheme.IMEX, ModelKind.LIMIT),             # gbtrf, half-bandwidth 1
     (Scheme.IMEX, ModelKind.REGULARIZED),       # gbtrf, half-bandwidth 2
     (Scheme.FULLY_IMPLICIT, ModelKind.REGULARIZED),  # gbtrf, half-bandwidth 4
 ])
@@ -439,7 +440,7 @@ def test_nonfinite_result_rejects_step(scheme, bad, unit_grid, coex_params, reg_
         wn[1, 3] = bad
         return wn
 
-    monkeypatch.setattr(stp, "_imex_advance", planted)
+    monkeypatch.setattr(stp, "_imex_advance", lambda w, *args: (planted(w), None))
     monkeypatch.setattr(stp, "_newton_advance", lambda w, *args: (planted(w), 1, None, 0, None))
     st = _smooth_state(unit_grid)
     cfg = StepperConfig(scheme=scheme)
@@ -735,6 +736,49 @@ def test_implicit_run_sizes_steps_by_local_error(coex_params, reg_params, monkey
     assert 0.2 * (1 - 1e-12) <= min(ratios) and max(ratios) <= 2.0 * (1 + 1e-12)
 
 
+def test_limit_imex_run_factors_once_per_dt(unit_grid, coex_params, reg_params, monkeypatch):
+    # the limit model's I - dt*L reads no state: a run at constant dt factors
+    # it once, and again only for a new dt (the last step, cut to t_end)
+    factored = []
+    monkeypatch.setattr(stp, "dgbtrf", lambda ab, kl: factored.append(kl) or dgbtrf(ab, kl))
+    attempts = _record_attempts(monkeypatch)
+    cfg = StepperConfig(dt_init=1e-4, dt_max=1e-4)
+    _samples(_smooth_state(unit_grid), 0.03, coex_params, reg_params, ModelKind.LIMIT, cfg, 0.03)
+    dts = {out.dt_used for out in attempts}
+    assert len(attempts) >= 300 and all(out.accepted for out in attempts)
+    assert factored == [1] * len(dts) and len(dts) <= 2
+    assert all(out.lu[0][0] == out.dt_used for out in attempts)
+
+
+def test_carried_limit_factorization_gives_the_fresh_bits(unit_grid, coex_params, reg_params,
+                                                          monkeypatch):
+    # a step solves with prev's factorization only when everything I - dt*L
+    # reads is equal (dt, the grid, D), and then gets a fresh one's bits; a
+    # prev from another dt, grid or d1 is not used
+    factored = []
+    monkeypatch.setattr(stp, "dgbtrf", lambda ab, kl: factored.append(kl) or dgbtrf(ab, kl))
+    dt, cfg, kind = 1e-3, StepperConfig(), ModelKind.LIMIT
+    st = _smooth_state(unit_grid)
+    fresh = step(st, dt, coex_params, reg_params, kind, cfg)
+    carried = step(fresh.state, dt, coex_params, reg_params, kind, cfg, fresh)
+    assert factored == [1] and carried.lu[1] is fresh.lu[1]
+    again = step(fresh.state, dt, coex_params, reg_params, kind, cfg)
+    assert np.array_equal(carried.state.w, again.state.w)
+    other_kp = dataclasses.replace(coex_params, d1=2.0)
+    planted = [step(st, 2 * dt, coex_params, reg_params, kind, cfg),
+               step(_smooth_state(Grid1D(0.0, 2.0, unit_grid.n_cells)), dt, coex_params,
+                    reg_params, kind, cfg),
+               step(st, dt, other_kp, reg_params, kind, cfg)]
+    for prev in planted:
+        del factored[:]
+        out = step(st, dt, coex_params, reg_params, kind, cfg, prev)
+        assert factored == [1] and np.array_equal(out.state.w, fresh.state.w)
+    # the regularized IMEX and the fully implicit schemes carry no factorization
+    assert step(st, dt, coex_params, reg_params, ModelKind.REGULARIZED, cfg).lu is None
+    implicit = StepperConfig(scheme=Scheme.FULLY_IMPLICIT)
+    assert step(st, dt, coex_params, reg_params, kind, implicit, fresh).lu is None
+
+
 def test_run_hands_step_the_last_accepted_outcome(coex_params, reg_params, monkeypatch):
     # run_until's only memory between attempts is the last accepted
     # StepOutcome: None until the first acceptance, then that very object,
@@ -796,14 +840,6 @@ def test_lapack_routines_match_scipy_linalg(kl, singular):
     assert info_sv == info
     assert np.array_equal(lu_sv, lu)
     assert np.array_equal(x_sv, b if singular else x)  # gbsv leaves b when singular
-    if kl == 1:  # tridiagonal: gtsv on the three diagonals, all overwritten in place
-        diags = [np.ascontiguousarray(d) for d in (ab[3, :-1], ab[2], ab[1, 1:])]
-        x = b.copy()
-        info = stp.dgtsv(*diags, x)
-        *diags_ref, x_ref, info_ref = lapack.dgtsv(ab[3, :-1], ab[2], ab[1, 1:], b)
-        assert info == info_ref and (info > 0) == singular
-        assert all(np.array_equal(d, d_ref) for d, d_ref in zip(diags, diags_ref))
-        assert np.array_equal(x, x_ref)
 
 
 # LAPACK's argument numbers of KL and LDAB in each banded routine
@@ -828,15 +864,12 @@ def test_lapack_bindings_reject_mismatched_arrays():
     # and band storage that is not F-contiguous
     ab, b = _band_system(2, False)
     piv = stp.dgbtrf(ab.copy(order="F"), 2)[0]
-    d = np.ones(b.size)
     bad = [lambda: stp.dgbtrf(ab.astype(np.float32), 2),
            lambda: stp.dgbtrs(ab, 2, piv, b[:-1]),
            lambda: stp.dgbtrs(ab, 2, piv, np.append(b, 0.0)),
            lambda: stp.dgbtrs(ab, 2, piv, b.astype(np.float32)),
            lambda: stp.dgbtrs(ab.astype(np.float32), 2, piv, b),
-           lambda: stp.dgbtrs(ab, 2, piv[:-1], b),
-           lambda: stp.dgtsv(d[1:], d, d, b),
-           lambda: stp.dgtsv(d[1:], d, d[1:], b[1:])]
+           lambda: stp.dgbtrs(ab, 2, piv[:-1], b)]
     for call in bad:
         with pytest.raises(ValueError, match="float64 and of matching lengths"):
             call()
@@ -935,8 +968,12 @@ def _ref_imex(u, v, dx, dt, kp, rp, kind):
         diags = {k: -dt * arr for k, arr in _ref_operator_bands(w, dx, d_coeff, n_exp,
                                                                 rp, kind).items()}
         diags[0] = diags[0] + 1.0
-        new.append(solve_banded((width, width), _ref_diags_to_ab(diags, width, width, w.shape[0]),
-                                rhs))
+        # band LU then solve, as the step does at both widths (solve_banded
+        # would call gtsv on the tridiagonal limit system)
+        ab = _ref_diags_to_ab(diags, width, width, w.shape[0])
+        lu, piv, info = lapack.dgbtrf(np.vstack((np.zeros((width, w.shape[0])), ab)), width, width)
+        assert info == 0
+        new.append(lapack.dgbtrs(lu, width, width, rhs, piv)[0])
     return new[0], new[1], 0
 
 
