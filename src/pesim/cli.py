@@ -39,6 +39,11 @@ _EXPERIMENTS = {
     "ode": "run_ode_consistency",
 }
 
+# the name that stepper._lapack_routine gives its ImportError, the symbol it
+# found missing from numpy's LAPACK: an environment fault, reported without
+# a traceback
+_LAPACK_SYMBOL = re.compile(r"scipy_\w+_64_")
+
 _SNAPSHOT_COLUMNS = ("x", "u", "v")  # each snapshot file
 _SNAPSHOT_BLOCK = 1024  # rows per row template and per write in write_snapshots
 
@@ -442,9 +447,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
-    if args.command == "simulate":
-        return cmd_simulate(args.config, args.out)
-    if args.command == "experiment":
+    if args.command == "verify":
+        return cmd_verify(args.out, args.suite, args.beta)
+    if args.command == "plot":
+        return cmd_plot(args.out_dir)
+    try:  # simulate and experiment import the stepper, which looks up LAPACK
+        if args.command == "simulate":
+            return cmd_simulate(args.config, args.out)
         eps_list = args.eps_list  # cmd_experiment rejects any list for another experiment
         if eps_list is not None and args.which == "eps":
             from .experiments import check_eps_list
@@ -454,9 +463,10 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 return _fail(f"--eps-list: {exc} ({args.eps_list!r})", 1)
         return cmd_experiment(args.config, args.which, args.out, eps_list)
-    if args.command == "verify":
-        return cmd_verify(args.out, args.suite, args.beta)
-    return cmd_plot(args.out_dir)
+    except ImportError as exc:
+        if not _LAPACK_SYMBOL.fullmatch(exc.name or ""):
+            raise
+        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

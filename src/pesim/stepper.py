@@ -11,9 +11,8 @@ calls LAPACK itself, through ctypes, from the library that numpy already
 loads (see the LAPACK section below): the band LU of gbtrf and the solve of
 gbtrs that Newton uses too, at half-bandwidth 1 for the limit model's
 tridiagonal bands and 2 for the regularized model's five.  The limit
-model's I - dt*L reads only the grid, D and dt, never the state, so an
-accepted limit step hands on its factorization, and the next step solves
-with it while dt, the grid and D are unchanged.
+model's I - dt*L reads no state, so an accepted limit step hands on its
+factorization to the next step at the same dt, grid and D.
 
 The fully implicit scheme solves the backward-Euler residual
 R(w) = w - w_old - dt * rhs(w) on the interleaved unknown vector
@@ -164,13 +163,14 @@ _LAPACK = _umath_linalg.__file__
 
 
 def _lapack_routine(name):
-    """The ctypes function of LAPACK's routine name (e.g. "dgbtrf")."""
+    """The ctypes function of LAPACK's routine name (e.g. "dgbtrf"), else an
+    ImportError whose name is the symbol looked up."""
     symbol = f"scipy_{name}_64_"
     try:
         routine = getattr(ctypes.CDLL(_LAPACK), symbol)
     except AttributeError:
-        raise ImportError(f"LAPACK routine {name} ({symbol}) is not in {_LAPACK} "
-                          "or the libraries it links") from None
+        raise ImportError(f"LAPACK routine {name} ({symbol}) is not in {_LAPACK} or the libraries "
+                          "it links (see README)", name=symbol, path=_LAPACK) from None
     # argtypes stay undeclared: their conversions would cost about 1.5 us a
     # call, and every argument is already a pointer built below, to arrays
     # whose dtype and length each binding checks
@@ -319,10 +319,11 @@ def _stiff_bands(out, w, dx, d_coeff, n_exp, rp, kind):
 
 def _imex_advance(w, dx, dt, kp, rp, kind, prev):
     """One IMEX step of the stacked pair w: (w_new, lu), w_new None if the
-    solve is singular.  The limit model's I - dt*L reads only dt, dx, n and
-    D, never w: its lu is ((dt, dx, n, d1, d2), LU, pivots), and the step
-    solves with prev.lu, from the run's last accepted outcome prev, in place
-    of a fresh factorization when the keys are equal.  Regularized, lu is None."""
+    solve is singular.  It assembles I - dt*L(w), forms the explicit right
+    side w + dt*E(w), then factors and solves once.  The limit model's
+    I - dt*L reads only dt, dx, n and D, never w: its lu is ((dt, dx, n,
+    d1, d2), LU, pivots), and the step solves with prev.lu, from the run's
+    last accepted outcome prev, when the keys are equal.  Regularized, lu is None."""
     c = _columns(kp, rp)
     # the bands vanish outside each field's block, so the block-diagonal
     # system solves exactly as two separate systems would
@@ -334,24 +335,14 @@ def _imex_advance(w, dx, dt, kp, rp, kind, prev):
         ab = _band_storage(kl, 2 * n)
         _stiff_bands(_band_slots(ab, kl, n, kl, pair=(n, n)), w, dx, c.d, c.n, rp, kind)
         ab *= -dt
-    # the explicit part only after the bands: held through the band assembly,
-    # it raised the step's peak memory enough that at n = 4096 the C heap was
-    # trimmed and faulted back in on every step of the eps study
     flux = c.chi * taxis_face_coeff(w, c.n, rp, kind) * face_gradient(w, dx)[::-1]
     rhs = w + dt * ((flux[:, 1:] - flux[:, :-1]) / dx + reaction_terms(w, kp, rp, kind))
-    # factor I - dt*L in place unless carried, and solve, rhs becoming w_new
     if lu is None:
         lu = _factor_shifted(ab, kl)
         if lu is None:
             return None, None
     dgbtrs(lu[0], kl, lu[1], rhs.reshape(2 * n))
-    if kl == 1:
-        return rhs, (key, *lu)
-    # free the pivots, then flux, and the band storage last, at the return:
-    # glibc trims the top of the heap on a free, so the order of the frees
-    # decides whether a step's arrays are faulted in again on the next step
-    del lu, flux
-    return rhs, None
+    return rhs, key and (key, *lu)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +505,9 @@ def step(state: State, dt: float, kp: KineticParams, rp: RegParams,
     outcome past positivity carries its slopes (w_new - w_old) / dt.
 
     An attempt hands prev to its scheme's advance, which alone decides what
-    of it to reuse: _imex_advance the limit model's prev.lu, _newton_advance
-    prev.jac and prev.rhs.  Every fully implicit outcome counts its Jacobian
-    builds in jac_builds.
+    of it to reuse: _imex_advance, one factor and solve, the limit model's
+    prev.lu, and _newton_advance prev.jac and prev.rhs.  Every fully
+    implicit outcome counts its Jacobian builds in jac_builds.
     """
     if not 0.0 < dt <= cfg.dt_max:
         raise ValueError("dt must lie in (0, dt_max]")

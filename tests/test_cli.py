@@ -392,11 +392,18 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
 
 def test_runs_need_no_scipy(tmp_path):
     # sys.modules["scipy"] = None makes every import of scipy raise: both
-    # models and both schemes run without it, to the same bytes
+    # models and both schemes run without it, to the same bytes, and so do
+    # the inequality suites
     runs = {"imex": BASE, "limit": BASE + "model.kind = limit\n",
             "implicit": BASE + "stepper.scheme = fully_implicit\n"}
     commands = [["simulate", _write(tmp_path, f"{name}.cfg", text)] for name, text in runs.items()]
     commands.append(["experiment", _write(tmp_path, "coex.cfg", COEX), "--which", "coexistence"])
+    commands.append(["verify", "--suite", "all"])
+
+    def outputs(command, out):  # a run's time series, or verify's reports
+        if command[0] == "verify":
+            return {name: _read(os.path.join(out, name)) for name in sorted(os.listdir(out))}
+        return _read(os.path.join(out, "timeseries.csv"))
 
     def run(blocked):
         outs = [str(tmp_path / f"{blocked}-{i}") for i in range(len(commands))]
@@ -406,11 +413,50 @@ def test_runs_need_no_scipy(tmp_path):
                 f"print(json.dumps([pesim.cli.main(c + ['--out', o]) "
                 f"for c, o in zip({commands!r}, {outs!r})]))")
         codes = json.loads(run_python_with_src(code).splitlines()[-1])
-        return codes, [_read(os.path.join(o, "timeseries.csv")) for o in outs]
+        return codes, [outputs(c, o) for c, o in zip(commands, outs)]
 
     codes, series = run(True)
     assert codes == [0] * len(commands)
     assert (codes, series) == run(False)
+
+
+def test_missing_lapack_routine_exits_1_without_traceback(tmp_path):
+    # the stepper's lookup of scipy_dgbtrf_64_ fails as on a numpy whose
+    # LAPACK names its routines otherwise: each command that imports the
+    # stepper exits 1 with one line and makes no output directory, while
+    # any other import error keeps its traceback
+    cfg = _write(tmp_path, "run.cfg", BASE)
+    commands = [["simulate", cfg], ["experiment", cfg, "--which", "coexistence"],
+                ["experiment", cfg, "--which", "eps", "--eps-list", "1e-2,5e-3"]]
+    outs = [str(tmp_path / f"out-{i}") for i in range(len(commands))]
+    code = ("import contextlib, ctypes, io, json, sys\n"
+            "lookup = ctypes.CDLL.__getattr__\n"
+            "def planted(lib, name):\n"
+            "    if name == 'scipy_dgbtrf_64_':\n"
+            "        raise AttributeError(name)\n"
+            "    return lookup(lib, name)\n"
+            "ctypes.CDLL.__getattr__ = planted\n"
+            "import pesim.cli\n"
+            "def run(argv):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        return pesim.cli.main(argv), err.getvalue()\n"
+            f"results = [run(c + ['--out', o]) for c, o in zip({commands!r}, {outs!r})]\n"
+            "sys.modules['pesim.experiments'] = None\n"
+            "ctypes.CDLL.__getattr__ = lookup\n"
+            "try:\n"
+            f"    run({commands[0]!r} + ['--out', {outs[0]!r}])\n"
+            "except ImportError as exc:\n"
+            "    results.append(exc.name)\n"
+            "print(json.dumps(results))")
+    results = json.loads(run_python_with_src(code).splitlines()[-1])
+    assert results[-1] == "pesim.experiments"
+    for exit_code, err in results[:-1]:
+        assert exit_code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("pesim: LAPACK routine dgbtrf (scipy_dgbtrf_64_) is not in ")
+        assert "_umath_linalg" in err
+    assert not any(os.path.exists(o) for o in outs)
 
 
 # an output path taken by the wrong kind of file: a run reports it under its
